@@ -21,11 +21,12 @@ from .curves import (
     LZ,
     CatenaryFamily,
     PlaneCurve,
+    ProfileForm,
     catenary_curvature_residual,
     curvature,
-    eval_catenary,
     minimal_normal,
     parabolic_normal,
+    profile_jet,
     relative_arclength,
     unit_tangent,
 )
@@ -46,7 +47,6 @@ from .odes import (
     IVPResult,
     ProfileODE,
     SampledProfile,
-    continuity_in_a,
     integrate,
     ivp_residual,
     operator_T_apply,
@@ -55,12 +55,11 @@ from .odes import (
 from .singular import (
     PI_XY,
     PI_YZ,
+    AlphaRevolutionLink,
     CatenoidBoundary,
     CatenoidSolution,
     ClassificationReport,
-    ProfileForm,
     SingularSpec,
-    alpha_singular_revolution_link,
     classify_helicoidal,
     classify_parabolic_revolution,
     cmc_quadric_coefficients,

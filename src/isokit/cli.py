@@ -14,19 +14,12 @@ import sys
 import numpy as np
 
 from . import curves, odes, singular, surfaces, variational
+from .core import write_csv, write_text
 from .errors import IsoKitError
 
 
 def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
-
-
-def _write_text(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
 
 
 def _parse_range(raw: str) -> tuple[float, float]:
@@ -39,8 +32,8 @@ def _parse_grid(raw: str) -> tuple[int, int]:
     return int(nu), int(nv)
 
 
-def _parse_profile(raw: str):
-    """Profile spec `kind:args` -> callable t -> (z, z', z'').
+def _parse_profile(raw: str) -> curves.ProfileForm:
+    """Profile spec `kind:args` -> ProfileForm.
 
     Kinds: log:c,d  power:c,p,d  inverse:z1,z2  poly:a0,a1,...
     """
@@ -48,37 +41,16 @@ def _parse_profile(raw: str):
     vals = [float(v) for v in argstr.split(",")] if argstr else []
     if kind == "log":
         c, d = vals
-        return singular.ProfileForm("log", {"c": c, "d": d})
+        return curves.ProfileForm("log", {"c": c, "d": d})
     if kind == "power":
         c, p, d = vals
-        return singular.ProfileForm("power", {"c": c, "p": p, "d": d})
+        return curves.ProfileForm("power", {"c": c, "p": p, "d": d})
     if kind == "inverse":
         z1, z2 = vals
-        return singular.ProfileForm("inverse_radius", {"z1": z1, "z2": z2})
+        return curves.ProfileForm("inverse_radius", {"z1": z1, "z2": z2})
     if kind == "poly":
-        coeffs = np.array(vals)
-
-        def poly(t, _c=coeffs):
-            powers = _c * t ** np.arange(_c.size)
-            dz = _c[1:] * np.arange(1, _c.size) * t ** np.arange(_c.size - 1)
-            ddz = (
-                _c[2:]
-                * np.arange(2, _c.size)
-                * np.arange(1, _c.size - 1)
-                * t ** np.arange(_c.size - 2)
-            )
-            return (float(powers.sum()), float(dz.sum()), float(ddz.sum()))
-
-        return poly
+        return curves.ProfileForm("poly", {"a": tuple(vals)})
     raise argparse.ArgumentTypeError(f"unknown profile kind {kind!r}")
-
-
-def _profile_curve(profile, t_lo: float, t_hi: float) -> curves.PlaneCurve:
-    def eval_fn(t):
-        z, zd, zdd = profile(t)
-        return (t, z, 1.0, zd, 0.0, zdd)
-
-    return curves.PlaneCurve(t_lo, t_hi, eval_fn)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -172,11 +144,7 @@ def _cmd_catenary(args) -> int:
     )
     t_lo, t_hi = args.trange
     ts = np.linspace(t_lo, t_hi, args.n)
-    rows = ["t,x,z"]
-    for t in ts:
-        x, z = curves.eval_catenary(family, float(t))
-        rows.append(f"{t:.17g},{x:.17g},{z:.17g}")
-    _write_text(args.out, "\n".join(rows) + "\n")
+    write_csv(args.out, "t,x,z", (ts, ts, [family.profile(float(t))[0] for t in ts]))
     return 0
 
 
@@ -184,17 +152,14 @@ def _cmd_minimize(args) -> int:
     ta, za, tb, zb = (float(v) for v in args.endpoints.split(","))
     spec = variational.WeightFunctionalSpec(args.ref, args.alpha, args.lam)
     curve = variational.minimize(spec, (ta, za, tb, zb), args.n)
-    rows = ["t,x,z"]
-    for t, z in zip(curve.grid, curve.values):
-        rows.append(f"{t:.17g},{t:.17g},{z:.17g}")
-    _write_text(args.out, "\n".join(rows) + "\n")
+    write_csv(args.out, "t,x,z", (curve.grid, curve.grid, curve.values))
     grad = variational.functional_gradient(spec, curve)
     summary = {
         "functional_value": variational.evaluate_functional(spec, curve),
         "gradient_max_abs": float(np.max(np.abs(grad))),
         "n": args.n,
     }
-    _write_text(args.json_out if args.json_out else "-", _json_dumps(summary) + "\n")
+    write_text(args.json_out if args.json_out else "-", _json_dumps(summary) + "\n")
     return 0
 
 
@@ -203,9 +168,9 @@ def _cmd_catenoid(args) -> int:
     sol = singular.solve_catenoid_boundary(boundary)
     sys.stdout.write(_json_dumps({"c": sol.c, "d": sol.d, "status": sol.status}) + "\n")
     if args.mesh and sol.status == "unique":
-        form = singular.ProfileForm("log", {"c": sol.c, "d": sol.d})
+        form = curves.ProfileForm("log", {"c": sol.c, "d": sol.d})
         t_lo, t_hi = sorted((args.r1, args.r2))
-        spec = surfaces.RevolutionSpec(_profile_curve(form, t_lo, t_hi))
+        spec = surfaces.RevolutionSpec(form.plane_curve(t_lo, t_hi))
         surf = surfaces.make_revolution(spec)
         nu, nv = args.grid
         surfaces.write_obj_mesh(args.mesh, surf, nu, nv)
@@ -213,8 +178,7 @@ def _cmd_catenoid(args) -> int:
 
 
 def _make_surface(kind, profile, trange, thetarange, pitch, a, b, c, c1, c2):
-    t_lo, t_hi = trange
-    curve = _profile_curve(profile, t_lo, t_hi)
+    curve = profile.plane_curve(*trange)
     if kind == "revolution":
         th = thetarange or (0.0, 2.0 * math.pi)
         return surfaces.make_revolution(surfaces.RevolutionSpec(curve), *th)
@@ -246,20 +210,14 @@ def _cmd_classify(args) -> int:
         report = singular.classify_parabolic_revolution(
             args.a, args.b, args.c, args.c1, args.c2, args.ref, args.z1, args.z2
         )
-    _write_text(args.out, report.to_json() + "\n")
+    write_text(args.out, report.to_json() + "\n")
     return 0
 
 
 def _cmd_ivp(args) -> int:
     result = odes.picard_solve_degenerate(args.a, tol=args.tol)
-    rows = ["t,z,zp"]
-    for t, z, zp in zip(result.t, result.z, result.zp):
-        rows.append(f"{t:.17g},{z:.17g},{zp:.17g}")
-    _write_text(args.out, "\n".join(rows) + "\n")
-    _write_text(
-        args.json_out if args.json_out else "-",
-        _json_dumps(result.sidecar_dict()) + "\n",
-    )
+    result.write_csv(args.out)
+    write_text(args.json_out if args.json_out else "-", _json_dumps(result.sidecar_dict()) + "\n")
     return 0
 
 
@@ -278,11 +236,7 @@ def _cmd_residual(args) -> int:
         nu, nv = args.grid
         ts = np.linspace(surf.u_lo, surf.u_hi, nu)
         ths = np.linspace(surf.v_lo, surf.v_hi, nv)
-        worst = max(
-            abs(singular.sms_residual(surf, spec, float(t), float(th)))
-            for t in ts
-            for th in ths
-        )
+        worst = singular.max_sms_residual(surf, spec, ts, ths)
     sys.stdout.write(f"{worst:.17g}\n")
     return 0 if worst < args.threshold else 1
 

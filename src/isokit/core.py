@@ -4,10 +4,12 @@ The plane carries coordinates (x, z) and the space (x, y, z); in both, the
 z-direction is the isotropic (degenerate) one.  The degenerate inner product
 sums the products of the non-isotropic components only, the secondary inner
 product pairs the isotropic components, and the ordinary Euclidean products
-are kept around as auxiliaries for determinant/normal computations.
+are kept around as auxiliaries for determinant/normal computations.  The
+text writers at the end are the one place where artifacts are written.
 """
 
 import math
+import sys
 from typing import NamedTuple
 
 
@@ -74,6 +76,16 @@ def euclid_cross(u, v) -> IsoVec3:
     )
 
 
-def close(a: float, b: float, tol: float = 1e-12) -> bool:
-    """Magnitude-scaled comparison: |a - b| <= tol * max(1, |a|, |b|)."""
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+def write_text(dest, text: str) -> None:
+    """Write text to the file ``dest``, or to the current sys.stdout if dest is "-"."""
+    if dest == "-":
+        sys.stdout.write(text)
+    else:
+        with open(dest, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+def write_csv(dest, header: str, columns) -> None:
+    """Header row, then one row per index of ``columns``, 17 significant digits."""
+    row = ",".join(["{:.17g}"] * len(columns)) + "\n"
+    write_text(dest, header + "\n" + "".join(row.format(*r) for r in zip(*columns)))

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import IsoVec2
+from .core import IsoVec2, write_csv
 from .errors import (
     DomainError,
     InvalidIntervalError,
@@ -72,10 +72,10 @@ class PlaneCurve:
         elif np.any(xds < 0.0):
             raise NonAdmissibleError("x' changes sign on the domain")
 
-    @classmethod
-    def graph(cls, t_lo, t_hi, z, zd, zdd) -> "PlaneCurve":
+    @staticmethod
+    def graph(t_lo, t_hi, z, zd, zdd) -> "PlaneCurve":
         """Curve t -> (t, z(t)) from a profile and its two derivatives."""
-        return cls(t_lo, t_hi, lambda t: (t, z(t), 1.0, zd(t), 0.0, zdd(t)))
+        return graph_curve(t_lo, t_hi, lambda t: (z(t), zd(t), zdd(t)))
 
     @classmethod
     def from_functions(cls, t_lo, t_hi, x, z, xd, zd, xdd, zdd) -> "PlaneCurve":
@@ -179,13 +179,83 @@ def relative_arclength(
     return simpson(integrand, a, b, panels=panels)
 
 
+def graph_curve(t_lo: float, t_hi: float, profile) -> PlaneCurve:
+    """Graph curve t -> (t, z(t)) of a profile t -> (z, z', z'')."""
+
+    def eval_fn(t):
+        z, zd, zdd = profile(t)
+        return (t, z, 1.0, zd, 0.0, zdd)
+
+    return PlaneCurve(t_lo, t_hi, eval_fn)
+
+
+_PROFILE_KINDS = ("log", "power", "inverse_radius", "log_parabola", "quadratic", "poly")
+
+
+@dataclass(frozen=True)
+class ProfileForm:
+    """Closed-form profile z(t) identified by kind + coefficients.
+
+    Kinds: ``log`` c*ln(t) + d; ``power`` c*t^p + d; ``inverse_radius``
+    z1 + z2/t; ``log_parabola`` quad*t^2 + z2*ln(t) + z1; ``quadratic``
+    quad*t^2 + z1; ``poly`` sum of a[k]*t^k.  Unknown kinds and non-finite
+    coefficients are rejected with ValueError.
+    """
+
+    kind: str
+    coefficients: dict
+
+    def __post_init__(self):
+        if self.kind not in _PROFILE_KINDS:
+            raise ValueError(f"unknown profile kind {self.kind!r}")
+        if not all(np.all(np.isfinite(v)) for v in self.coefficients.values()):
+            raise ValueError(f"non-finite coefficient in {self.kind} profile {self.coefficients}")
+
+    def __call__(self, t: float) -> tuple[float, float, float]:
+        co = self.coefficients
+        if self.kind == "log":
+            c, d = co["c"], co["d"]
+            return (c * math.log(t) + d, c / t, -c / t**2)
+        if self.kind == "power":
+            c, p, d = co["c"], co["p"], co["d"]
+            return (c * t**p + d, c * p * t ** (p - 1), c * p * (p - 1) * t ** (p - 2))
+        if self.kind == "inverse_radius":
+            return (
+                co["z1"] + co["z2"] / t,
+                -co["z2"] / t**2,
+                2.0 * co["z2"] / t**3,
+            )
+        if self.kind == "log_parabola":
+            q, z1, z2 = co["quad"], co["z1"], co["z2"]
+            return (
+                q * t**2 + z2 * math.log(t) + z1,
+                2.0 * q * t + z2 / t,
+                2.0 * q - z2 / t**2,
+            )
+        if self.kind == "quadratic":
+            q, z1 = co["quad"], co["z1"]
+            return (q * t**2 + z1, 2.0 * q * t, 2.0 * q)
+        a = np.asarray(co["a"], dtype=float)
+        z = a * t ** np.arange(a.size)
+        zd = a[1:] * np.arange(1, a.size) * t ** np.arange(a.size - 1)
+        zdd = a[2:] * np.arange(2, a.size) * np.arange(1, a.size - 1) * t ** np.arange(a.size - 2)
+        return (float(z.sum()), float(zd.sum()), float(zdd.sum()))
+
+    def plane_curve(self, t_lo: float, t_hi: float) -> PlaneCurve:
+        return graph_curve(t_lo, t_hi, self)
+
+    def to_json_dict(self) -> dict:
+        return {"kind": self.kind, "coefficients": dict(self.coefficients)}
+
+
 @dataclass(frozen=True)
 class CatenaryFamily:
     """Closed-form critical profiles of the weighted-length functionals.
 
     With respect to the isotropic axis (reference ``LZ``) the solutions are
     z = c*ln(t - lam) + d for alpha = 1 and z = c*t**(1-alpha) + d (lam = 0)
-    for alpha not in {0, 1}.  Profiles for the non-isotropic axis (``LX``)
+    for alpha not in {0, 1}, evaluated as the ``log`` or ``power``
+    ProfileForm at t - lam.  Profiles for the non-isotropic axis (``LX``)
     have no elementary closed form and live in :mod:`isokit.odes`.
     """
 
@@ -204,6 +274,11 @@ class CatenaryFamily:
             )
         if self.alpha != 1.0 and self.lam != 0.0:
             raise ValueError("lam must be 0 unless alpha = 1")
+        if self.alpha == 1.0:
+            form = ProfileForm("log", {"c": self.c, "d": self.d})
+        else:
+            form = ProfileForm("power", {"c": self.c, "p": 1.0 - self.alpha, "d": self.d})
+        object.__setattr__(self, "_form", form)
 
     def profile(self, t: float) -> tuple[float, float, float]:
         """(z, z', z'') at t; DomainError outside the family domain."""
@@ -212,39 +287,26 @@ class CatenaryFamily:
                 "no closed form for the non-isotropic reference; integrate the "
                 "profile ODE from isokit.odes instead"
             )
-        if self.alpha == 1.0:
-            s = t - self.lam
-            if s <= 0.0:
-                raise DomainError(f"t - lam = {s} <= 0")
-            return (
-                self.c * math.log(s) + self.d,
-                self.c / s,
-                -self.c / s**2,
-            )
-        if t <= 0.0:
-            raise DomainError(f"t = {t} <= 0")
-        p = 1.0 - self.alpha
-        return (
-            self.c * t**p + self.d,
-            self.c * p * t ** (p - 1.0),
-            self.c * p * (p - 1.0) * t ** (p - 2.0),
-        )
+        s = t - self.lam
+        if s <= 0.0:
+            raise DomainError(f"t - lam = {s} <= 0")
+        return self._form(s)
 
     def plane_curve(self, t_lo: float, t_hi: float) -> PlaneCurve:
         """Graph curve (t, z(t)) of this family over [t_lo, t_hi]."""
         self.profile(min(t_lo, t_hi))  # domain check at the left end
-
-        def eval_fn(t):
-            z, zd, zdd = self.profile(t)
-            return (t, z, 1.0, zd, 0.0, zdd)
-
-        return PlaneCurve(t_lo, t_hi, eval_fn)
+        return graph_curve(t_lo, t_hi, self.profile)
 
 
-def eval_catenary(family: CatenaryFamily, t: float) -> tuple[float, float]:
-    """Point (x, z) = (t, z(t)) of a closed-form family."""
-    z, _, _ = family.profile(t)
-    return (t, z)
+def profile_jet(profile, t: float) -> tuple[float, float, float]:
+    """(z, z', z'') at t of a graph PlaneCurve, a CatenaryFamily, or any
+    callable t -> (z, z', z'') such as a ProfileForm."""
+    if isinstance(profile, PlaneCurve):
+        j = profile.at(t)
+        return (j.z, j.zd, j.zdd)
+    if isinstance(profile, CatenaryFamily):
+        return profile.profile(t)
+    return profile(t)
 
 
 def catenary_curvature_residual(
@@ -280,10 +342,7 @@ def catenary_curvature_residual(
 
 def write_curve_csv(path, t: np.ndarray, x: np.ndarray, z: np.ndarray) -> None:
     """Write samples as `t,x,z` rows with 17 significant digits."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,x,z\n")
-        for ti, xi, zi in zip(t, x, z):
-            fh.write(f"{ti:.17g},{xi:.17g},{zi:.17g}\n")
+    write_csv(path, "t,x,z", (t, x, z))
 
 
 def read_curve_csv(path) -> PlaneCurve:

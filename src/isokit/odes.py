@@ -13,8 +13,9 @@ z'(0) = 0 it is solved there as the fixed point of
     (T z)(t) = a + int_0^t (1/r) int_0^r tau (1 - z'(tau)^2)/(2 z(tau)) dtau dr
 
 on [0, R], where R keeps T a contractive self-map of the C^1 ball of radius
-a/2 around the constant a (Lipschitz constants estimated numerically, then a
-0.9 safety factor).  The curvature of the solution at the origin is 1/(4a).
+a/2 around the constant a (closed-form Lipschitz constants of 0.5/x and
+1 - x^2 on [a/2, 3a/2], then a 0.9 safety factor).  The curvature of the
+solution at the origin is 1/(4a).
 """
 
 import math
@@ -23,6 +24,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .core import write_csv
 from .errors import (
     MaxIterExceededError,
     NonContractionError,
@@ -112,10 +114,7 @@ class IVPResult:
         return (float(np.interp(t, ts, zs)), float(np.interp(t, ts, ps)))
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,z,zp\n")
-            for ti, zi, pi in zip(self.t, self.z, self.zp):
-                fh.write(f"{ti:.17g},{zi:.17g},{pi:.17g}\n")
+        write_csv(path, "t,z,zp", (self.t, self.z, self.zp))
 
     def sidecar_dict(self) -> dict:
         return {
@@ -191,7 +190,7 @@ def operator_T_apply(a: float, profile: SampledProfile) -> SampledProfile:
     """
     t, z, zp = profile
     if np.any(z <= DENOM_FLOOR):
-        raise ZeroDivisionError("profile height fell below the division floor")
+        raise SingularityError("profile height fell below the division floor")
     h = float(t[1] - t[0])
     g = t * (1.0 - zp**2) / (2.0 * z)
     inner = cumulative_simpson(g, h)
@@ -202,12 +201,6 @@ def operator_T_apply(a: float, profile: SampledProfile) -> SampledProfile:
     return SampledProfile(t, new_z, outer.copy())
 
 
-def _lipschitz_estimate(f, lo: float, hi: float, n: int = 2001) -> float:
-    xs = np.linspace(lo, hi, n)
-    ys = np.array([f(x) for x in xs])
-    return float(np.max(np.abs(np.diff(ys) / np.diff(xs))))
-
-
 def picard_radius(a: float, epsilon: float) -> float:
     """Domain radius keeping the operator a contractive self-map (0.9 safety)."""
     if not 0.0 < epsilon < a:
@@ -216,8 +209,8 @@ def picard_radius(a: float, epsilon: float) -> float:
         math.sqrt(4.0 * epsilon * (a - epsilon) / (1.0 + epsilon**2)),
         2.0 * epsilon * (a - epsilon) / (1.0 + epsilon**2),
     )
-    l1 = _lipschitz_estimate(lambda x: 0.5 / x, a - epsilon, a + epsilon)
-    l2 = _lipschitz_estimate(lambda x: 1.0 - x * x, a - epsilon, a + epsilon)
+    l1 = 0.5 / (a - epsilon) ** 2  # sup |(0.5/x)'| on [a - epsilon, a + epsilon]
+    l2 = 2.0 * (a + epsilon)  # sup |(1 - x^2)'| on the same interval
     lip = l1 * l2
     contraction = min(math.sqrt(2.0 / lip), 1.0 / lip)
     return 0.9 * min(self_map, contraction)
@@ -283,8 +276,3 @@ def _origin_curvature_fit(profile: SampledProfile) -> float:
     basis = np.stack([s, s * s], axis=1)
     coef, *_ = np.linalg.lstsq(basis, z[cut] - z[0], rcond=None)
     return 2.0 * float(coef[0]) / w**2
-
-
-def continuity_in_a(a_values, tol: float = 1e-12, max_iter: int = 200) -> list[IVPResult]:
-    """Degenerate solves for each initial height, for tabulated comparison."""
-    return [picard_solve_degenerate(a, tol=tol, max_iter=max_iter) for a in a_values]

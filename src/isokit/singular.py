@@ -25,8 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import iso_dot, sec_dot
-from .curves import LZ, CatenaryFamily, PlaneCurve
+from .curves import LZ, CatenaryFamily, ProfileForm, profile_jet
 from .errors import InvalidRadiusError, SingularDenominatorError
 from .odes import ProfileODE
 from .surfaces import (
@@ -42,9 +41,6 @@ from .surfaces import (
 
 PI_YZ = "yz"  # isotropic reference plane x = 0
 PI_XY = "xy"  # non-isotropic reference plane z = 0
-
-_X_AXIS = (1.0, 0.0, 0.0)
-_Z_AXIS = (0.0, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -65,10 +61,10 @@ def sms_residual(surface: ParamSurface, spec: SingularSpec, u: float, v: float) 
     point = surface.at(u, v).r
     if spec.reference == PI_YZ:
         dist = float(point[0])
-        pairing = iso_dot(npar, _X_AXIS)
+        pairing = npar.x
     else:
         dist = float(point[2])
-        pairing = sec_dot(npar, _Z_AXIS)
+        pairing = npar.z
     if dist <= 0.0:
         raise SingularDenominatorError(
             f"point distance {dist} leaves the positive half-space"
@@ -124,56 +120,7 @@ def solve_catenoid_boundary(boundary: CatenoidBoundary) -> CatenoidSolution:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form profiles carried by classification reports
-
-
-@dataclass(frozen=True)
-class ProfileForm:
-    """Closed-form profile z(t) identified by kind + coefficients.
-
-    Kinds: ``inverse_radius`` z1 + z2/t; ``log_parabola`` quad*t^2 +
-    z2*ln(t) + z1; ``quadratic`` quad*t^2 + z1; ``log`` c*ln(t) + d;
-    ``power`` c*t^p + d.
-    """
-
-    kind: str
-    coefficients: dict
-
-    def __call__(self, t: float) -> tuple[float, float, float]:
-        co = self.coefficients
-        if self.kind == "inverse_radius":
-            return (
-                co["z1"] + co["z2"] / t,
-                -co["z2"] / t**2,
-                2.0 * co["z2"] / t**3,
-            )
-        if self.kind == "log_parabola":
-            q, z1, z2 = co["quad"], co["z1"], co["z2"]
-            return (
-                q * t**2 + z2 * math.log(t) + z1,
-                2.0 * q * t + z2 / t,
-                2.0 * q - z2 / t**2,
-            )
-        if self.kind == "quadratic":
-            q, z1 = co["quad"], co["z1"]
-            return (q * t**2 + z1, 2.0 * q * t, 2.0 * q)
-        if self.kind == "log":
-            c, d = co["c"], co["d"]
-            return (c * math.log(t) + d, c / t, -c / t**2)
-        if self.kind == "power":
-            c, p, d = co["c"], co["p"], co["d"]
-            return (c * t**p + d, c * p * t ** (p - 1), c * p * (p - 1) * t ** (p - 2))
-        raise ValueError(f"unknown profile kind {self.kind!r}")
-
-    def plane_curve(self, t_lo: float, t_hi: float) -> PlaneCurve:
-        def eval_fn(t):
-            z, zd, zdd = self(t)
-            return (t, z, 1.0, zd, 0.0, zdd)
-
-        return PlaneCurve(t_lo, t_hi, eval_fn)
-
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "coefficients": dict(self.coefficients)}
+# Classification reports
 
 
 @dataclass
@@ -198,12 +145,11 @@ class ClassificationReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
-def _max_sms_residual(surface, spec, t_vals, theta_vals) -> float:
-    worst = 0.0
-    for t in t_vals:
-        for th in theta_vals:
-            worst = max(worst, abs(sms_residual(surface, spec, float(t), float(th))))
-    return worst
+def max_sms_residual(surface, spec, t_vals, theta_vals) -> float:
+    """Max |sms_residual| over the grid t_vals x theta_vals; NaN if any is NaN."""
+    return float(np.max(np.abs(
+        [sms_residual(surface, spec, float(t), float(th)) for t in t_vals for th in theta_vals]
+    )))
 
 
 def _verify_revolution(profile_form: ProfileForm, spec: SingularSpec) -> float:
@@ -216,7 +162,7 @@ def _verify_revolution(profile_form: ProfileForm, spec: SingularSpec) -> float:
     surface = make_revolution(RevolutionSpec(curve), -1.3, 1.3)
     t_vals = np.linspace(0.55, 2.95, 50)
     th_vals = np.linspace(-1.25, 1.25, 16)
-    return _max_sms_residual(surface, spec, t_vals, th_vals)
+    return max_sms_residual(surface, spec, t_vals, th_vals)
 
 
 def classify_helicoidal(
@@ -342,7 +288,7 @@ def _verify_parabolic(form, spec, a, b, c, c1, c2) -> float:
     )
     t_vals = np.linspace(t_lo + 0.05, t_hi - 0.05, 50)
     th_vals = np.linspace(-0.95 * theta_max, 0.95 * theta_max, 16)
-    return _max_sms_residual(surface, spec, t_vals, th_vals)
+    return max_sms_residual(surface, spec, t_vals, th_vals)
 
 
 # ---------------------------------------------------------------------------
@@ -428,15 +374,5 @@ class AlphaRevolutionLink:
         return ProfileForm("power", {"c": c, "p": 1.0 - self.catenary_alpha, "d": d})
 
     def ode_residual(self, profile, t: float) -> float:
-        if isinstance(profile, (CatenaryFamily,)):
-            _, zd, zdd = profile.profile(t)
-        elif isinstance(profile, PlaneCurve):
-            j = profile.at(t)
-            zd, zdd = j.zd, j.zdd
-        else:
-            _, zd, zdd = profile(t)
+        _, zd, zdd = profile_jet(profile, t)
         return self.catenary_alpha * zd + t * zdd
-
-
-def alpha_singular_revolution_link(alpha: float) -> AlphaRevolutionLink:
-    return AlphaRevolutionLink(surface_alpha=alpha)

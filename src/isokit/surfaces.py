@@ -16,8 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import IsoVec3, iso_dot
-from .curves import PlaneCurve
+from .core import IsoVec3, iso_dot, write_csv
+from .curves import PlaneCurve, profile_jet
 from .errors import DomainError, NonAdmissibleError
 from .quadrature import simpson_2d
 
@@ -282,14 +282,13 @@ def revolution_mean_curvature(profile, t: float) -> float:
     """Closed form (z' + t z'')/(2 t) for surfaces of revolution."""
     if t <= 0.0:
         raise DomainError("revolution mean curvature needs t > 0")
-    z, zd, zdd = _as_profile_triple(profile, t)
-    del z
+    _, zd, zdd = profile_jet(profile, t)
     return (zd + t * zdd) / (2.0 * t)
 
 
 def parabolic_revolution_mean_curvature(spec: ParabolicRevolutionSpec, t: float) -> float:
     """Closed form (a^2 + b^2)/(2 b^2) z'' + (b c2 - a c1)/(2 b^2)."""
-    _, _, zdd = _as_profile_triple(spec.profile, t)
+    _, _, zdd = profile_jet(spec.profile, t)
     a, b = spec.a, spec.b
     return (a**2 + b**2) / (2.0 * b**2) * zdd + (b * spec.c2 - a * spec.c1) / (
         2.0 * b**2
@@ -303,7 +302,7 @@ def parabolic_revolution_F(spec: ParabolicRevolutionSpec, t: float) -> float:
     group parameter switched off (c = c1 = c2 = 0) this is exactly the squared
     top-view norm of the normal.
     """
-    _, zd, _ = _as_profile_triple(spec.profile, t)
+    _, zd, _ = profile_jet(spec.profile, t)
     a, b, c, c1, c2 = spec.a, spec.b, spec.c, spec.c1, spec.c2
     lin = c + c1 * t
     return (
@@ -313,13 +312,6 @@ def parabolic_revolution_F(spec: ParabolicRevolutionSpec, t: float) -> float:
         - (2.0 * t / b) * ((a * c2 - b * c1) * zd - c2 * lin)
         + t**2 * (c1**2 + c2**2)
     )
-
-
-def _as_profile_triple(profile, t: float) -> tuple[float, float, float]:
-    if isinstance(profile, PlaneCurve):
-        j = profile.at(t)
-        return (j.z, j.zd, j.zdd)
-    return profile(t)
 
 
 def mesh_grid(surface: ParamSurface, nu: int, nv: int, wrap_v: bool | None = None):
@@ -363,7 +355,5 @@ def write_obj_mesh(path, surface: ParamSurface, nu: int, nv: int, wrap_v=None) -
 def write_vertex_curvature_csv(path, surface: ParamSurface, nu: int, nv: int, wrap_v=None) -> None:
     """Per-vertex mean curvature in mesh vertex order, as `u,v,H` rows."""
     params, _, _ = mesh_grid(surface, nu, nv, wrap_v)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("u,v,H\n")
-        for u, v in params:
-            fh.write(f"{u:.17g},{v:.17g},{mean_curvature(surface, u, v):.17g}\n")
+    us, vs = zip(*params)
+    write_csv(path, "u,v,H", (us, vs, [mean_curvature(surface, u, v) for u, v in params]))

@@ -9,8 +9,10 @@ against the relative length element (1 + z'^2)/2 dt:
 with zdot_i the forward difference on cell i.  The gradient below is the
 exact derivative of this discrete functional with the endpoints eliminated,
 and the minimizer runs damped Newton on the resulting tridiagonal system
-(gradient descent as fallback).  Critical profiles satisfy the continuum
-equations alpha*t**(alpha-1)*z' + (t**alpha - lam)*z'' = 0 and
+(a plain gradient step where a Thomas pivot vanishes), raising
+NoConvergenceError when no damping reduces the gradient.  Critical profiles
+satisfy the continuum equations
+alpha*t**(alpha-1)*z' + (t**alpha - lam)*z'' = 0 and
 (z**alpha - lam)*z'' = alpha*z**(alpha-1)*(1 - z'^2)/2 respectively.
 """
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import LX, LZ, CatenaryFamily, PlaneCurve
+from .curves import LX, LZ, PlaneCurve, profile_jet
 from .errors import DomainError, NoConvergenceError
 
 
@@ -100,15 +102,7 @@ def evaluate_functional(
 
 def functional_gradient(spec: WeightFunctionalSpec, curve: DiscreteCurve) -> np.ndarray:
     """Exact gradient of the discrete functional at the interior nodes."""
-    t, z = curve.grid, curve.values
-    h = np.diff(t)
-    zdot = np.diff(z) / h
-    q = 0.5 * (1.0 + zdot**2)
-    w, wp, _ = _weights(spec, t, z)
-    cell_w = 0.5 * (w[:-1] + w[1:])
-    slope = cell_w[:-1] * zdot[:-1] - cell_w[1:] * zdot[1:]
-    weight = 0.5 * wp[1:-1] * (h[:-1] * q[:-1] + h[1:] * q[1:])
-    return slope + weight
+    return _gradient_hessian(spec, curve.grid, curve.values)[0]
 
 
 def _gradient_hessian(spec, t, z):
@@ -183,34 +177,17 @@ def minimize(
             step = _solve_tridiagonal(diag, off, -grad)
         except ZeroDivisionError:
             step = -grad
-        improved = False
         for damping in (1.0, 0.5, 0.25, 0.125, 0.0625):
             trial = z.copy()
             trial[1:-1] += damping * step
             try:
                 if grad_norm(trial) < gn:
                     z = trial
-                    improved = True
                     break
             except DomainError:
                 continue
-        if not improved:
-            # gradient-descent fallback with a conservative step
-            scale = 0.5 * float(np.min(np.diff(t))) / max(gn, 1e-30)
-            for damping in (1.0, 0.25, 0.0625, 0.015625):
-                trial = z.copy()
-                trial[1:-1] -= damping * scale * grad
-                try:
-                    if grad_norm(trial) < gn:
-                        z = trial
-                        improved = True
-                        break
-                except DomainError:
-                    continue
-        if not improved:
-            raise NoConvergenceError(
-                f"no descent step found at gradient norm {gn:.3e}"
-            )
+        else:
+            raise NoConvergenceError(f"no descent step found at gradient norm {gn:.3e}")
     raise NoConvergenceError(f"gradient norm still above {tol:.3e} after {max_iter} iterations")
 
 
@@ -222,7 +199,7 @@ def el_residual(spec: WeightFunctionalSpec, profile, t: float) -> float:
     alpha*t**(alpha-1)*z' + (t**alpha - lam)*z'' = 0; for the non-isotropic
     axis it is (z**alpha - lam)*z'' - alpha*z**(alpha-1)*(1 - z'^2)/2 = 0.
     """
-    z, zd, zdd = _profile_at(profile, t)
+    z, zd, zdd = profile_jet(profile, t)
     a, lam = spec.alpha, spec.lam
     if spec.reference == LZ:
         if t <= 0.0 and a != round(a):
@@ -231,15 +208,6 @@ def el_residual(spec: WeightFunctionalSpec, profile, t: float) -> float:
     if z <= 0.0 and a != round(a):
         raise DomainError("non-integer exponent needs z > 0")
     return (z**a - lam) * zdd - a * z ** (a - 1.0) * 0.5 * (1.0 - zd**2)
-
-
-def _profile_at(profile, t: float) -> tuple[float, float, float]:
-    if isinstance(profile, CatenaryFamily):
-        return profile.profile(t)
-    if isinstance(profile, PlaneCurve):
-        j = profile.at(t)
-        return (j.z, j.zd, j.zdd)
-    return profile(t)
 
 
 def discrete_relative_length(curve: DiscreteCurve) -> float:

@@ -1,10 +1,18 @@
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import isokit
 from isokit import cli
+from isokit.core import write_csv
 from isokit.curves import LZ, catenary_curvature_residual, read_curve_csv
 
 
@@ -163,4 +171,34 @@ def test_flag_errors_exit_two():
     assert err.value.code == 2
     with pytest.raises(SystemExit) as err:
         run_cli("unknown-command")
+    assert err.value.code == 2
+
+
+def test_write_csv_dash_follows_current_stdout(tmp_path):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        write_csv("-", "t,z", (np.array([1.0, 0.1]), [1.0 / 3.0, -2.0]))
+    assert buf.getvalue() == "t,z\n1,0.33333333333333331\n0.10000000000000001,-2\n"
+    path = tmp_path / "out.csv"
+    write_csv(path, "t,z", ([], []))
+    assert path.read_text() == "t,z\n"
+
+
+def test_ivp_tiny_height_exits_one_without_traceback():
+    env = dict(os.environ, PYTHONPATH=str(Path(isokit.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "isokit.cli", "ivp", "--a=1e-13"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_non_finite_profile_coefficients(capsys):
+    code = run_cli("classify", "helicoidal", "--ref", "yz", "--z1", "0", "--z2=nan")
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+    with pytest.raises(SystemExit) as err:
+        run_cli("residual", "--check", "sms", "--profile", "inverse:0,nan", "--range", "0.5:3")
     assert err.value.code == 2

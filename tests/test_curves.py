@@ -9,11 +9,12 @@ from isokit.curves import (
     LZ,
     CatenaryFamily,
     PlaneCurve,
+    ProfileForm,
     catenary_curvature_residual,
     curvature,
-    eval_catenary,
     minimal_normal,
     parabolic_normal,
+    profile_jet,
     read_curve_csv,
     relative_arclength,
     unit_tangent,
@@ -131,24 +132,24 @@ class TestRelativeArclength:
 class TestCatenaryFamily:
     def test_log_family_at_e(self):
         fam = CatenaryFamily(reference=LZ, alpha=1.0, c=1.0, d=0.0, lam=0.0)
-        x, z = eval_catenary(fam, math.e)
+        x, z = math.e, fam.profile(math.e)[0]
         assert (x, z) == pytest.approx((math.e, 1.0))
 
     def test_power_family(self):
         fam = CatenaryFamily(reference=LZ, alpha=2.0, c=1.0, d=0.0)
-        assert eval_catenary(fam, 4.0) == pytest.approx((4.0, 0.25))
+        assert (4.0, fam.profile(4.0)[0]) == pytest.approx((4.0, 0.25))
 
     def test_constant_profile(self):
         fam = CatenaryFamily(alpha=1.0, c=0.0, d=7.0, lam=0.0)
-        assert eval_catenary(fam, 10.0) == pytest.approx((10.0, 7.0))
+        assert (10.0, fam.profile(10.0)[0]) == pytest.approx((10.0, 7.0))
 
     def test_domain_errors(self):
         fam = CatenaryFamily(alpha=1.0, c=1.0, d=0.0, lam=2.0)
         with pytest.raises(DomainError):
-            eval_catenary(fam, 2.0)
+            fam.profile(2.0)
         fam2 = CatenaryFamily(alpha=3.0, c=1.0, d=0.0)
         with pytest.raises(DomainError):
-            eval_catenary(fam2, -1.0)
+            fam2.profile(-1.0)
 
     def test_alpha_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -302,3 +303,85 @@ def test_csv_round_trip(tmp_path):
     assert worst < 1e-3
     j = back.at(1.5)
     assert j.z == pytest.approx(math.log(1.5), abs=1e-5)
+
+
+def _poly_closure(vals):
+    """The numpy arithmetic the CLI used for poly:a0,a1,... profiles."""
+    c = np.array(vals)
+
+    def poly(t):
+        powers = c * t ** np.arange(c.size)
+        dz = c[1:] * np.arange(1, c.size) * t ** np.arange(c.size - 1)
+        ddz = c[2:] * np.arange(2, c.size) * np.arange(1, c.size - 1) * t ** np.arange(c.size - 2)
+        return (float(powers.sum()), float(dz.sum()), float(ddz.sum()))
+
+    return poly
+
+
+class TestProfileForm:
+    @pytest.mark.parametrize("vals", [[], [0.7], [0.1, 0.2, 0.3], [-1.3, 0.25, 2.0, -0.4, 1e-3]])
+    def test_poly_matches_former_cli_closure_bitwise(self, vals):
+        form, old = ProfileForm("poly", {"a": tuple(vals)}), _poly_closure(vals)
+        for t in np.linspace(0.3, 3.7, 23):
+            assert form(float(t)) == old(float(t))
+            assert form(t) == old(t)
+
+    @pytest.mark.parametrize("alpha, lam", [(1.0, 0.0), (1.0, -0.3), (2.5, 0.0), (0.4, 0.0)])
+    def test_catenary_family_matches_closed_forms_bitwise(self, alpha, lam):
+        fam = CatenaryFamily(LZ, alpha=alpha, c=1.7, d=-0.2, lam=lam)
+        for t in np.linspace(1.0, 3.0, 17):
+            t = float(t)
+            if alpha == 1.0:
+                s = t - lam
+                expected = (1.7 * math.log(s) - 0.2, 1.7 / s, -1.7 / s**2)
+            else:
+                p = 1.0 - alpha
+                expected = (
+                    1.7 * t**p - 0.2,
+                    1.7 * p * t ** (p - 1.0),
+                    1.7 * p * (p - 1.0) * t ** (p - 2.0),
+                )
+            assert fam.profile(t) == expected
+
+    def test_rejects_unknown_kind_and_non_finite_coefficients(self):
+        with pytest.raises(ValueError, match="unknown profile kind"):
+            ProfileForm("cubic", {"c": 1.0})
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                ProfileForm("inverse_radius", {"z1": 0.0, "z2": bad})
+        with pytest.raises(ValueError, match="non-finite"):
+            ProfileForm("poly", {"a": (1.0, math.nan)})
+        with pytest.raises(ValueError, match="non-finite"):
+            CatenaryFamily(alpha=2.0, c=math.nan)
+
+    def test_plane_curve_is_the_graph(self):
+        form = ProfileForm("log_parabola", {"quad": 0.4, "z1": 0.2, "z2": -0.7})
+        j = form.plane_curve(0.5, 3.0).at(1.25)
+        assert (j.x, j.xd, j.xdd) == (1.25, 1.0, 0.0)
+        assert (j.z, j.zd, j.zdd) == form(1.25)
+
+
+class TestProfileJet:
+    FAM = CatenaryFamily(LZ, alpha=1.0, c=2.0, d=0.5)
+
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            FAM,
+            FAM.plane_curve(1.0, 3.0),
+            ProfileForm("log", {"c": 2.0, "d": 0.5}),
+            lambda t: (2.0 * math.log(t) + 0.5, 2.0 / t, -2.0 / t**2),
+        ],
+        ids=["family", "plane_curve", "profile_form", "callable"],
+    )
+    def test_every_profile_shape_gives_the_same_jet(self, profile):
+        for t in (1.0, 1.7, 3.0):
+            assert profile_jet(profile, t) == pytest.approx(
+                (2.0 * math.log(t) + 0.5, 2.0 / t, -2.0 / t**2), rel=1e-15, abs=1e-15
+            )
+
+    def test_domain_errors_pass_through(self):
+        with pytest.raises(DomainError):
+            profile_jet(self.FAM, -1.0)
+        with pytest.raises(DomainError):
+            profile_jet(self.FAM.plane_curve(1.0, 3.0), 4.0)

@@ -10,10 +10,10 @@ from isokit.errors import InvalidRadiusError, SingularDenominatorError
 from isokit.singular import (
     PI_XY,
     PI_YZ,
+    AlphaRevolutionLink,
     CatenoidBoundary,
     ProfileForm,
     SingularSpec,
-    alpha_singular_revolution_link,
     classify_helicoidal,
     classify_parabolic_revolution,
     cmc_profile_coefficient,
@@ -266,17 +266,17 @@ class TestQuadricCoefficients:
 
 class TestAlphaRevolutionLink:
     def test_families(self):
-        assert alpha_singular_revolution_link(1.0).family(1.0, 0.5).profile(2.0)[0] == pytest.approx(1.0)
-        log_link = alpha_singular_revolution_link(0.0)
+        assert AlphaRevolutionLink(1.0).family(1.0, 0.5).profile(2.0)[0] == pytest.approx(1.0)
+        log_link = AlphaRevolutionLink(0.0)
         assert log_link.catenary_alpha == 1.0
         assert log_link.family(2.0, 0.0).profile(math.e)[0] == pytest.approx(2.0)
-        steep = alpha_singular_revolution_link(2.0)
+        steep = AlphaRevolutionLink(2.0)
         assert steep.family(1.0, 0.0).profile(2.0)[0] == pytest.approx(0.25)
         assert "3" in steep.ode_text
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, 3.0])
     def test_weighted_residual_vanishes_on_linked_family(self, alpha):
-        link = alpha_singular_revolution_link(alpha)
+        link = AlphaRevolutionLink(alpha)
         form = link.profile_form(1.0, 0.5)
         surf = make_revolution(RevolutionSpec(form.plane_curve(0.5, 3.0)), -1.3, 1.3)
         spec = SingularSpec(PI_YZ, alpha, 0.0)
