@@ -27,9 +27,20 @@ def _parse_range(raw: str) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
+def _count(lo: int):
+    """argparse type: an integer of at least ``lo``."""
+
+    def parse(raw: str) -> int:
+        if int(raw) < lo:
+            raise argparse.ArgumentTypeError(f"{raw} is below the minimum {lo}")
+        return int(raw)
+
+    return parse
+
+
 def _parse_grid(raw: str) -> tuple[int, int]:
     nu, nv = raw.lower().split("x")
-    return int(nu), int(nv)
+    return _count(1)(nu), _count(1)(nv)
 
 
 def _parse_profile(raw: str) -> curves.ProfileForm:
@@ -63,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=float, default=0.0)
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p.add_argument("--range", dest="trange", type=_parse_range, required=True)
-    p.add_argument("--n", type=int, default=100)
+    p.add_argument("--n", type=_count(2), default=100)
     p.add_argument("--out", default="-")
 
     p = sub.add_parser("minimize", help="minimize a discrete weight functional")
@@ -71,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p.add_argument("--endpoints", required=True, help="ta,za,tb,zb")
-    p.add_argument("--n", type=int, default=200)
+    p.add_argument("--n", type=_count(2), default=200)
     p.add_argument("--out", default="-", help="CSV destination")
     p.add_argument("--json", dest="json_out", default=None, help="summary destination")
 
@@ -125,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p.add_argument("--profile", type=_parse_profile, required=True)
     p.add_argument("--range", dest="trange", type=_parse_range, required=True)
-    p.add_argument("--n", type=int, default=100)
+    p.add_argument("--n", type=_count(1), default=100)
     p.add_argument("--surface", choices=["revolution", "helicoidal", "parabolic"], default="revolution")
     p.add_argument("--thetarange", type=_parse_range, default=(-1.25, 1.25))
     p.add_argument("--grid", type=_parse_grid, default=(50, 16))
@@ -256,10 +267,7 @@ def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except IsoKitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (IsoKitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,10 +1,8 @@
 """Composite Simpson quadrature (1-D, cumulative, and tensor-product 2-D).
 
-Panel-count defaults can be overridden globally through the ISOKIT_PANELS
-environment variable; explicit ``panels=`` arguments always win.
+Default panel counts are 256 for 1-D and 128 per axis for 2-D rules; an
+odd panel count is bumped to the next even one.
 """
-
-import os
 
 import numpy as np
 
@@ -12,22 +10,12 @@ DEFAULT_PANELS_1D = 256
 DEFAULT_PANELS_2D = 128
 
 
-def _env_panels() -> int | None:
-    raw = os.environ.get("ISOKIT_PANELS")
-    if raw is None:
-        return None
-    n = int(raw)
-    if n < 2:
-        raise ValueError("ISOKIT_PANELS must be at least 2")
-    return n
-
-
 def default_panels_1d() -> int:
-    return _env_panels() or DEFAULT_PANELS_1D
+    return DEFAULT_PANELS_1D
 
 
 def default_panels_2d() -> int:
-    return _env_panels() or DEFAULT_PANELS_2D
+    return DEFAULT_PANELS_2D
 
 
 def simpson(f, a: float, b: float, panels: int | None = None) -> float:
@@ -80,7 +68,11 @@ def simpson_2d(
     panels_u: int | None = None,
     panels_v: int | None = None,
 ) -> float:
-    """Tensor-product composite Simpson of f(u, v) over a rectangle."""
+    """Tensor-product composite Simpson over a rectangle.
+
+    ``f(u, vs)`` is called once per u-node and returns the row of integrand
+    values at (u, v) for every v in the array ``vs``.
+    """
     nu = default_panels_2d() if panels_u is None else int(panels_u)
     nv = default_panels_2d() if panels_v is None else int(panels_v)
     if nu % 2:
@@ -89,9 +81,5 @@ def simpson_2d(
         nv += 1
     us = np.linspace(u_lo, u_hi, nu + 1)
     vs = np.linspace(v_lo, v_hi, nv + 1)
-    hu = (u_hi - u_lo) / nu
-    rows = np.empty(nu + 1)
-    for i, u in enumerate(us):
-        vals = np.array([f(u, v) for v in vs], dtype=float)
-        rows[i] = simpson_samples(vals, (v_hi - v_lo) / nv)
-    return simpson_samples(rows, hu)
+    rows = np.array([simpson_samples(f(u, vs), (v_hi - v_lo) / nv) for u in us])
+    return simpson_samples(rows, (u_hi - u_lo) / nu)

@@ -29,14 +29,14 @@ from .curves import LZ, CatenaryFamily, ProfileForm, profile_jet
 from .errors import InvalidRadiusError, SingularDenominatorError
 from .odes import ProfileODE
 from .surfaces import (
-    HelicoidalSpec,
     ParabolicRevolutionSpec,
     ParamSurface,
     RevolutionSpec,
+    SurfaceJet,
+    jet_mean_curvature,
+    jet_parabolic_normal,
     make_parabolic_revolution,
     make_revolution,
-    mean_curvature,
-    surface_parabolic_normal,
 )
 
 PI_YZ = "yz"  # isotropic reference plane x = 0
@@ -54,25 +54,24 @@ class SingularSpec:
             raise ValueError(f"unknown reference plane {self.reference!r}")
 
 
-def sms_residual(surface: ParamSurface, spec: SingularSpec, u: float, v: float) -> float:
-    """H minus alpha * <n_par, axis> / (2 * (distance - lam)) at (u, v)."""
-    h = mean_curvature(surface, u, v)
-    npar = surface_parabolic_normal(surface, u, v)
-    point = surface.at(u, v).r
-    if spec.reference == PI_YZ:
-        dist = float(point[0])
-        pairing = npar.x
-    else:
-        dist = float(point[2])
-        pairing = npar.z
-    if dist <= 0.0:
+def jet_sms_residual(jet: SurfaceJet, spec: SingularSpec):
+    """H minus alpha * <n_par, axis> / (2 * (distance - lam)) at every node of the jet."""
+    h = jet_mean_curvature(jet)
+    axis = 0 if spec.reference == PI_YZ else 2  # x for the plane x = 0, z for z = 0
+    dist, pairing = jet.r[..., axis], jet_parabolic_normal(jet)[axis]
+    if np.any(dist <= 0.0):
         raise SingularDenominatorError(
-            f"point distance {dist} leaves the positive half-space"
+            f"point distance {np.nanmin(dist)} leaves the positive half-space"
         )
     denom = dist - spec.lam
-    if abs(denom) < 1e-12:
-        raise SingularDenominatorError(f"weight denominator {denom} vanished")
+    if np.any(np.abs(denom) < 1e-12):
+        raise SingularDenominatorError(f"weight denominator {np.nanmin(np.abs(denom))} vanished")
     return h - spec.alpha * pairing / (2.0 * denom)
+
+
+def sms_residual(surface: ParamSurface, spec: SingularSpec, u: float, v: float) -> float:
+    """H minus alpha * <n_par, axis> / (2 * (distance - lam)) at (u, v)."""
+    return float(jet_sms_residual(surface.at(u, v), spec))
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +88,8 @@ class CatenoidBoundary:
     z2: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.r1, self.z1, self.r2, self.z2))):
+            raise ValueError("boundary circle radii and heights must be finite")
         if self.r1 <= 0.0 or self.r2 <= 0.0:
             raise InvalidRadiusError("boundary circle radii must be positive")
 
@@ -147,9 +148,7 @@ class ClassificationReport:
 
 def max_sms_residual(surface, spec, t_vals, theta_vals) -> float:
     """Max |sms_residual| over the grid t_vals x theta_vals; NaN if any is NaN."""
-    return float(np.max(np.abs(
-        [sms_residual(surface, spec, float(t), float(th)) for t in t_vals for th in theta_vals]
-    )))
+    return float(np.max(np.abs(jet_sms_residual(surface.grid(t_vals, theta_vals), spec))))
 
 
 def _verify_revolution(profile_form: ProfileForm, spec: SingularSpec) -> float:

@@ -8,15 +8,20 @@ replaces the third component with 1/2 - (X23^2 + X31^2)/(2*X12^2).  First
 fundamental form coefficients use the degenerate metric, the second come
 from triple-product determinants, and the relative area integrates
 det(r_u, r_v, n_par).
+
+``ParamSurface.grid`` evaluates the jet once per node of a tensor grid; the
+``jet_*`` functions compute the minors, forms, H and the parabolic normal on
+a jet of any shape, and the per-point functions are one-node grids.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import IsoVec3, iso_dot, write_csv
+from .core import IsoVec3, write_csv
 from .curves import PlaneCurve, profile_jet
 from .errors import DomainError, NonAdmissibleError
 from .quadrature import simpson_2d
@@ -26,6 +31,8 @@ TWO_PI = 2.0 * math.pi
 
 
 class SurfaceJet(NamedTuple):
+    """Position and partials; each field has shape (..., 3)."""
+
     r: np.ndarray
     ru: np.ndarray
     rv: np.ndarray
@@ -34,17 +41,12 @@ class SurfaceJet(NamedTuple):
     rvv: np.ndarray
 
 
-def _minors(ru, rv) -> tuple[float, float, float]:
-    """(X23, X31, X12): components of the Euclidean cross product ru x rv."""
-    return (
-        ru[1] * rv[2] - ru[2] * rv[1],
-        ru[2] * rv[0] - ru[0] * rv[2],
-        ru[0] * rv[1] - ru[1] * rv[0],
-    )
+def _inside(x, lo, hi) -> bool:
+    return bool(((x >= lo - 1e-12) & (x <= hi + 1e-12)).all())  # False for NaN
 
 
 class ParamSurface:
-    """Surface evaluator with analytic partials over a parameter rectangle."""
+    """Surface evaluator ``eval_fn(u, v) -> (r, r_u, r_v, r_uu, r_uv, r_vv)`` over a rectangle."""
 
     def __init__(self, u_lo, u_hi, v_lo, v_hi, eval_fn, check_samples: int = 9):
         if not (u_lo < u_hi and v_lo < v_hi):
@@ -53,14 +55,7 @@ class ParamSurface:
         self.v_lo, self.v_hi = float(v_lo), float(v_hi)
         self._eval = eval_fn
         us = np.linspace(self.u_lo, self.u_hi, check_samples)
-        vs = np.linspace(self.v_lo, self.v_hi, check_samples)
-        x12s = np.array(
-            [_minors(*self._jet_arrays(eval_fn(u, v))[1:3])[2] for u in us for v in vs]
-        )
-        if np.any(np.abs(x12s) < ADMISSIBLE_MIN_JACOBIAN):
-            raise NonAdmissibleError(
-                "top-view Jacobian below threshold on the sampling grid"
-            )
+        x12s = jet_minors(self.grid(us, np.linspace(self.v_lo, self.v_hi, check_samples)))[2]
         if np.all(x12s < 0.0):
             inner = eval_fn
 
@@ -73,10 +68,6 @@ class ParamSurface:
             self.u_hi, self.v_hi = self.v_hi, self.u_hi
         elif np.any(x12s < 0.0):
             raise NonAdmissibleError("top-view Jacobian changes sign on the domain")
-
-    @staticmethod
-    def _jet_arrays(raw):
-        return tuple(np.asarray(part, dtype=float) for part in raw)
 
     @classmethod
     def graph(cls, u_lo, u_hi, v_lo, v_hi, f, fu, fv, fuu, fuv, fvv) -> "ParamSurface":
@@ -94,52 +85,75 @@ class ParamSurface:
 
         return cls(u_lo, u_hi, v_lo, v_hi, eval_fn)
 
+    def grid(self, us, vs) -> SurfaceJet:
+        """Jets at the nodes us x vs, fields of shape (len(us), len(vs), 3).
+
+        One evaluator call per node, stored one u-row at a time; a node outside
+        the rectangle (or NaN) raises DomainError."""
+        us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
+        if not (_inside(us, self.u_lo, self.u_hi) and _inside(vs, self.v_lo, self.v_hi)):
+            raise DomainError(
+                f"grid nodes outside [{self.u_lo}, {self.u_hi}] x [{self.v_lo}, {self.v_hi}]"
+            )
+        out = np.empty((us.size, vs.size, 6, 3))
+        for i, u in enumerate(us):
+            vecs = chain.from_iterable(self._eval(u, v) for v in vs)
+            out[i] = np.fromiter(chain.from_iterable(vecs), float, 18 * vs.size).reshape(-1, 6, 3)
+        return SurfaceJet(*np.moveaxis(out, 2, 0))
+
     def at(self, u: float, v: float) -> SurfaceJet:
-        if not (
-            self.u_lo - 1e-12 <= u <= self.u_hi + 1e-12
-            and self.v_lo - 1e-12 <= v <= self.v_hi + 1e-12
-        ):
-            raise DomainError(f"({u}, {v}) outside the parameter rectangle")
-        return SurfaceJet(*self._jet_arrays(self._eval(u, v)))
+        """Jet at one point: the one-node grid, fields of shape (3,)."""
+        return SurfaceJet(*(f[0, 0] for f in self.grid([u], [v])))
 
 
-def _checked_minors(jet: SurfaceJet) -> tuple[float, float, float]:
-    x23, x31, x12 = _minors(jet.ru, jet.rv)
-    if abs(x12) < ADMISSIBLE_MIN_JACOBIAN:
-        raise NonAdmissibleError(f"top-view Jacobian {x12} below threshold")
+def jet_minors(jet: SurfaceJet):
+    """(X23, X31, X12) = r_u x r_v; NonAdmissibleError where |X12| < 1e-9."""
+    ru, rv = jet.ru, jet.rv
+    pairs = ((1, 2), (2, 0), (0, 1))
+    x23, x31, x12 = (ru[..., i] * rv[..., j] - ru[..., j] * rv[..., i] for i, j in pairs)
+    if np.any(np.abs(x12) < ADMISSIBLE_MIN_JACOBIAN):
+        raise NonAdmissibleError(f"top-view Jacobian {np.min(np.abs(x12))} below threshold")
     return x23, x31, x12
+
+
+def jet_forms(jet: SurfaceJet):
+    """(g11, g12, g22, h11, h12, h22); h_ij = det(r_u, r_v, r_ij) / X12 with X12 = sqrt(det g)."""
+    ru, rv, x12 = jet.ru, jet.rv, jet_minors(jet)[2]
+    g = [a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] for a, b in ((ru, ru), (ru, rv), (rv, rv))]
+    h = [np.linalg.det(np.stack([ru, rv, w], axis=-2)) / x12 for w in (jet.ruu, jet.ruv, jet.rvv)]
+    return (*g, *h)
+
+
+def jet_mean_curvature(jet: SurfaceJet):
+    g11, g12, g22, h11, h12, h22 = jet_forms(jet)
+    return 0.5 * (g11 * h22 - 2.0 * g12 * h12 + g22 * h11) / (
+        g11 * g22 - np.float_power(g12, 2)
+    )
+
+
+def jet_parabolic_normal(jet: SurfaceJet):
+    """Components (X23/X12, X31/X12, 1/2 - (p^2 + q^2)/2) of the parabolic normal."""
+    x23, x31, x12 = jet_minors(jet)
+    p, q = x23 / x12, x31 / x12
+    return p, q, 0.5 - 0.5 * (p * p + q * q)
 
 
 def fundamental_forms(surface: ParamSurface, u: float, v: float):
     """(g11, g12, g22, h11, h12, h22) at the point."""
-    jet = surface.at(u, v)
-    _, _, x12 = _checked_minors(jet)
-    g11 = iso_dot(jet.ru, jet.ru)
-    g12 = iso_dot(jet.ru, jet.rv)
-    g22 = iso_dot(jet.rv, jet.rv)
-    # sqrt(det g) equals X12 once orientation is normalized
-    h11 = float(np.linalg.det(np.stack([jet.ru, jet.rv, jet.ruu]))) / x12
-    h12 = float(np.linalg.det(np.stack([jet.ru, jet.rv, jet.ruv]))) / x12
-    h22 = float(np.linalg.det(np.stack([jet.ru, jet.rv, jet.rvv]))) / x12
-    return g11, g12, g22, h11, h12, h22
+    return tuple(float(x) for x in jet_forms(surface.at(u, v)))
 
 
 def mean_curvature(surface: ParamSurface, u: float, v: float) -> float:
-    g11, g12, g22, h11, h12, h22 = fundamental_forms(surface, u, v)
-    return 0.5 * (g11 * h22 - 2.0 * g12 * h12 + g22 * h11) / (g11 * g22 - g12**2)
+    return float(jet_mean_curvature(surface.at(u, v)))
 
 
 def surface_minimal_normal(surface: ParamSurface, u: float, v: float) -> IsoVec3:
-    jet = surface.at(u, v)
-    x23, x31, x12 = _checked_minors(jet)
-    return IsoVec3(x23 / x12, x31 / x12, 1.0)
+    x23, x31, x12 = jet_minors(surface.at(u, v))
+    return IsoVec3(float(x23 / x12), float(x31 / x12), 1.0)
 
 
 def surface_parabolic_normal(surface: ParamSurface, u: float, v: float) -> IsoVec3:
-    jet = surface.at(u, v)
-    x23, x31, x12 = _checked_minors(jet)
-    p, q = x23 / x12, x31 / x12
-    return IsoVec3(p, q, 0.5 - 0.5 * (p * p + q * q))
+    return IsoVec3(*(float(x) for x in jet_parabolic_normal(surface.at(u, v))))
 
 
 def relative_area(
@@ -154,30 +168,18 @@ def relative_area(
     else:
         u_lo, u_hi, v_lo, v_hi = subrectangle
 
-    def integrand(u, v):
-        jet = surface.at(u, v)
-        x23, x31, x12 = _checked_minors(jet)
-        return 0.5 * (x23**2 + x31**2 + x12**2) / x12
+    def row(u, vs):
+        x23, x31, x12 = (m[0] for m in jet_minors(surface.grid([u], vs)))
+        sq = np.float_power((x23, x31, x12), 2)  # pow like scalar **, unlike array **
+        return 0.5 * (sq[0] + sq[1] + sq[2]) / x12
 
-    return simpson_2d(integrand, u_lo, u_hi, v_lo, v_hi, panels_u, panels_v)
+    return simpson_2d(row, u_lo, u_hi, v_lo, v_hi, panels_u, panels_v)
 
 
 def _graph_profile(curve: PlaneCurve, where: str) -> None:
     for t in np.linspace(curve.t_lo, curve.t_hi, 7):
         if abs(curve.at(t).x - t) > 1e-9 * max(1.0, abs(t)):
             raise ValueError(f"{where} profile must be a graph curve (x(t) = t)")
-
-
-@dataclass(frozen=True)
-class RevolutionSpec:
-    """Profile (t, z(t)), t > 0, swept by rotations about the isotropic axis."""
-
-    profile: PlaneCurve
-
-    def __post_init__(self):
-        if self.profile.t_lo <= 0.0:
-            raise ValueError("revolution profile needs t_lo > 0")
-        _graph_profile(self.profile, "revolution")
 
 
 @dataclass(frozen=True)
@@ -188,9 +190,17 @@ class HelicoidalSpec:
     pitch: float = 0.0
 
     def __post_init__(self):
+        where = "helicoidal" if self.pitch else "revolution"
         if self.profile.t_lo <= 0.0:
-            raise ValueError("helicoidal profile needs t_lo > 0")
-        _graph_profile(self.profile, "helicoidal")
+            raise ValueError(f"{where} profile needs t_lo > 0")
+        _graph_profile(self.profile, where)
+
+
+@dataclass(frozen=True)
+class RevolutionSpec(HelicoidalSpec):
+    """Profile (t, z(t)), t > 0, swept by rotations about the isotropic axis: pitch 0."""
+
+    pitch: float = field(default=0.0, init=False)
 
 
 @dataclass(frozen=True)
@@ -217,22 +227,8 @@ class ParabolicRevolutionSpec:
 def make_revolution(
     spec: RevolutionSpec, theta_lo: float = 0.0, theta_hi: float = TWO_PI
 ) -> ParamSurface:
-    """(t cos v, t sin v, z(t)) with analytic partials from the profile."""
-    prof = spec.profile
-
-    def eval_fn(t, th):
-        j = prof.at(t)
-        ct, st = math.cos(th), math.sin(th)
-        return (
-            (t * ct, t * st, j.z),
-            (ct, st, j.zd),
-            (-t * st, t * ct, 0.0),
-            (0.0, 0.0, j.zdd),
-            (-st, ct, 0.0),
-            (-t * ct, -t * st, 0.0),
-        )
-
-    return ParamSurface(prof.t_lo, prof.t_hi, theta_lo, theta_hi, eval_fn)
+    """(t cos v, t sin v, z(t)): the helicoidal surface of pitch 0."""
+    return make_helicoidal(spec, theta_lo, theta_hi)
 
 
 def make_helicoidal(
@@ -314,46 +310,39 @@ def parabolic_revolution_F(spec: ParabolicRevolutionSpec, t: float) -> float:
     )
 
 
-def mesh_grid(surface: ParamSurface, nu: int, nv: int, wrap_v: bool | None = None):
-    """Row-major vertex grid plus quad faces (1-based indices).
-
-    When the v-range spans a full turn the seam is closed by identifying the
-    last column with the first instead of duplicating it.
-    """
+def _mesh(surface: ParamSurface, nu: int, nv: int, wrap_v: bool | None):
+    """(params, jet, faces) of the mesh; a full turn in v drops the seam column."""
     if wrap_v is None:
         wrap_v = abs((surface.v_hi - surface.v_lo) - TWO_PI) < 1e-9
     us = np.linspace(surface.u_lo, surface.u_hi, nu + 1)
-    ncols = nv if wrap_v else nv + 1
-    vs = np.linspace(surface.v_lo, surface.v_hi, nv + 1)[:ncols]
-    verts = []
-    params = []
-    for u in us:
-        for v in vs:
-            verts.append(surface.at(u, v).r)
-            params.append((u, v))
-    faces = []
-    for i in range(nu):
-        for j in range(nv):
-            jn = (j + 1) % ncols if wrap_v else j + 1
-            base = i * ncols
-            faces.append(
-                (base + j + 1, base + ncols + j + 1, base + ncols + jn + 1, base + jn + 1)
-            )
-    return params, verts, faces
+    vs = np.linspace(surface.v_lo, surface.v_hi, nv + 1)[: nv if wrap_v else nv + 1]
+    ncols = vs.size
+    i, j = np.meshgrid(np.arange(nu), np.arange(nv), indexing="ij")
+    base, jn = i * ncols + 1, (j + 1) % ncols  # only a wrapped grid reaches the modulo
+    faces = np.stack([base + j, base + ncols + j, base + ncols + jn, base + jn], axis=-1)
+    params = np.stack(np.meshgrid(us, vs, indexing="ij"), axis=-1).reshape(-1, 2)
+    return params, surface.grid(us, vs), faces.reshape(-1, 4)
+
+
+def mesh_grid(surface: ParamSurface, nu: int, nv: int, wrap_v: bool | None = None):
+    """Row-major (N, 2) parameters and (N, 3) vertices plus (nu*nv, 4) 1-based quad faces.
+
+    A v-range spanning a full turn closes the seam by identifying the last
+    column with the first instead of duplicating it.
+    """
+    params, jet, faces = _mesh(surface, nu, nv, wrap_v)
+    return params, jet.r.reshape(-1, 3), faces
 
 
 def write_obj_mesh(path, surface: ParamSurface, nu: int, nv: int, wrap_v=None) -> None:
     """Wavefront-style text mesh: `v x y z` lines then quad `f` lines."""
     _, verts, faces = mesh_grid(surface, nu, nv, wrap_v)
     with open(path, "w", encoding="utf-8") as fh:
-        for p in verts:
-            fh.write(f"v {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
-        for f in faces:
-            fh.write(f"f {f[0]} {f[1]} {f[2]} {f[3]}\n")
+        fh.writelines(f"v {x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in verts.tolist())
+        fh.writelines(f"f {a} {b} {c} {d}\n" for a, b, c, d in faces.tolist())
 
 
 def write_vertex_curvature_csv(path, surface: ParamSurface, nu: int, nv: int, wrap_v=None) -> None:
     """Per-vertex mean curvature in mesh vertex order, as `u,v,H` rows."""
-    params, _, _ = mesh_grid(surface, nu, nv, wrap_v)
-    us, vs = zip(*params)
-    write_csv(path, "u,v,H", (us, vs, [mean_curvature(surface, u, v) for u, v in params]))
+    params, jet, _ = _mesh(surface, nu, nv, wrap_v)
+    write_csv(path, "u,v,H", (*params.T, jet_mean_curvature(jet).ravel()))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import LX, LZ, PlaneCurve, profile_jet
+from .curves import LX, LZ, profile_jet
 from .errors import DomainError, NoConvergenceError
 
 
@@ -51,9 +51,6 @@ class DiscreteCurve:
             raise ValueError("grid and values must have equal length")
         if np.any(np.diff(self.grid) <= 0):
             raise ValueError("grid must be strictly increasing")
-
-    def as_plane_curve(self) -> PlaneCurve:
-        return PlaneCurve.from_samples(self.grid, self.values)
 
 
 def _weight_base(spec: WeightFunctionalSpec, t: np.ndarray, z: np.ndarray) -> np.ndarray:

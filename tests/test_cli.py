@@ -202,3 +202,25 @@ def test_non_finite_profile_coefficients(capsys):
     with pytest.raises(SystemExit) as err:
         run_cli("residual", "--check", "sms", "--profile", "inverse:0,nan", "--range", "0.5:3")
     assert err.value.code == 2
+
+
+def test_non_finite_catenoid_boundary_exits_one(capsys):
+    code = run_cli("catenoid", "--r1", "nan", "--z1", "0", "--r2", "2", "--z2", "1")
+    assert code == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error:")
+
+
+def test_sample_counts_below_minimum_are_flag_errors(tmp_path):
+    mesh = tmp_path / "m.obj"
+    for argv in (
+        ["catenary", "--range", "1:2", "--n", "0", "--out", str(tmp_path / "c.csv")],
+        ["catenary", "--range", "1:2", "--n", "1", "--out", str(tmp_path / "c.csv")],
+        ["surface", "revolution", "--profile", "log:1,0", "--trange", "1:2",
+         "--mesh", str(mesh), "--grid", "0x4"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            run_cli(*argv)
+        assert err.value.code == 2
+    assert list(tmp_path.iterdir()) == []

@@ -45,13 +45,3 @@ def test_simpson_2d_separable():
     )
     assert val == pytest.approx(0.5 * 8.0 / 3.0, abs=1e-12)
 
-
-def test_env_override(monkeypatch):
-    monkeypatch.setenv("ISOKIT_PANELS", "32")
-    assert quadrature.default_panels_1d() == 32
-    assert quadrature.default_panels_2d() == 32
-    monkeypatch.delenv("ISOKIT_PANELS")
-    assert quadrature.default_panels_1d() == quadrature.DEFAULT_PANELS_1D
-    monkeypatch.setenv("ISOKIT_PANELS", "1")
-    with pytest.raises(ValueError):
-        quadrature.default_panels_1d()

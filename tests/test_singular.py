@@ -18,6 +18,7 @@ from isokit.singular import (
     classify_parabolic_revolution,
     cmc_profile_coefficient,
     cmc_quadric_coefficients,
+    max_sms_residual,
     quadric_type,
     sms_residual,
     solve_catenoid_boundary,
@@ -72,6 +73,16 @@ class TestSmsResidual:
         surf = make_revolution(RevolutionSpec(prof.plane_curve(0.5, 3.0)), 0.0, 2 * math.pi)
         with pytest.raises(SingularDenominatorError):
             sms_residual(surf, YZ, 1.0, math.pi)  # x = -1 < 0
+
+    def test_max_residual_rejects_one_node_off_the_half_space(self):
+        prof = ProfileForm("inverse_radius", {"z1": 0.4, "z2": 1.5})
+        surf = make_revolution(RevolutionSpec(prof.plane_curve(0.5, 3.0)), -1.6, 1.6)
+        t_vals = np.linspace(0.55, 2.95, 12)
+        assert max_sms_residual(surf, YZ, t_vals, np.linspace(-1.2, 1.2, 7)) < 1e-12
+        # only the last angle puts the node (0.55, 1.6) at x = 0.55 cos(1.6) < 0
+        thetas = np.append(np.linspace(-1.2, 1.2, 7), 1.6)
+        with pytest.raises(SingularDenominatorError):
+            max_sms_residual(surf, YZ, t_vals, thetas)
 
     def test_shift_hitting_distance_rejected(self):
         plane = ParamSurface.graph(

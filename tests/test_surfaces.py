@@ -370,3 +370,49 @@ class TestMeshExport:
         assert len(rows) == 1 + len(verts)
         # logarithmoid vertices all carry zero mean curvature
         assert all(abs(float(r.split(",")[2])) < 1e-12 for r in rows[1:])
+
+
+class TestGridPath:
+    def test_grid_matches_evaluator(self):
+        us, vs = np.linspace(-1.0, 1.0, 5), np.linspace(-0.5, 0.75, 4)
+        jet = WAVY.grid(us, vs)
+        assert jet.r.shape == (5, 4, 3)
+        for i, u in enumerate(us):
+            for j, v in enumerate(vs):
+                raw = np.array(WAVY._eval(u, v), dtype=float)
+                assert np.array_equal(np.stack([f[i, j] for f in jet]), raw)
+
+    def test_nan_and_outside_rectangle_raise_domain_error(self):
+        with pytest.raises(DomainError):
+            WAVY.at(math.nan, 0.0)
+        surf = make_revolution(RevolutionSpec(log_profile(1.0).plane_curve(1.0, math.e)))
+        with pytest.raises(DomainError):
+            relative_area(surf, (0.5, math.e, 0.0, math.pi), panels_u=4, panels_v=4)
+
+    def test_curvature_sidecar_rows_follow_mesh_vertices(self, tmp_path):
+        revolution = make_revolution(
+            RevolutionSpec(ProfileForm("power", {"c": 0.8, "p": 2.5, "d": 0.1}).plane_curve(0.7, 2.0))
+        )
+        parabolic = make_parabolic_revolution(
+            ParabolicRevolutionSpec(
+                0.4, 1.3, 0.2, -0.3, 0.6,
+                ProfileForm("log_parabola", {"quad": 0.3, "z1": 0.1, "z2": -0.5}).plane_curve(0.8, 2.2),
+            )
+        )
+        for surf, wrapped in ((revolution, True), (parabolic, False)):
+            params, verts, _ = mesh_grid(surf, 3, 6)
+            assert len(verts) == 4 * (6 if wrapped else 7)
+            path = tmp_path / "h.csv"
+            write_vertex_curvature_csv(path, surf, 3, 6)
+            rows = path.read_text().splitlines()[1:]
+            expected = [
+                f"{u:.17g},{v:.17g},{mean_curvature(surf, u, v):.17g}" for u, v in params
+            ]
+            assert rows == expected
+
+    def test_revolution_mesh_is_helicoidal_at_pitch_zero(self, tmp_path):
+        curve = ProfileForm("inverse_radius", {"z1": 0.3, "z2": 1.1}).plane_curve(0.6, 2.4)
+        rev, hel = tmp_path / "rev.obj", tmp_path / "hel.obj"
+        write_obj_mesh(rev, make_revolution(RevolutionSpec(curve), 0.0, 2.0), 4, 8)
+        write_obj_mesh(hel, make_helicoidal(HelicoidalSpec(curve, 0.0), 0.0, 2.0), 4, 8)
+        assert rev.read_bytes() == hel.read_bytes()

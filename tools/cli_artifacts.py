@@ -1,0 +1,111 @@
+"""Hash the artifacts of a fixed set of isokit CLI commands.
+
+    python tools/cli_artifacts.py TREE
+
+imports ``isokit`` from ``TREE/src``, runs each command below in-process
+through ``cli.run`` inside a fresh temporary directory, and prints one
+``name sha256`` line per captured stdout stream and per written file, plus
+a ``name/exit code`` line per command.  Run it on two trees and ``diff``
+the outputs to check that a change keeps the CLI artifacts byte-identical.
+Negative option values use the ``--flag=value`` form, which argparse cannot
+mistake for a flag.  Uses only the standard library (and the package under
+test).
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+PROFILES = {
+    "log": "log:1.5,0.25",
+    "power": "power:0.75,-1.5,0.5",
+    "inverse": "inverse:0.4,1.5",
+    "poly": "poly:0.1,-0.3,0.2,0.05",
+}
+SURFACES = {
+    "revolution": ["revolution"],
+    "helicoidal": ["helicoidal", "--pitch", "0.7"],
+    "parabolic": ["parabolic", "--a", "0.3", "--b", "1.2", "--c", "0.4",
+                  "--c1=-0.25", "--c2", "0.6", "--thetarange=-0.8:0.8"],
+}
+COMMANDS = [
+    # the README commands
+    ("readme_catenary", ["catenary", "--alpha", "1", "--c", "1", "--d", "0",
+                         "--range", "1:2.71828", "--n", "100", "--out", "curve.csv"]),
+    ("readme_minimize", ["minimize", "--ref", "lz", "--alpha", "1",
+                         "--endpoints", "1,0,2.71828,1", "--n", "200", "--out", "profile.csv"]),
+    ("readme_catenoid", ["catenoid", "--r1", "1", "--z1", "0", "--r2", "2.71828", "--z2", "1"]),
+    ("readme_surface", ["surface", "revolution", "--profile", "log:1,0", "--trange", "1:3",
+                        "--mesh", "out.obj", "--grid", "32x64"]),
+    ("readme_classify_helicoidal", ["classify", "helicoidal", "--c", "1", "--ref", "yz"]),
+    ("readme_classify_parabolic", ["classify", "parabolic", "--a", "0", "--b", "1",
+                                   "--c2", "1", "--ref", "yz"]),
+    ("readme_ivp", ["ivp", "--a", "1", "--out", "profile.csv", "--json", "sidecar.json"]),
+    ("readme_residual_el", ["residual", "--check", "el", "--ref", "lz", "--alpha", "2",
+                            "--profile", "power:5,-1,0", "--range", "1:3"]),
+    # further closed forms, meshes, classifications and residuals
+    ("catenary_power", ["catenary", "--alpha", "2.5", "--c", "1.5", "--d", "0.5",
+                        "--range", "1:3", "--n", "60", "--out", "curve.csv"]),
+    ("catenoid_mesh", ["catenoid", "--r1", "1", "--z1", "0", "--r2", "2.5", "--z2", "1.2",
+                       "--mesh", "catenoid.obj", "--grid", "8x16"]),
+    ("classify_helicoidal_pitch0", ["classify", "helicoidal", "--c", "0", "--ref", "yz",
+                                    "--z1", "0.3", "--z2", "1.4"]),
+    ("classify_parabolic_1a", ["classify", "parabolic", "--a", "0", "--b", "1.3",
+                               "--c2", "0.7", "--ref", "yz", "--z1", "0.2", "--z2", "0.9"]),
+    ("classify_parabolic_1b", ["classify", "parabolic", "--a", "1", "--b", "1",
+                               "--c1", "0.5", "--c2=-1", "--ref", "yz", "--z1", "0.3"]),
+    ("residual_sms_revolution", ["residual", "--check", "sms", "--profile", "inverse:0.4,1.5",
+                                 "--range", "0.5:3"]),
+    ("residual_sms_parabolic", ["residual", "--check", "sms", "--surface", "parabolic",
+                                "--profile", "poly:0.3,0,0.25", "--range", "1:3",
+                                "--thetarange=-0.5:0.5", "--a", "1", "--b", "1",
+                                "--c1", "0.5", "--c2=-1"]),
+] + [
+    (f"surface_{kind}_{pname}", ["surface", *flags, "--profile", spec, "--trange", "0.8:2.4",
+                                 "--mesh", "mesh.obj", "--grid", "6x12"])
+    for kind, flags in SURFACES.items()
+    for pname, spec in PROFILES.items()
+]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    src = Path(argv[1]).resolve() / "src"
+    sys.path.insert(0, str(src))
+    from isokit import cli
+
+    if not Path(cli.__file__).resolve().is_relative_to(src):
+        print(f"error: imported isokit from {cli.__file__}, not {src}", file=sys.stderr)
+        return 1
+
+    home = os.getcwd()
+    for name, args in COMMANDS:
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            out = io.StringIO()
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    code = cli.run(args)
+            except SystemExit as exc:  # argparse flag errors
+                code = exc.code
+            finally:
+                os.chdir(home)
+            print(f"{name}/exit {code}")
+            print(f"{name}/stdout {_sha(out.getvalue().encode())}")
+            for path in sorted(Path(tmp).iterdir()):
+                print(f"{name}/{path.name} {_sha(path.read_bytes())}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
