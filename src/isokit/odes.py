@@ -139,25 +139,29 @@ def integrate(
     if steps < 1:
         raise ValueError("steps must be positive")
     h = (t1 - t0) / steps
+    hh = 0.5 * h  # 0.5 * h * k parses as (0.5 * h) * k, so this is exact
     ts = np.empty(steps + 1)
     zs = np.empty(steps + 1)
     ps = np.empty(steps + 1)
+    # the loop runs on Python floats; the memoryviews store them unboxed
+    tv, zv, pv = memoryview(ts), memoryview(zs), memoryview(ps)
+    rhs, isfinite = ode.rhs, math.isfinite
     t, z, p = float(t0), float(z0), float(zp0)
-    ts[0], zs[0], ps[0] = t, z, p
+    tv[0], zv[0], pv[0] = t, z, p
     for i in range(steps):
-        k1z, k1p = p, ode.rhs(t, z, p)
-        k2z = p + 0.5 * h * k1p
-        k2p = ode.rhs(t + 0.5 * h, z + 0.5 * h * k1z, p + 0.5 * h * k1p)
-        k3z = p + 0.5 * h * k2p
-        k3p = ode.rhs(t + 0.5 * h, z + 0.5 * h * k2z, p + 0.5 * h * k2p)
+        k1z, k1p = p, rhs(t, z, p)
+        k2z = p + hh * k1p
+        k2p = rhs(t + hh, z + hh * k1z, p + hh * k1p)
+        k3z = p + hh * k2p
+        k3p = rhs(t + hh, z + hh * k2z, p + hh * k2p)
         k4z = p + h * k3p
-        k4p = ode.rhs(t + h, z + h * k3z, p + h * k3p)
+        k4p = rhs(t + h, z + h * k3z, p + h * k3p)
         z += h * (k1z + 2.0 * k2z + 2.0 * k3z + k4z) / 6.0
         p += h * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
         t = t0 + (i + 1) * h
-        if not (math.isfinite(z) and math.isfinite(p)):
+        if not (isfinite(z) and isfinite(p)):
             raise StepFailureError(f"non-finite state at t={t}")
-        ts[i + 1], zs[i + 1], ps[i + 1] = t, z, p
+        tv[i + 1], zv[i + 1], pv[i + 1] = t, z, p
     return IVPResult(ts, zs, ps, iterations=steps)
 
 

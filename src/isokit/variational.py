@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import LX, LZ, profile_jet
-from .errors import DomainError, NoConvergenceError
+from .errors import DomainError, NoConvergenceError, SingularDenominatorError
 
 
 @dataclass(frozen=True)
@@ -123,23 +123,51 @@ def _gradient_hessian(spec, t, z):
 
 
 def _solve_tridiagonal(diag, off, rhs):
-    """Thomas elimination for a symmetric tridiagonal system."""
+    """Thomas elimination for a symmetric tridiagonal system.
+
+    The sweep reads and writes through memoryviews, so it runs on Python
+    floats: the same IEEE operations in the same order as on numpy scalars,
+    without a numpy scalar per element.
+    """
     n = diag.size
-    c = np.empty(n - 1) if n > 1 else np.empty(0)
-    d = np.empty(n)
-    cp = diag[0]
+    a = memoryview(np.ascontiguousarray(diag, dtype=float))
+    b = memoryview(np.ascontiguousarray(off, dtype=float))
+    r = memoryview(np.ascontiguousarray(rhs, dtype=float))
+    c_arr = np.empty(max(n - 1, 0))
+    d_arr = np.empty(n)
+    c, d = memoryview(c_arr), memoryview(d_arr)
+    cp = a[0]
     if cp == 0.0:
         raise ZeroDivisionError("zero pivot in tridiagonal solve")
-    d[0] = rhs[0] / cp
+    di = d[0] = r[0] / cp
     for i in range(1, n):
-        c[i - 1] = off[i - 1] / cp
-        cp = diag[i] - off[i - 1] * c[i - 1]
+        o = b[i - 1]
+        ci = c[i - 1] = o / cp
+        cp = a[i] - o * ci
         if cp == 0.0:
             raise ZeroDivisionError("zero pivot in tridiagonal solve")
-        d[i] = (rhs[i] - off[i - 1] * d[i - 1]) / cp
+        di = d[i] = (r[i] - o * di) / cp
     for i in range(n - 2, -1, -1):
-        d[i] -= c[i] * d[i + 1]
-    return d
+        di = d[i] = d[i] - c[i] * di
+    return d_arr
+
+
+def _check_weight_sign(t, w):
+    """Raise where the isotropic-axis weight vanishes or changes sign on the grid."""
+    zero = np.flatnonzero(w == 0.0)
+    if zero.size:
+        i = int(zero[0])
+        raise SingularDenominatorError(
+            f"weight t**alpha - lam vanishes at grid node {i} (t={float(t[i])!r})"
+        )
+    positive = w > 0.0
+    flip = np.flatnonzero(positive[1:] != positive[:-1])
+    if flip.size:
+        i = int(flip[0])
+        raise SingularDenominatorError(
+            f"weight t**alpha - lam changes sign between grid nodes {i} and {i + 1} "
+            f"(t={float(t[i])!r} and {float(t[i + 1])!r})"
+        )
 
 
 def minimize(
@@ -152,7 +180,9 @@ def minimize(
     """Profile with fixed endpoints driving the interior gradient to zero.
 
     ``endpoints`` is (t_a, z_a, t_b, z_b); ``n`` counts the grid cells.  The
-    returned curve satisfies max|gradient| < tol_scale * n.
+    returned curve satisfies max|gradient| < tol_scale * n.  For the isotropic
+    axis a weight t**alpha - lam that vanishes or changes sign on the grid
+    raises SingularDenominatorError before the first iteration.
     """
     t_a, z_a, t_b, z_b = endpoints
     if not t_a < t_b:
@@ -160,13 +190,11 @@ def minimize(
     t = np.linspace(t_a, t_b, n + 1)
     z = np.linspace(z_a, z_b, n + 1)
     tol = tol_scale * n
+    if spec.reference == LZ:
+        _check_weight_sign(t, _weights(spec, t, z)[0])
 
-    def grad_norm(zfull):
-        g, _, _ = _gradient_hessian(spec, t, zfull)
-        return float(np.max(np.abs(g)))
-
+    grad, diag, off = _gradient_hessian(spec, t, z)
     for _ in range(max_iter + 1):
-        grad, diag, off = _gradient_hessian(spec, t, z)
         gn = float(np.max(np.abs(grad)))
         if gn < tol:
             return DiscreteCurve(t, z)
@@ -178,11 +206,13 @@ def minimize(
             trial = z.copy()
             trial[1:-1] += damping * step
             try:
-                if grad_norm(trial) < gn:
-                    z = trial
-                    break
+                trial_bands = _gradient_hessian(spec, t, trial)
             except DomainError:
                 continue
+            if float(np.max(np.abs(trial_bands[0]))) < gn:
+                z = trial
+                grad, diag, off = trial_bands
+                break
         else:
             raise NoConvergenceError(f"no descent step found at gradient norm {gn:.3e}")
     raise NoConvergenceError(f"gradient norm still above {tol:.3e} after {max_iter} iterations")

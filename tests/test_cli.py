@@ -69,6 +69,20 @@ def test_minimize_outputs(tmp_path, capsys):
     assert z == pytest.approx(math.log(t), abs=1e-3)
 
 
+def test_minimize_sign_changing_weight_exits_one(tmp_path, capsys):
+    out = tmp_path / "profile.csv"
+    code = run_cli(
+        "minimize", "--ref", "lz", "--alpha", "1", "--lambda", "2",
+        "--endpoints", "1,0,3,1", "--n", "200", "--out", str(out),
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: weight t**alpha - lam vanishes at grid node 100")
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
 def test_catenoid_json(capsys):
     code = run_cli("catenoid", "--r1", "1", "--z1", "0",
                    "--r2", str(math.e), "--z2", "1")

@@ -101,6 +101,68 @@ class TestIntegrate:
             integrate(E_SMS, 1.0, 1.0, 0.0, 2.0, 0)
 
 
+def _numpy_store_integrate(ode, t0, z0, zp0, t1, steps):
+    """Reference RK4 loop on numpy array stores, as the integrator first ran."""
+    h = (t1 - t0) / steps
+    ts, zs, ps = np.empty(steps + 1), np.empty(steps + 1), np.empty(steps + 1)
+    t, z, p = float(t0), float(z0), float(zp0)
+    ts[0], zs[0], ps[0] = t, z, p
+    for i in range(steps):
+        k1z, k1p = p, ode.rhs(t, z, p)
+        k2z = p + 0.5 * h * k1p
+        k2p = ode.rhs(t + 0.5 * h, z + 0.5 * h * k1z, p + 0.5 * h * k1p)
+        k3z = p + 0.5 * h * k2p
+        k3p = ode.rhs(t + 0.5 * h, z + 0.5 * h * k2z, p + 0.5 * h * k2p)
+        k4z = p + h * k3p
+        k4p = ode.rhs(t + h, z + h * k3z, p + h * k3p)
+        z += h * (k1z + 2.0 * k2z + 2.0 * k3z + k4z) / 6.0
+        p += h * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
+        t = t0 + (i + 1) * h
+        if not (math.isfinite(z) and math.isfinite(p)):
+            raise StepFailureError(f"non-finite state at t={t}")
+        ts[i + 1], zs[i + 1], ps[i + 1] = t, z, p
+    return ts, zs, ps
+
+
+class TestIntegrateReference:
+    @pytest.mark.parametrize(
+        "ode",
+        [
+            ProfileODE.nonisotropic_alpha_catenary(2.0, -1.0),
+            E_SMS,
+            ProfileODE.parabolic_nonisotropic(-0.4, 1.3, 0.35),
+        ],
+        ids=lambda ode: ode.kind,
+    )
+    @pytest.mark.parametrize("t1", [2.1, 0.45], ids=["forward", "backward"])
+    def test_bytes_match_numpy_store_loop(self, ode, t1):
+        # a regrouped increment such as (h / 6) * (...) differs from the
+        # reference in the last bit only where the state is small next to
+        # it; z starting low at a negative slope, and z' starting at 0, get there
+        for z0, zp0 in ((0.3, -0.5), (1.3, 0.0)):
+            res = integrate(ode, 0.9, z0, zp0, t1, 1001)
+            ref = _numpy_store_integrate(ode, 0.9, z0, zp0, t1, 1001)
+            for got, want in zip((res.t, res.z, res.zp), ref):
+                assert got.tobytes() == want.tobytes()
+
+    def test_singularity_raised_mid_run(self):
+        # z'' > 0 is too weak to stop the descent: z crosses 0 just after
+        # t = 0.2, where the fractional power raises; the first 0.1 is fine
+        ode = ProfileODE.nonisotropic_alpha_catenary(0.5, 0.0)
+        assert integrate(ode, 0.0, 0.5, -2.0, 0.1, 10).z[-1] > 0.0
+        with pytest.raises(SingularityError, match="weight base must stay positive"):
+            integrate(ode, 0.0, 0.5, -2.0, 1.0, 100)
+
+    def test_step_failure_raised_mid_run(self):
+        quad = ProfileODE("quadratic_growth", lambda t, z, zp: z * z)
+        with pytest.raises(StepFailureError) as ref:
+            _numpy_store_integrate(quad, 0.0, 10.0, 100.0, 5.0, 12)
+        with pytest.raises(StepFailureError) as err:
+            integrate(quad, 0.0, 10.0, 100.0, 5.0, 12)
+        # step 5 of 12
+        assert str(err.value) == str(ref.value) == "non-finite state at t=2.0833333333333335"
+
+
 class TestOperator:
     def test_constant_profile_maps_to_quadratic(self):
         t = np.linspace(0.0, 0.5, 129)

@@ -1,12 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from isokit.curves import LX, LZ, CatenaryFamily
-from isokit.errors import DomainError, NoConvergenceError
+from isokit.errors import DomainError, NoConvergenceError, SingularDenominatorError
 from isokit.variational import (
     DiscreteCurve,
+    _solve_tridiagonal,
     WeightFunctionalSpec,
     discrete_relative_length,
     el_residual,
@@ -150,6 +152,76 @@ class TestMinimize:
     def test_iteration_budget(self):
         with pytest.raises(NoConvergenceError):
             minimize(WeightFunctionalSpec(LX, 2.0, 0.0), (1.0, 1.0, 2.0, 3.0), 40, max_iter=0)
+
+    @pytest.mark.parametrize(
+        ("n", "where"),
+        [(200, "vanishes at grid node 100 (t=2.0)"), (201, "changes sign between grid nodes 100 and 101")],
+    )
+    def test_isotropic_weight_sign_change(self, n, where):
+        # t - 2 vanishes inside [1, 3]: a grid node on it for even n, a sign change otherwise
+        with pytest.raises(SingularDenominatorError, match=re.escape(where)):
+            minimize(WeightFunctionalSpec(LZ, 1.0, 2.0), (1.0, 0.0, 3.0, 1.0), n)
+
+
+def _numpy_scalar_thomas(diag, off, rhs):
+    """Reference Thomas loop on numpy scalars, as the solver first ran."""
+    n = diag.size
+    c = np.empty(n - 1) if n > 1 else np.empty(0)
+    d = np.empty(n)
+    cp = diag[0]
+    if cp == 0.0:
+        raise ZeroDivisionError("zero pivot in tridiagonal solve")
+    d[0] = rhs[0] / cp
+    for i in range(1, n):
+        c[i - 1] = off[i - 1] / cp
+        cp = diag[i] - off[i - 1] * c[i - 1]
+        if cp == 0.0:
+            raise ZeroDivisionError("zero pivot in tridiagonal solve")
+        d[i] = (rhs[i] - off[i - 1] * d[i - 1]) / cp
+    for i in range(n - 2, -1, -1):
+        d[i] -= c[i] * d[i + 1]
+    return d
+
+
+def _dominant_system(rng, n):
+    off = rng.uniform(-1.0, 1.0, max(n - 1, 0))
+    pad = np.abs(np.concatenate(([0.0], off))) + np.abs(np.concatenate((off, [0.0])))
+    diag = (pad + rng.uniform(0.1, 2.0, n)) * rng.choice((-1.0, 1.0), n)
+    return diag, off, rng.standard_normal(n)
+
+
+class TestTridiagonal:
+    @pytest.mark.parametrize("n", [1, 2, 3, 257, 20001])
+    def test_bit_identical_to_numpy_scalar_loop(self, n):
+        rng = np.random.default_rng(n)
+        diag, off, rhs = _dominant_system(rng, n)
+        assert np.array_equal(_solve_tridiagonal(diag, off, rhs), _numpy_scalar_thomas(diag, off, rhs))
+        strided = np.repeat(rhs, 2)[::2]  # same values through a non-contiguous view
+        assert n == 1 or not strided.flags.c_contiguous
+        assert np.array_equal(
+            _solve_tridiagonal(diag, off, strided), _numpy_scalar_thomas(diag, off, rhs)
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 257])
+    def test_agrees_with_dense_solve(self, n):
+        diag, off, rhs = _dominant_system(np.random.default_rng(100 + n), n)
+        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        expected = np.linalg.solve(dense, rhs)
+        np.testing.assert_allclose(_solve_tridiagonal(diag, off, rhs), expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_zero_pivot_raises(self, k):
+        # with off[k-1] = diag[k-1] = diag[k] = 1 and zero coupling before,
+        # the pivot at k is 1 - 1*1 = 0 exactly; k = 0 zeroes the first pivot
+        diag, off = np.ones(9), np.zeros(8)
+        if k == 0:
+            diag[0] = 0.0
+        else:
+            off[k - 1] = 1.0
+        with pytest.raises(ZeroDivisionError):
+            _solve_tridiagonal(diag, off, np.ones(9))
+        with pytest.raises(ZeroDivisionError):
+            _numpy_scalar_thomas(diag, off, np.ones(9))
 
 
 class TestElResidual:

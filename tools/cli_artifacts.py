@@ -47,6 +47,12 @@ COMMANDS = [
     ("readme_ivp", ["ivp", "--a", "1", "--out", "profile.csv", "--json", "sidecar.json"]),
     ("readme_residual_el", ["residual", "--check", "el", "--ref", "lz", "--alpha", "2",
                             "--profile", "power:5,-1,0", "--range", "1:3"]),
+    # the minimizer at large n, on both reference lines
+    ("minimize_lz_n20000", ["minimize", "--ref", "lz", "--alpha", "2.5",
+                            "--endpoints", "1,0,2.71828,1", "--n", "20000",
+                            "--out", "profile.csv"]),
+    ("minimize_lx_n2000", ["minimize", "--ref", "lx", "--alpha", "1.5",
+                           "--endpoints", "0,1.5,1,1.7", "--n", "2000", "--out", "profile.csv"]),
     # further closed forms, meshes, classifications and residuals
     ("catenary_power", ["catenary", "--alpha", "2.5", "--c", "1.5", "--d", "0.5",
                         "--range", "1:3", "--n", "60", "--out", "curve.csv"]),
