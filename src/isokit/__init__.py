@@ -6,10 +6,11 @@ non-trivial, closed-form and discrete solvers for the resulting critical
 profiles, and classification of the invariant hanging surfaces.
 """
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     IsoVec2,
     IsoVec3,
-    euclid_cross,
     euclid_dot,
     iso_dot,
     iso_norm,
@@ -20,13 +21,13 @@ from .curves import (
     LX,
     LZ,
     CatenaryFamily,
+    GraphCurve,
     PlaneCurve,
     ProfileForm,
     catenary_curvature_residual,
     curvature,
     minimal_normal,
     parabolic_normal,
-    profile_jet,
     relative_arclength,
     unit_tangent,
 )
@@ -96,4 +97,4 @@ from .variational import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [n for n, v in globals().items() if not (n.startswith("_") or isinstance(v, _ModuleType))]

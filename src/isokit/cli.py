@@ -7,19 +7,14 @@ formatting (17 significant digits), sorted JSON keys, no timestamps.
 """
 
 import argparse
-import json
 import math
 import sys
 
 import numpy as np
 
 from . import curves, odes, singular, surfaces, variational
-from .core import write_csv, write_text
+from .core import write_csv, write_json
 from .errors import IsoKitError
-
-
-def _json_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
 
 
 def _parse_range(raw: str) -> tuple[float, float]:
@@ -155,7 +150,7 @@ def _cmd_catenary(args) -> int:
     )
     t_lo, t_hi = args.trange
     ts = np.linspace(t_lo, t_hi, args.n)
-    write_csv(args.out, "t,x,z", (ts, ts, [family.profile(float(t))[0] for t in ts]))
+    write_csv(args.out, "t,x,z", (ts, ts, [family(float(t))[0] for t in ts]))
     return 0
 
 
@@ -170,21 +165,19 @@ def _cmd_minimize(args) -> int:
         "gradient_max_abs": float(np.max(np.abs(grad))),
         "n": args.n,
     }
-    write_text(args.json_out if args.json_out else "-", _json_dumps(summary) + "\n")
+    write_json(args.json_out or "-", summary)
     return 0
 
 
 def _cmd_catenoid(args) -> int:
     boundary = singular.CatenoidBoundary(args.r1, args.z1, args.r2, args.z2)
     sol = singular.solve_catenoid_boundary(boundary)
-    sys.stdout.write(_json_dumps({"c": sol.c, "d": sol.d, "status": sol.status}) + "\n")
+    write_json("-", {"c": sol.c, "d": sol.d, "status": sol.status})
     if args.mesh and sol.status == "unique":
         form = curves.ProfileForm("log", {"c": sol.c, "d": sol.d})
         t_lo, t_hi = sorted((args.r1, args.r2))
         spec = surfaces.RevolutionSpec(form.plane_curve(t_lo, t_hi))
-        surf = surfaces.make_revolution(spec)
-        nu, nv = args.grid
-        surfaces.write_obj_mesh(args.mesh, surf, nu, nv)
+        surfaces.write_obj_mesh(args.mesh, surfaces.make_revolution(spec), *args.grid)
     return 0
 
 
@@ -207,10 +200,9 @@ def _cmd_surface(args) -> int:
         args.kind, args.profile, args.trange, args.thetarange,
         args.pitch, args.a, args.b, args.c, args.c1, args.c2,
     )
-    nu, nv = args.grid
-    surfaces.write_obj_mesh(args.mesh, surf, nu, nv)
+    surfaces.write_obj_mesh(args.mesh, surf, *args.grid)
     sidecar = args.curvature_csv or args.mesh + ".curvature.csv"
-    surfaces.write_vertex_curvature_csv(sidecar, surf, nu, nv)
+    surfaces.write_vertex_curvature_csv(sidecar, surf, *args.grid)
     return 0
 
 
@@ -221,14 +213,14 @@ def _cmd_classify(args) -> int:
         report = singular.classify_parabolic_revolution(
             args.a, args.b, args.c, args.c1, args.c2, args.ref, args.z1, args.z2
         )
-    write_text(args.out, report.to_json() + "\n")
+    write_json(args.out, report.to_json_dict())
     return 0
 
 
 def _cmd_ivp(args) -> int:
     result = odes.picard_solve_degenerate(args.a, tol=args.tol)
     result.write_csv(args.out)
-    write_text(args.json_out if args.json_out else "-", _json_dumps(result.sidecar_dict()) + "\n")
+    write_json(args.json_out or "-", result.sidecar_dict())
     return 0
 
 

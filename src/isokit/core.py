@@ -3,11 +3,12 @@
 The plane carries coordinates (x, z) and the space (x, y, z); in both, the
 z-direction is the isotropic (degenerate) one.  The degenerate inner product
 sums the products of the non-isotropic components only, the secondary inner
-product pairs the isotropic components, and the ordinary Euclidean products
-are kept around as auxiliaries for determinant/normal computations.  The
-text writers at the end are the one place where artifacts are written.
+product pairs the isotropic components, and the ordinary Euclidean dot
+product is kept as an auxiliary.  The text writers at the end are the one
+place where artifacts are written.
 """
 
+import json
 import math
 import sys
 from typing import NamedTuple
@@ -65,17 +66,6 @@ def euclid_dot(u, v) -> float:
     return sum(a * b for a, b in zip(u, v))
 
 
-def euclid_cross(u, v) -> IsoVec3:
-    """Ordinary Euclidean cross product of 3-vectors."""
-    if len(u) != 3 or len(v) != 3:
-        raise ValueError("euclid_cross expects 3-vectors")
-    return IsoVec3(
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
 def write_text(dest, text: str) -> None:
     """Write text to the file ``dest``, or to the current sys.stdout if dest is "-"."""
     if dest == "-":
@@ -83,6 +73,11 @@ def write_text(dest, text: str) -> None:
     else:
         with open(dest, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def write_json(dest, obj) -> None:
+    """JSON with sorted keys, two-space indent and a trailing newline."""
+    write_text(dest, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def write_csv(dest, header: str, columns) -> None:

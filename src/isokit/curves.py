@@ -5,11 +5,13 @@ tangent is never parallel to the isotropic z-direction.  Curvature here is
 kappa = (x' z'' - x'' z') / x'^3; the two transversal unit fields are the
 minimal normal (-z'/x', 1) and the parabolic normal
 (-z'/x', 1/2 - z'^2/(2 x'^2)), and the relative length element weighs the
-usual dt by their Euclidean pairing: (x'/2 + z'^2/(2 x')) dt.
+usual dt by their Euclidean pairing: (x'/2 + z'^2/(2 x')) dt.  A profile is
+any callable t -> (z, z', z''); GraphCurve sweeps one into the curve (t, z(t)).
 """
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -21,7 +23,7 @@ from .errors import (
     NonAdmissibleError,
     SingularDenominatorError,
 )
-from .quadrature import simpson
+from .quadrature import default_panels_1d, simpson_nodes, simpson_samples
 
 # reference lines for weight functionals / catenary families
 LZ = "lz"  # the isotropic z-axis; distance to it is the x-coordinate
@@ -31,6 +33,8 @@ ADMISSIBLE_MIN_SLOPE = 1e-9
 
 
 class CurveJet(NamedTuple):
+    """Position and first/second derivatives; floats at a point, arrays on a grid."""
+
     x: float
     z: float
     xd: float
@@ -39,13 +43,21 @@ class CurveJet(NamedTuple):
     zdd: float
 
 
+def _check_domain(ts, lo: float, hi: float) -> None:
+    """DomainError unless every t lies in [lo, hi] up to 1e-12 (NaN never does)."""
+    ts = np.asarray(ts, dtype=float)
+    ok = (ts >= lo - 1e-12) & (ts <= hi + 1e-12)
+    if not ok.all():
+        raise DomainError(f"t={ts[~ok].flat[0]} outside [{lo}, {hi}]")
+
+
 class PlaneCurve:
     """Curve evaluator carrying position and first/second derivatives.
 
     The evaluator must return (x, z, x', z', x'', z'') at any t in the closed
     domain.  Admissibility (|x'| >= 1e-9) is checked on a sampling grid at
     construction; curves traversed with x' < 0 are reparametrized so that
-    x' > 0 everywhere.
+    x' > 0 everywhere.  ``grid`` is the one caller of the evaluator.
     """
 
     def __init__(self, t_lo: float, t_hi: float, eval_fn, check_samples: int = 129):
@@ -54,37 +66,30 @@ class PlaneCurve:
         self.t_lo = float(t_lo)
         self.t_hi = float(t_hi)
         self._eval = eval_fn
-        grid = np.linspace(self.t_lo, self.t_hi, check_samples)
-        xds = np.array([float(eval_fn(t)[2]) for t in grid])
+        self._reversed = False
+        xds = self.grid(np.linspace(self.t_lo, self.t_hi, check_samples)).xd
         if np.any(np.abs(xds) < ADMISSIBLE_MIN_SLOPE):
             raise NonAdmissibleError(
                 f"|x'| < {ADMISSIBLE_MIN_SLOPE} on the sampling grid; tangent is isotropic"
             )
         if np.all(xds < 0.0):
-            lo, hi = self.t_lo, self.t_hi
-            inner = eval_fn
-
-            def reversed_eval(t, _inner=inner, _lo=lo, _hi=hi):
-                x, z, xd, zd, xdd, zdd = _inner(_lo + _hi - t)
-                return (x, z, -xd, -zd, xdd, zdd)
-
-            self._eval = reversed_eval
+            self._reversed = True  # traverse t -> t_lo + t_hi - t
         elif np.any(xds < 0.0):
             raise NonAdmissibleError("x' changes sign on the domain")
 
     @staticmethod
-    def graph(t_lo, t_hi, z, zd, zdd) -> "PlaneCurve":
+    def graph(t_lo, t_hi, z, zd, zdd) -> "GraphCurve":
         """Curve t -> (t, z(t)) from a profile and its two derivatives."""
-        return graph_curve(t_lo, t_hi, lambda t: (z(t), zd(t), zdd(t)))
+        return GraphCurve(t_lo, t_hi, lambda t: (z(t), zd(t), zdd(t)))
 
-    @classmethod
-    def from_functions(cls, t_lo, t_hi, x, z, xd, zd, xdd, zdd) -> "PlaneCurve":
-        return cls(
+    @staticmethod
+    def from_functions(t_lo, t_hi, x, z, xd, zd, xdd, zdd) -> "PlaneCurve":
+        return PlaneCurve(
             t_lo, t_hi, lambda t: (x(t), z(t), xd(t), zd(t), xdd(t), zdd(t))
         )
 
-    @classmethod
-    def from_samples(cls, t: np.ndarray, z: np.ndarray) -> "PlaneCurve":
+    @staticmethod
+    def from_samples(t: np.ndarray, z: np.ndarray) -> "GraphCurve":
         """Sampled graph curve; derivatives by centered differences on the grid.
 
         The grid must be uniform.  Between nodes, position and derivatives are
@@ -108,59 +113,98 @@ class PlaneCurve:
         zdd[0] = (2 * z[0] - 5 * z[1] + 4 * z[2] - z[3]) / hs**2
         zdd[-1] = (2 * z[-1] - 5 * z[-2] + 4 * z[-3] - z[-4]) / hs**2
 
-        def eval_fn(s, _t=t, _z=z, _zd=zd, _zdd=zdd):
-            return (
-                s,
-                float(np.interp(s, _t, _z)),
-                1.0,
-                float(np.interp(s, _t, _zd)),
-                0.0,
-                float(np.interp(s, _t, _zdd)),
-            )
+        def profile(s, _t=t, _z=z, _zd=zd, _zdd=zdd):
+            return (np.interp(s, _t, _z), np.interp(s, _t, _zd), np.interp(s, _t, _zdd))
 
-        return cls(t[0], t[-1], eval_fn)
+        return GraphCurve(t[0], t[-1], profile)
+
+    def grid(self, ts) -> CurveJet:
+        """Jets at the 1-d array of nodes ts, one evaluator call per node.
+
+        A node outside the domain (or NaN) raises DomainError."""
+        ts = np.asarray(ts, dtype=float)
+        _check_domain(ts, self.t_lo, self.t_hi)
+        nodes = self.t_lo + self.t_hi - ts if self._reversed else ts
+        out = np.fromiter(chain.from_iterable(map(self._eval, nodes)), float, 6 * ts.size)
+        x, z, xd, zd, xdd, zdd = out.reshape(-1, 6).T
+        if self._reversed:
+            xd, zd = -xd, -zd
+        return CurveJet(x, z, xd, zd, xdd, zdd)
 
     def at(self, t: float) -> CurveJet:
-        if t < self.t_lo - 1e-12 or t > self.t_hi + 1e-12:
-            raise DomainError(f"t={t} outside [{self.t_lo}, {self.t_hi}]")
-        return CurveJet(*(float(v) for v in self._eval(t)))
+        """Jet at one point: the one-node grid, fields as floats."""
+        return CurveJet(*(float(f[0]) for f in self.grid([t])))
 
     def sample(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """n uniformly spaced (t, x, z) samples over the domain."""
         ts = np.linspace(self.t_lo, self.t_hi, n)
-        jets = [self.at(t) for t in ts]
-        return ts, np.array([j.x for j in jets]), np.array([j.z for j in jets])
+        jet = self.grid(ts)
+        return ts, jet.x, jet.z
 
 
-def _slope_checked(jet: CurveJet) -> CurveJet:
-    if abs(jet.xd) < ADMISSIBLE_MIN_SLOPE:
-        raise NonAdmissibleError(f"|x'|={abs(jet.xd)} below admissibility threshold")
+class GraphCurve(PlaneCurve):
+    """Graph t -> (t, z(t)) of a profile t -> (z, z', z'').
+
+    Calling the curve gives the profile jet (z, z', z'') at t, with
+    DomainError outside [t_lo, t_hi]; ``profile`` is the unchecked callable,
+    which swept surfaces call once per node.
+    """
+
+    def __init__(self, t_lo: float, t_hi: float, profile):
+        self.profile = profile
+
+        def jet(t):  # a closure over profile, not a method: no reference cycle
+            z, zd, zdd = profile(t)
+            return (t, z, 1.0, zd, 0.0, zdd)
+
+        super().__init__(t_lo, t_hi, jet)
+
+    def __call__(self, t: float):
+        _check_domain(t, self.t_lo, self.t_hi)
+        return self.profile(t)
+
+
+# Every curve quantity reads a jet that passed the one slope check below; the
+# per-point functions read the one-node jet ``curve.at(t)``, whose fields are floats.
+
+
+def _admissible(jet: CurveJet) -> CurveJet:
+    """The jet itself, once |x'| >= 1e-9 holds at every node."""
+    slope = np.min(np.abs(jet.xd))
+    if slope < ADMISSIBLE_MIN_SLOPE:
+        raise NonAdmissibleError(f"|x'|={slope} below admissibility threshold")
     return jet
+
+
+def _curvature(j: CurveJet) -> float:
+    return (j.xd * j.zdd - j.xdd * j.zd) / j.xd**3
+
+
+def _parabolic_normal(j: CurveJet):
+    s = j.zd / j.xd
+    return -s, 0.5 - 0.5 * s * s
 
 
 def unit_tangent(curve: PlaneCurve, t: float) -> IsoVec2:
     """Unit tangent (sign(x'), z'/x'), normalized by the degenerate metric."""
-    j = _slope_checked(curve.at(t))
+    j = _admissible(curve.at(t))
     return IsoVec2(math.copysign(1.0, j.xd), j.zd / j.xd)
 
 
 def curvature(curve: PlaneCurve, t: float) -> float:
     """Signed curvature (x' z'' - x'' z') / x'^3."""
-    j = _slope_checked(curve.at(t))
-    return (j.xd * j.zdd - j.xdd * j.zd) / j.xd**3
+    return _curvature(_admissible(curve.at(t)))
 
 
 def minimal_normal(curve: PlaneCurve, t: float) -> IsoVec2:
     """Minimal normal (-z'/x', 1): quarter rotation of the tangent over x'."""
-    j = _slope_checked(curve.at(t))
+    j = _admissible(curve.at(t))
     return IsoVec2(-j.zd / j.xd, 1.0)
 
 
 def parabolic_normal(curve: PlaneCurve, t: float) -> IsoVec2:
     """Parabolic (relative) normal (-z'/x', 1/2 - z'^2/(2 x'^2))."""
-    j = _slope_checked(curve.at(t))
-    s = j.zd / j.xd
-    return IsoVec2(-s, 0.5 - 0.5 * s * s)
+    return IsoVec2(*_parabolic_normal(_admissible(curve.at(t))))
 
 
 def relative_arclength(
@@ -169,24 +213,10 @@ def relative_arclength(
     """Relative length of the arc over [a, b]: integral of x'/2 + z'^2/(2 x')."""
     if a >= b:
         raise InvalidIntervalError(f"need a < b, got [{a}, {b}]")
-    if a < curve.t_lo - 1e-12 or b > curve.t_hi + 1e-12:
-        raise DomainError(f"[{a}, {b}] not contained in the curve domain")
-
-    def integrand(t):
-        j = _slope_checked(curve.at(t))
-        return 0.5 * j.xd + 0.5 * j.zd**2 / j.xd
-
-    return simpson(integrand, a, b, panels=panels)
-
-
-def graph_curve(t_lo: float, t_hi: float, profile) -> PlaneCurve:
-    """Graph curve t -> (t, z(t)) of a profile t -> (z, z', z'')."""
-
-    def eval_fn(t):
-        z, zd, zdd = profile(t)
-        return (t, z, 1.0, zd, 0.0, zdd)
-
-    return PlaneCurve(t_lo, t_hi, eval_fn)
+    ts, h = simpson_nodes(a, b, default_panels_1d() if panels is None else panels)
+    j = _admissible(curve.grid(ts))
+    sq = np.float_power(j.zd, 2)  # rounds like scalar zd**2; array zd**2 does not
+    return simpson_samples(0.5 * j.xd + 0.5 * sq / j.xd, h)
 
 
 _PROFILE_KINDS = ("log", "power", "inverse_radius", "log_parabola", "quadratic", "poly")
@@ -241,8 +271,8 @@ class ProfileForm:
         zdd = a[2:] * np.arange(2, a.size) * np.arange(1, a.size - 1) * t ** np.arange(a.size - 2)
         return (float(z.sum()), float(zd.sum()), float(zdd.sum()))
 
-    def plane_curve(self, t_lo: float, t_hi: float) -> PlaneCurve:
-        return graph_curve(t_lo, t_hi, self)
+    def plane_curve(self, t_lo: float, t_hi: float) -> GraphCurve:
+        return GraphCurve(t_lo, t_hi, self)
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "coefficients": dict(self.coefficients)}
@@ -280,7 +310,7 @@ class CatenaryFamily:
             form = ProfileForm("power", {"c": self.c, "p": 1.0 - self.alpha, "d": self.d})
         object.__setattr__(self, "_form", form)
 
-    def profile(self, t: float) -> tuple[float, float, float]:
+    def __call__(self, t: float) -> tuple[float, float, float]:
         """(z, z', z'') at t; DomainError outside the family domain."""
         if self.reference == LX:
             raise ValueError(
@@ -292,21 +322,10 @@ class CatenaryFamily:
             raise DomainError(f"t - lam = {s} <= 0")
         return self._form(s)
 
-    def plane_curve(self, t_lo: float, t_hi: float) -> PlaneCurve:
+    def plane_curve(self, t_lo: float, t_hi: float) -> GraphCurve:
         """Graph curve (t, z(t)) of this family over [t_lo, t_hi]."""
-        self.profile(min(t_lo, t_hi))  # domain check at the left end
-        return graph_curve(t_lo, t_hi, self.profile)
-
-
-def profile_jet(profile, t: float) -> tuple[float, float, float]:
-    """(z, z', z'') at t of a graph PlaneCurve, a CatenaryFamily, or any
-    callable t -> (z, z', z'') such as a ProfileForm."""
-    if isinstance(profile, PlaneCurve):
-        j = profile.at(t)
-        return (j.z, j.zd, j.zdd)
-    if isinstance(profile, CatenaryFamily):
-        return profile.profile(t)
-    return profile(t)
+        self(min(t_lo, t_hi))  # domain check at the left end
+        return GraphCurve(t_lo, t_hi, self)
 
 
 def catenary_curvature_residual(
@@ -320,13 +339,12 @@ def catenary_curvature_residual(
     where npar is the parabolic normal.  The residual vanishes identically on
     the corresponding solution families.
     """
-    j = _slope_checked(curve.at(t))
-    kappa = (j.xd * j.zdd - j.xdd * j.zd) / j.xd**3
-    npar = parabolic_normal(curve, t)
+    j = _admissible(curve.at(t))
+    npar_x, npar_z = _parabolic_normal(j)
     if reference == LZ:
-        base, pairing = j.x, npar.x
+        base, pairing = j.x, npar_x
     elif reference == LX:
-        base, pairing = j.z, npar.z
+        base, pairing = j.z, npar_z
     else:
         raise ValueError(f"unknown reference line {reference!r}")
     if base <= 0.0 and alpha != round(alpha):
@@ -337,7 +355,7 @@ def catenary_curvature_residual(
             f"weight denominator {denom} at t={t} is numerically zero"
         )
     rhs = alpha * base ** (alpha - 1.0) * pairing / denom
-    return kappa - rhs
+    return _curvature(j) - rhs
 
 
 def write_curve_csv(path, t: np.ndarray, x: np.ndarray, z: np.ndarray) -> None:
@@ -345,7 +363,7 @@ def write_curve_csv(path, t: np.ndarray, x: np.ndarray, z: np.ndarray) -> None:
     write_csv(path, "t,x,z", (t, x, z))
 
 
-def read_curve_csv(path) -> PlaneCurve:
+def read_curve_csv(path) -> GraphCurve:
     """Re-import a `t,x,z` CSV as a sampled graph curve."""
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     return PlaneCurve.from_samples(data[:, 0], data[:, 2])

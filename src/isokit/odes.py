@@ -233,8 +233,8 @@ def picard_solve_degenerate(
     origin is recovered by a least-squares fit of z - a against t^2 and t^4
     over the inner half of the domain.
     """
-    if a <= 0.0:
-        raise ValueError("need a > 0")
+    if not (math.isfinite(a) and a > 0.0):
+        raise ValueError(f"a must be finite and positive, got {a}")
     if nodes % 2 == 0:
         raise ValueError("nested Simpson needs an odd node count")
     epsilon = 0.5 * a

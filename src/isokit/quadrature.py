@@ -18,14 +18,17 @@ def default_panels_2d() -> int:
     return DEFAULT_PANELS_2D
 
 
+def simpson_nodes(a: float, b: float, panels: int) -> tuple[np.ndarray, float]:
+    """Nodes and step of the composite rule over [a, b], panels rounded up to even."""
+    n = int(panels)
+    n += n % 2
+    return np.linspace(a, b, n + 1), (b - a) / n
+
+
 def simpson(f, a: float, b: float, panels: int | None = None) -> float:
     """Integrate f over [a, b] with composite Simpson on an even panel count."""
-    n = default_panels_1d() if panels is None else int(panels)
-    if n % 2:
-        n += 1
-    t = np.linspace(a, b, n + 1)
-    y = np.array([f(ti) for ti in t], dtype=float)
-    return simpson_samples(y, (b - a) / n)
+    t, h = simpson_nodes(a, b, default_panels_1d() if panels is None else panels)
+    return simpson_samples(np.array([f(ti) for ti in t], dtype=float), h)
 
 
 def simpson_samples(y: np.ndarray, h: float) -> float:
@@ -73,13 +76,6 @@ def simpson_2d(
     ``f(u, vs)`` is called once per u-node and returns the row of integrand
     values at (u, v) for every v in the array ``vs``.
     """
-    nu = default_panels_2d() if panels_u is None else int(panels_u)
-    nv = default_panels_2d() if panels_v is None else int(panels_v)
-    if nu % 2:
-        nu += 1
-    if nv % 2:
-        nv += 1
-    us = np.linspace(u_lo, u_hi, nu + 1)
-    vs = np.linspace(v_lo, v_hi, nv + 1)
-    rows = np.array([simpson_samples(f(u, vs), (v_hi - v_lo) / nv) for u in us])
-    return simpson_samples(rows, (u_hi - u_lo) / nu)
+    us, hu = simpson_nodes(u_lo, u_hi, default_panels_2d() if panels_u is None else panels_u)
+    vs, hv = simpson_nodes(v_lo, v_hi, default_panels_2d() if panels_v is None else panels_v)
+    return simpson_samples(np.array([simpson_samples(f(u, vs), hv) for u in us]), hu)

@@ -18,14 +18,13 @@ members are parabolic quadrics typed by the sign of
 2*(a*c1 + b*c2)*H0 - (c1^2 + c2^2).
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .curves import LZ, CatenaryFamily, ProfileForm, profile_jet
+from .curves import LZ, CatenaryFamily, ProfileForm
 from .errors import InvalidRadiusError, SingularDenominatorError
 from .odes import ProfileODE
 from .surfaces import (
@@ -142,9 +141,6 @@ class ClassificationReport:
             "profile": self.profile.to_json_dict() if self.profile else None,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
-
 
 def max_sms_residual(surface, spec, t_vals, theta_vals) -> float:
     """Max |sms_residual| over the grid t_vals x theta_vals; NaN if any is NaN."""
@@ -194,13 +190,9 @@ def classify_helicoidal(
         )
     form = ProfileForm("inverse_radius", {"z1": z1, "z2": z2})
     spec = SingularSpec(reference=PI_YZ, alpha=1.0, lam=0.0)
-
-    def radial_ode(t):
-        _, zd, zdd = form(t)
-        return 2.0 * zd + t * zdd
-
-    ode_res = max(abs(radial_ode(float(t))) for t in np.linspace(0.55, 2.95, 50))
-    report = ClassificationReport(
+    radial_ode = AlphaRevolutionLink(1.0).ode_residual  # 2 z' + t z''
+    ode_res = max(abs(radial_ode(form, float(t))) for t in np.linspace(0.55, 2.95, 50))
+    return ClassificationReport(
         case="HorizontalPlane" if z2 == 0.0 else "EuclideanRevolutionInverse",
         parameters={"pitch": 0.0, "reference": reference, "z1": z1, "z2": z2},
         constraints=[
@@ -209,7 +201,6 @@ def classify_helicoidal(
         ],
         profile=form,
     )
-    return report
 
 
 def classify_parabolic_revolution(
@@ -373,5 +364,5 @@ class AlphaRevolutionLink:
         return ProfileForm("power", {"c": c, "p": 1.0 - self.catenary_alpha, "d": d})
 
     def ode_residual(self, profile, t: float) -> float:
-        _, zd, zdd = profile_jet(profile, t)
+        _, zd, zdd = profile(t)
         return self.catenary_alpha * zd + t * zdd

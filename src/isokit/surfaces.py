@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import IsoVec3, write_csv
-from .curves import PlaneCurve, profile_jet
+from .curves import GraphCurve
 from .errors import DomainError, NonAdmissibleError
 from .quadrature import simpson_2d
 
@@ -176,24 +176,19 @@ def relative_area(
     return simpson_2d(row, u_lo, u_hi, v_lo, v_hi, panels_u, panels_v)
 
 
-def _graph_profile(curve: PlaneCurve, where: str) -> None:
-    for t in np.linspace(curve.t_lo, curve.t_hi, 7):
-        if abs(curve.at(t).x - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"{where} profile must be a graph curve (x(t) = t)")
-
-
 @dataclass(frozen=True)
 class HelicoidalSpec:
     """Profile swept by rotations composed with a vertical shift of rate pitch."""
 
-    profile: PlaneCurve
+    profile: GraphCurve
     pitch: float = 0.0
 
     def __post_init__(self):
         where = "helicoidal" if self.pitch else "revolution"
+        if not isinstance(self.profile, GraphCurve):
+            raise ValueError(f"{where} profile must be a graph curve (x(t) = t)")
         if self.profile.t_lo <= 0.0:
             raise ValueError(f"{where} profile needs t_lo > 0")
-        _graph_profile(self.profile, where)
 
 
 @dataclass(frozen=True)
@@ -212,12 +207,13 @@ class ParabolicRevolutionSpec:
     c: float
     c1: float
     c2: float
-    profile: PlaneCurve
+    profile: GraphCurve
 
     def __post_init__(self):
         if self.b == 0.0:
             raise ValueError("parabolic revolution needs b != 0")
-        _graph_profile(self.profile, "parabolic revolution")
+        if not isinstance(self.profile, GraphCurve):
+            raise ValueError("parabolic revolution profile must be a graph curve (x(t) = t)")
 
     @property
     def is_warped_translation(self) -> bool:
@@ -235,56 +231,57 @@ def make_helicoidal(
     spec: HelicoidalSpec, theta_lo: float = 0.0, theta_hi: float = TWO_PI
 ) -> ParamSurface:
     """(t cos v, t sin v, pitch*v + z(t))."""
-    prof, c = spec.profile, spec.pitch
+    curve, c = spec.profile, spec.pitch
+    profile = curve.profile  # ParamSurface.grid keeps t inside the curve domain
 
     def eval_fn(t, th):
-        j = prof.at(t)
+        z, zd, zdd = profile(t)
         ct, st = math.cos(th), math.sin(th)
         return (
-            (t * ct, t * st, c * th + j.z),
-            (ct, st, j.zd),
+            (t * ct, t * st, c * th + z),
+            (ct, st, zd),
             (-t * st, t * ct, c),
-            (0.0, 0.0, j.zdd),
+            (0.0, 0.0, zdd),
             (-st, ct, 0.0),
             (-t * ct, -t * st, 0.0),
         )
 
-    return ParamSurface(prof.t_lo, prof.t_hi, theta_lo, theta_hi, eval_fn)
+    return ParamSurface(curve.t_lo, curve.t_hi, theta_lo, theta_hi, eval_fn)
 
 
 def make_parabolic_revolution(
     spec: ParabolicRevolutionSpec, theta_lo: float = -1.0, theta_hi: float = 1.0
 ) -> ParamSurface:
     """(a v + t, b v, c v + (a c1 + b c2) v^2/2 + c1 t v + z(t))."""
-    prof = spec.profile
+    curve, profile = spec.profile, spec.profile.profile
     a, b, c, c1 = spec.a, spec.b, spec.c, spec.c1
     k = spec.a * spec.c1 + spec.b * spec.c2
 
     def eval_fn(t, th):
-        j = prof.at(t)
+        z, zd, zdd = profile(t)
         return (
-            (a * th + t, b * th, c * th + 0.5 * k * th**2 + c1 * t * th + j.z),
-            (1.0, 0.0, c1 * th + j.zd),
+            (a * th + t, b * th, c * th + 0.5 * k * th**2 + c1 * t * th + z),
+            (1.0, 0.0, c1 * th + zd),
             (a, b, c + k * th + c1 * t),
-            (0.0, 0.0, j.zdd),
+            (0.0, 0.0, zdd),
             (0.0, 0.0, c1),
             (0.0, 0.0, k),
         )
 
-    return ParamSurface(prof.t_lo, prof.t_hi, theta_lo, theta_hi, eval_fn)
+    return ParamSurface(curve.t_lo, curve.t_hi, theta_lo, theta_hi, eval_fn)
 
 
 def revolution_mean_curvature(profile, t: float) -> float:
     """Closed form (z' + t z'')/(2 t) for surfaces of revolution."""
     if t <= 0.0:
         raise DomainError("revolution mean curvature needs t > 0")
-    _, zd, zdd = profile_jet(profile, t)
+    _, zd, zdd = profile(t)
     return (zd + t * zdd) / (2.0 * t)
 
 
 def parabolic_revolution_mean_curvature(spec: ParabolicRevolutionSpec, t: float) -> float:
     """Closed form (a^2 + b^2)/(2 b^2) z'' + (b c2 - a c1)/(2 b^2)."""
-    _, _, zdd = profile_jet(spec.profile, t)
+    _, _, zdd = spec.profile(t)
     a, b = spec.a, spec.b
     return (a**2 + b**2) / (2.0 * b**2) * zdd + (b * spec.c2 - a * spec.c1) / (
         2.0 * b**2
@@ -298,7 +295,7 @@ def parabolic_revolution_F(spec: ParabolicRevolutionSpec, t: float) -> float:
     group parameter switched off (c = c1 = c2 = 0) this is exactly the squared
     top-view norm of the normal.
     """
-    _, zd, _ = profile_jet(spec.profile, t)
+    _, zd, _ = spec.profile(t)
     a, b, c, c1, c2 = spec.a, spec.b, spec.c, spec.c1, spec.c2
     lin = c + c1 * t
     return (

@@ -16,12 +16,19 @@ alpha*t**(alpha-1)*z' + (t**alpha - lam)*z'' = 0 and
 (z**alpha - lam)*z'' = alpha*z**(alpha-1)*(1 - z'^2)/2 respectively.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import LX, LZ, profile_jet
+from .curves import LX, LZ
 from .errors import DomainError, NoConvergenceError, SingularDenominatorError
+
+
+def _require_finite(**values) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -33,6 +40,7 @@ class WeightFunctionalSpec:
     def __post_init__(self):
         if self.reference not in (LZ, LX):
             raise ValueError(f"unknown reference line {self.reference!r}")
+        _require_finite(alpha=self.alpha, lam=self.lam)
 
 
 @dataclass
@@ -185,6 +193,7 @@ def minimize(
     raises SingularDenominatorError before the first iteration.
     """
     t_a, z_a, t_b, z_b = endpoints
+    _require_finite(t_a=t_a, z_a=z_a, t_b=t_b, z_b=z_b)
     if not t_a < t_b:
         raise ValueError("need t_a < t_b")
     t = np.linspace(t_a, t_b, n + 1)
@@ -221,12 +230,12 @@ def minimize(
 def el_residual(spec: WeightFunctionalSpec, profile, t: float) -> float:
     """Left-minus-right of the critical-profile equation at t.
 
-    ``profile`` may be a callable t -> (z, z', z''), a PlaneCurve graph, or a
-    CatenaryFamily.  For the isotropic axis the equation is
+    ``profile`` is any profile t -> (z, z', z''): a ProfileForm, a
+    CatenaryFamily, a GraphCurve or a plain callable.  For the isotropic axis the equation is
     alpha*t**(alpha-1)*z' + (t**alpha - lam)*z'' = 0; for the non-isotropic
     axis it is (z**alpha - lam)*z'' - alpha*z**(alpha-1)*(1 - z'^2)/2 = 0.
     """
-    z, zd, zdd = profile_jet(profile, t)
+    z, zd, zdd = profile(t)
     a, lam = spec.alpha, spec.lam
     if spec.reference == LZ:
         if t <= 0.0 and a != round(a):

@@ -238,3 +238,21 @@ def test_sample_counts_below_minimum_are_flag_errors(tmp_path):
             run_cli(*argv)
         assert err.value.code == 2
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["minimize", "--ref", "lx", "--alpha", "nan", "--endpoints", "0,1.5,1,1.7"], "alpha"),
+        (["minimize", "--ref", "lz", "--lambda", "nan", "--endpoints", "1,0,2,1"], "lam"),
+        (["minimize", "--ref", "lz", "--endpoints", "1,nan,2,1"], "z_a"),
+        (["ivp", "--a", "nan"], "a"),
+    ],
+    ids=["alpha", "lambda", "endpoint", "ivp_a"],
+)
+def test_non_finite_input_is_named(argv, name, capsys):
+    assert run_cli(*argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: {name} must be finite")
+    assert "Traceback" not in out.err

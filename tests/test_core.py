@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 
 import pytest
@@ -7,12 +9,12 @@ from hypothesis import strategies as st
 from isokit.core import (
     IsoVec2,
     IsoVec3,
-    euclid_cross,
     euclid_dot,
     iso_dot,
     iso_norm,
     sec_dot,
     top_view,
+    write_json,
 )
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -44,9 +46,6 @@ def test_top_view_examples():
 
 def test_euclid_products():
     assert euclid_dot((1, 2, 3), (4, 5, 6)) == 32
-    assert euclid_cross((1, 0, 0), (0, 1, 0)) == IsoVec3(0, 0, 1)
-    u = (2.0, -1.0, 3.0)
-    assert euclid_cross(u, u) == IsoVec3(0, 0, 0)
 
 
 def test_iso_norm_examples():
@@ -61,7 +60,7 @@ def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         top_view((1, 2))
     with pytest.raises(ValueError):
-        euclid_cross((1, 2), (3, 4))
+        euclid_dot((1, 2), (3, 4, 5))
 
 
 @given(vec3, vec3)
@@ -85,16 +84,17 @@ def test_norm_vanishes_iff_top_view_vanishes(u):
         assert iso_norm(u) == 0.0
 
 
-@given(vec3, vec3)
-def test_cross_orthogonal_to_factors(u, v):
-    c = euclid_cross(u, v)
-    nu = max(1.0, *(abs(x) for x in u))
-    nv = max(1.0, *(abs(x) for x in v))
-    # rounding scale of a triple product: |u|^2 |v| resp. |u| |v|^2
-    assert abs(euclid_dot(c, u)) <= 1e-12 * nu * nu * nv
-    assert abs(euclid_dot(c, v)) <= 1e-12 * nu * nv * nv
-
-
 def test_norm_is_sqrt_of_self_pairing():
     u = (3.0, -4.0, 11.0)
     assert iso_norm(u) == pytest.approx(math.sqrt(iso_dot(u, u)))
+
+
+def test_write_json_sorted_indented_with_newline(tmp_path):
+    obj = {"b": [1, 2.5], "a": {"z": None, "y": "s"}}
+    expected = '{\n  "a": {\n    "y": "s",\n    "z": null\n  },\n  "b": [\n    1,\n    2.5\n  ]\n}\n'
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        write_json("-", obj)
+    assert buf.getvalue() == expected
+    write_json(tmp_path / "o.json", obj)
+    assert (tmp_path / "o.json").read_text() == expected

@@ -3,18 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from isokit import curves as curves_module
+
 from isokit.core import euclid_dot
 from isokit.curves import (
     LX,
     LZ,
     CatenaryFamily,
+    GraphCurve,
     PlaneCurve,
     ProfileForm,
     catenary_curvature_residual,
     curvature,
     minimal_normal,
     parabolic_normal,
-    profile_jet,
     read_curve_csv,
     relative_arclength,
     unit_tangent,
@@ -25,6 +27,7 @@ from isokit.errors import (
     InvalidIntervalError,
     NonAdmissibleError,
 )
+from isokit.quadrature import simpson, simpson_nodes
 
 
 def graph(t_lo, t_hi, z, zd, zdd):
@@ -132,24 +135,24 @@ class TestRelativeArclength:
 class TestCatenaryFamily:
     def test_log_family_at_e(self):
         fam = CatenaryFamily(reference=LZ, alpha=1.0, c=1.0, d=0.0, lam=0.0)
-        x, z = math.e, fam.profile(math.e)[0]
+        x, z = math.e, fam(math.e)[0]
         assert (x, z) == pytest.approx((math.e, 1.0))
 
     def test_power_family(self):
         fam = CatenaryFamily(reference=LZ, alpha=2.0, c=1.0, d=0.0)
-        assert (4.0, fam.profile(4.0)[0]) == pytest.approx((4.0, 0.25))
+        assert (4.0, fam(4.0)[0]) == pytest.approx((4.0, 0.25))
 
     def test_constant_profile(self):
         fam = CatenaryFamily(alpha=1.0, c=0.0, d=7.0, lam=0.0)
-        assert (10.0, fam.profile(10.0)[0]) == pytest.approx((10.0, 7.0))
+        assert (10.0, fam(10.0)[0]) == pytest.approx((10.0, 7.0))
 
     def test_domain_errors(self):
         fam = CatenaryFamily(alpha=1.0, c=1.0, d=0.0, lam=2.0)
         with pytest.raises(DomainError):
-            fam.profile(2.0)
+            fam(2.0)
         fam2 = CatenaryFamily(alpha=3.0, c=1.0, d=0.0)
         with pytest.raises(DomainError):
-            fam2.profile(-1.0)
+            fam2(-1.0)
 
     def test_alpha_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -162,7 +165,7 @@ class TestCatenaryFamily:
     def test_no_closed_form_for_nonisotropic_axis(self):
         fam = CatenaryFamily(reference=LX, alpha=1.0)
         with pytest.raises(ValueError):
-            fam.profile(1.0)
+            fam(1.0)
 
 
 class TestCurvatureResidual:
@@ -341,7 +344,7 @@ class TestProfileForm:
                     1.7 * p * t ** (p - 1.0),
                     1.7 * p * (p - 1.0) * t ** (p - 2.0),
                 )
-            assert fam.profile(t) == expected
+            assert fam(t) == expected
 
     def test_rejects_unknown_kind_and_non_finite_coefficients(self):
         with pytest.raises(ValueError, match="unknown profile kind"):
@@ -362,6 +365,8 @@ class TestProfileForm:
 
 
 class TestProfileJet:
+    """Every profile shape is called the same way: profile(t) -> (z, z', z'')."""
+
     FAM = CatenaryFamily(LZ, alpha=1.0, c=2.0, d=0.5)
 
     @pytest.mark.parametrize(
@@ -376,12 +381,95 @@ class TestProfileJet:
     )
     def test_every_profile_shape_gives_the_same_jet(self, profile):
         for t in (1.0, 1.7, 3.0):
-            assert profile_jet(profile, t) == pytest.approx(
+            assert profile(t) == pytest.approx(
                 (2.0 * math.log(t) + 0.5, 2.0 / t, -2.0 / t**2), rel=1e-15, abs=1e-15
             )
 
     def test_domain_errors_pass_through(self):
         with pytest.raises(DomainError):
-            profile_jet(self.FAM, -1.0)
+            self.FAM(-1.0)
         with pytest.raises(DomainError):
-            profile_jet(self.FAM.plane_curve(1.0, 3.0), 4.0)
+            self.FAM.plane_curve(1.0, 3.0)(4.0)
+
+
+REVERSED = PlaneCurve.from_functions(
+    1.0, 2.0,
+    x=lambda t: -t, z=lambda t: t * t,
+    xd=lambda t: -1.0, zd=lambda t: 2 * t,
+    xdd=lambda t: 0.0, zdd=lambda t: 2.0,
+)
+
+
+class TestGraphCurve:
+    FORM = ProfileForm("log_parabola", {"quad": 0.4, "z1": 0.2, "z2": -0.7})
+
+    def test_call_checks_the_domain_and_returns_the_profile(self):
+        curve = GraphCurve(0.5, 3.0, self.FORM)
+        assert curve.profile is self.FORM
+        for t in (0.5, 1.25, 3.0):
+            assert curve(t) == self.FORM(t)
+        for t in (0.5 - 1e-9, 3.0 + 1e-9, math.nan):
+            with pytest.raises(DomainError):
+                curve(t)
+
+    def test_every_builder_makes_a_graph_curve(self, tmp_path):
+        write_curve_csv(tmp_path / "c.csv", *self.FORM.plane_curve(0.5, 3.0).sample(9))
+        built = [
+            PlaneCurve.graph(0.5, 3.0, math.log, lambda t: 1 / t, lambda t: -1 / t**2),
+            self.FORM.plane_curve(0.5, 3.0),
+            CatenaryFamily(alpha=1.0, c=1.0, d=0.0, lam=0.2).plane_curve(0.5, 3.0),
+            PlaneCurve.from_samples(np.linspace(0.5, 3.0, 9), np.linspace(0.0, 1.0, 9)),
+            read_curve_csv(tmp_path / "c.csv"),
+        ]
+        assert all(type(curve) is GraphCurve for curve in built)
+        assert not isinstance(NONGRAPH, GraphCurve)
+
+
+class TestGridPath:
+    @pytest.mark.parametrize("curve", [*ANALYTIC_CURVES, REVERSED])
+    def test_grid_matches_at_and_the_evaluator_node_by_node(self, curve):
+        ts = np.linspace(curve.t_lo, curve.t_hi, 17)
+        jet = curve.grid(ts)
+        assert all(f.shape == ts.shape for f in jet)
+        for i, t in enumerate(ts):
+            node = tuple(float(f[i]) for f in jet)
+            assert node == tuple(curve.at(float(t)))
+            if curve is REVERSED:  # x' < 0: evaluated at t_lo + t_hi - t with x', z' negated
+                x, z, xd, zd, xdd, zdd = curve._eval(curve.t_lo + curve.t_hi - t)
+                assert node == (x, z, -xd, -zd, xdd, zdd)
+            else:
+                assert node == tuple(float(v) for v in curve._eval(t))
+
+    @pytest.mark.parametrize("curve", [LOG, REVERSED])
+    def test_nan_and_outside_nodes_raise_domain_error(self, curve):
+        for bad in (math.nan, curve.t_lo - 1e-9, curve.t_hi + 1e-9):
+            with pytest.raises(DomainError):
+                curve.grid([curve.t_lo, bad])
+            with pytest.raises(DomainError):
+                curve.at(bad)
+        curve.at(curve.t_hi + 1e-13)  # the 1e-12 slack of the domain check
+
+    @pytest.mark.parametrize("curve", [PARABOLA, LOG, NONGRAPH, REVERSED])
+    def test_point_quantities_match_the_scalar_formulas_bitwise(self, curve):
+        for t in np.linspace(curve.t_lo, curve.t_hi, 31):
+            j = curve.at(float(t))
+            s = j.zd / j.xd
+            assert curvature(curve, t) == (j.xd * j.zdd - j.xdd * j.zd) / j.xd**3
+            assert unit_tangent(curve, t) == (math.copysign(1.0, j.xd), s)
+            assert minimal_normal(curve, t) == (-s, 1.0)
+            assert parabolic_normal(curve, t) == (-s, 0.5 - 0.5 * s * s)
+
+    @pytest.mark.parametrize("curve", [PARABOLA, LOG, LINE, NONGRAPH, REVERSED])
+    @pytest.mark.parametrize("panels", [None, 7, 4096])
+    def test_relative_arclength_bitwise_equals_pointwise_simpson(self, curve, panels, monkeypatch):
+        def integrand(t):
+            j = curve.at(t)
+            return 0.5 * j.xd + 0.5 * j.zd**2 / j.xd
+
+        samples = []  # the integrand values handed to the Simpson sum
+        real = curves_module.simpson_samples
+        monkeypatch.setattr(curves_module, "simpson_samples", lambda y, h: samples.append(y) or real(y, h))
+        a, b = curve.t_lo + 0.1, curve.t_hi
+        assert relative_arclength(curve, a, b, panels) == simpson(integrand, a, b, panels=panels)
+        ts, _ = simpson_nodes(a, b, 256 if panels is None else panels)
+        assert samples[0].tolist() == [integrand(t) for t in ts]

@@ -231,6 +231,9 @@ class TestPicard:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             picard_solve_degenerate(-1.0)
+        for a in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="a must be finite and positive"):
+                picard_solve_degenerate(a)
         with pytest.raises(ValueError):
             picard_solve_degenerate(1.0, nodes=512)
 

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -277,12 +276,12 @@ class TestQuadricCoefficients:
 
 class TestAlphaRevolutionLink:
     def test_families(self):
-        assert AlphaRevolutionLink(1.0).family(1.0, 0.5).profile(2.0)[0] == pytest.approx(1.0)
+        assert AlphaRevolutionLink(1.0).family(1.0, 0.5)(2.0)[0] == pytest.approx(1.0)
         log_link = AlphaRevolutionLink(0.0)
         assert log_link.catenary_alpha == 1.0
-        assert log_link.family(2.0, 0.0).profile(math.e)[0] == pytest.approx(2.0)
+        assert log_link.family(2.0, 0.0)(math.e)[0] == pytest.approx(2.0)
         steep = AlphaRevolutionLink(2.0)
-        assert steep.family(1.0, 0.0).profile(2.0)[0] == pytest.approx(0.25)
+        assert steep.family(1.0, 0.0)(2.0)[0] == pytest.approx(0.25)
         assert "3" in steep.ode_text
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, 3.0])
@@ -303,7 +302,7 @@ class TestAlphaRevolutionLink:
 
 def test_report_json_schema():
     report = classify_parabolic_revolution(0.0, 1.0, 0.0, 0.0, 1.0, PI_YZ)
-    payload = json.loads(report.to_json())
+    payload = report.to_json_dict()
     assert set(payload) == {"case", "parameters", "constraints", "profile"}
     assert payload["case"] == "ParabolicCase1a"
     assert {c["name"] for c in payload["constraints"]} == {"c1", "sms_residual_max_abs"}
@@ -311,4 +310,4 @@ def test_report_json_schema():
     assert set(payload["profile"]["coefficients"]) == {"quad", "z1", "z2"}
     # reports without a closed form serialize a null profile
     ode_report = classify_helicoidal(0.0, PI_XY)
-    assert json.loads(ode_report.to_json())["profile"] is None
+    assert ode_report.to_json_dict()["profile"] is None

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from isokit.core import euclid_dot
+from isokit.curves import CatenaryFamily, PlaneCurve, read_curve_csv, write_curve_csv
 from isokit.errors import DomainError, NonAdmissibleError
 from isokit.singular import ProfileForm, cmc_profile_coefficient
 from isokit.surfaces import (
@@ -416,3 +417,59 @@ class TestGridPath:
         write_obj_mesh(rev, make_revolution(RevolutionSpec(curve), 0.0, 2.0), 4, 8)
         write_obj_mesh(hel, make_helicoidal(HelicoidalSpec(curve, 0.0), 0.0, 2.0), 4, 8)
         assert rev.read_bytes() == hel.read_bytes()
+
+
+SPEC_MAKERS = (
+    RevolutionSpec,
+    lambda curve: HelicoidalSpec(curve, 0.6),
+    lambda curve: ParabolicRevolutionSpec(0.3, 1.2, 0.4, -0.25, 0.6, curve),
+)
+
+
+class TestGraphProfiles:
+    def test_specs_need_a_graph_curve_not_just_x_equal_t(self, tmp_path):
+        x_is_t = PlaneCurve.from_functions(
+            0.5, 2.0,
+            x=lambda t: t, z=math.log, xd=lambda t: 1.0, zd=lambda t: 1 / t,
+            xdd=lambda t: 0.0, zdd=lambda t: -1 / t**2,
+        )
+        for make in SPEC_MAKERS:
+            with pytest.raises(ValueError, match="must be a graph curve"):
+                make(x_is_t)
+        write_curve_csv(tmp_path / "c.csv", *log_profile(1.0).plane_curve(0.5, 2.0).sample(41))
+        for make in SPEC_MAKERS:
+            assert make(read_curve_csv(tmp_path / "c.csv")).profile.t_lo == 0.5
+
+    def test_sweeps_never_call_plane_curve_at(self, monkeypatch, tmp_path):
+        def refuse(self, t):
+            raise AssertionError("PlaneCurve.at called")
+
+        write_curve_csv(tmp_path / "c.csv", *log_profile(1.0).plane_curve(0.5, 2.0).sample(41))
+        curves = [
+            log_profile(1.3, 0.2).plane_curve(0.5, 2.0),
+            CatenaryFamily(alpha=2.5, c=0.7, d=0.1).plane_curve(0.5, 2.0),
+            PlaneCurve.graph(0.5, 2.0, math.log, lambda t: 1 / t, lambda t: -1 / t**2),
+            read_curve_csv(tmp_path / "c.csv"),
+        ]
+        monkeypatch.setattr(PlaneCurve, "at", refuse)
+        for curve in curves:
+            rev, hel, par = (make(curve) for make in SPEC_MAKERS)
+            for surf in (make_revolution(rev), make_helicoidal(hel),
+                         make_parabolic_revolution(par, -0.8, 0.8)):
+                mesh_grid(surf, 3, 5)
+                write_vertex_curvature_csv(tmp_path / "h.csv", surf, 3, 5)
+                assert math.isfinite(relative_area(surf, panels_u=6, panels_v=6))
+
+    def test_negative_b_sweeps_with_swapped_parameters(self):
+        curve = log_profile(1.5, 0.25).plane_curve(0.8, 2.4)
+        surf = make_parabolic_revolution(
+            ParabolicRevolutionSpec(0.3, -1.5, 0.4, -0.25, 0.6, curve), -0.8, 0.8
+        )
+        assert (surf.u_lo, surf.u_hi, surf.v_lo, surf.v_hi) == (-0.8, 0.8, 0.8, 2.4)
+        jet = surf.at(0.5, 1.3)  # (theta, t) after the swap
+        z, zd, zdd = curve(1.3)
+        k = 0.3 * -0.25 + -1.5 * 0.6
+        height = 0.4 * 0.5 + 0.5 * k * 0.5**2 - 0.25 * 1.3 * 0.5 + z
+        assert tuple(jet.r) == (0.3 * 0.5 + 1.3, -1.5 * 0.5, height)
+        assert tuple(jet.rv) == (1.0, 0.0, -0.25 * 0.5 + zd)
+        assert jet.rvv[2] == zdd

@@ -270,3 +270,16 @@ def test_discrete_curve_validation():
         DiscreteCurve(np.array([1.0, 1.0, 2.0]), np.zeros(3))
     with pytest.raises(ValueError):
         DiscreteCurve(np.array([1.0, 2.0, 3.0]), np.zeros(4))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_inputs_are_named(bad):
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        WeightFunctionalSpec(LX, bad, 0.0)
+    with pytest.raises(ValueError, match="lam must be finite"):
+        WeightFunctionalSpec(LZ, 1.0, bad)
+    for i, name in enumerate(("t_a", "z_a", "t_b", "z_b")):
+        endpoints = [1.0, 0.0, 2.0, 1.0]
+        endpoints[i] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            minimize(LZ1, tuple(endpoints), 20)

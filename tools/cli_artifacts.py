@@ -70,6 +70,15 @@ COMMANDS = [
                                 "--profile", "poly:0.3,0,0.25", "--range", "1:3",
                                 "--thetarange=-0.5:0.5", "--a", "1", "--b", "1",
                                 "--c1", "0.5", "--c2=-1"]),
+    # b < 0 makes the top-view Jacobian negative: ParamSurface swaps u and v
+    ("surface_parabolic_swapped", ["surface", "parabolic", "--a", "0.3", "--b=-1.5", "--c", "0.4",
+                                   "--c1=-0.25", "--c2", "0.6", "--thetarange=-0.8:0.8",
+                                   "--profile", "log:1.5,0.25", "--trange", "0.8:2.4",
+                                   "--mesh", "mesh.obj", "--grid", "6x12"]),
+    # the shifted log family c*ln(t - lam) + d
+    ("catenary_shifted_log", ["catenary", "--alpha", "1", "--c", "1.3", "--d=-0.2",
+                              "--lambda", "0.2", "--range", "0.5:2", "--n", "40",
+                              "--out", "curve.csv"]),
 ] + [
     (f"surface_{kind}_{pname}", ["surface", *flags, "--profile", spec, "--trange", "0.8:2.4",
                                  "--mesh", "mesh.obj", "--grid", "6x12"])
