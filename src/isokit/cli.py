@@ -18,8 +18,18 @@ from .errors import IsoKitError
 
 
 def _parse_range(raw: str) -> tuple[float, float]:
-    lo, hi = raw.split(":")
-    return float(lo), float(hi)
+    lo, hi = (float(x) for x in raw.split(":"))
+    if not lo < hi:  # false for NaN too
+        raise argparse.ArgumentTypeError(f"range {raw} needs lo < hi")
+    return lo, hi
+
+
+def _check_finite(args) -> None:
+    """ValueError naming the first option that holds a NaN or an infinity."""
+    for name, value in vars(args).items():
+        numbers = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(x, float) and not math.isfinite(x) for x in numbers):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _count(lo: int):
@@ -258,6 +268,7 @@ _COMMANDS = {
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_finite(args)
         return _COMMANDS[args.command](args)
     except (IsoKitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -76,8 +76,9 @@ def write_text(dest, text: str) -> None:
 
 
 def write_json(dest, obj) -> None:
-    """JSON with sorted keys, two-space indent and a trailing newline."""
-    write_text(dest, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    """JSON with sorted keys, two-space indent and a trailing newline; NaN and
+    infinities raise ValueError, since JSON has no spelling for them."""
+    write_text(dest, json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def write_csv(dest, header: str, columns) -> None:

@@ -147,7 +147,7 @@ class GraphCurve(PlaneCurve):
 
     Calling the curve gives the profile jet (z, z', z'') at t, with
     DomainError outside [t_lo, t_hi]; ``profile`` is the unchecked callable,
-    which swept surfaces call once per node.
+    which swept surfaces call once per u-row.
     """
 
     def __init__(self, t_lo: float, t_hi: float, profile):
@@ -220,6 +220,14 @@ def relative_arclength(
 
 
 _PROFILE_KINDS = ("log", "power", "inverse_radius", "log_parabola", "quadratic", "poly")
+# Where a kind's formulas would take the log of t <= 0, a fractional power of
+# t < 0 or a negative power of 0 (power p < 2 has t**(p - 2)).
+_DOMAIN_GAPS = {
+    "log": lambda t, co: t <= 0.0,
+    "log_parabola": lambda t, co: t <= 0.0,
+    "inverse_radius": lambda t, co: t == 0.0,
+    "power": lambda t, co: (t < 0.0 and co["p"] % 1.0 != 0.0) or (t == 0.0 and co["p"] < 2.0),
+}
 
 
 @dataclass(frozen=True)
@@ -229,7 +237,8 @@ class ProfileForm:
     Kinds: ``log`` c*ln(t) + d; ``power`` c*t^p + d; ``inverse_radius``
     z1 + z2/t; ``log_parabola`` quad*t^2 + z2*ln(t) + z1; ``quadratic``
     quad*t^2 + z1; ``poly`` sum of a[k]*t^k.  Unknown kinds and non-finite
-    coefficients are rejected with ValueError.
+    coefficients are rejected with ValueError; a t where the formulas are
+    undefined raises DomainError.
     """
 
     kind: str
@@ -243,6 +252,9 @@ class ProfileForm:
 
     def __call__(self, t: float) -> tuple[float, float, float]:
         co = self.coefficients
+        gap = _DOMAIN_GAPS.get(self.kind)
+        if gap is not None and gap(t, co):
+            raise DomainError(f"{self.kind} profile is undefined at t={t}")
         if self.kind == "log":
             c, d = co["c"], co["d"]
             return (c * math.log(t) + d, c / t, -c / t**2)

@@ -9,14 +9,15 @@ fundamental form coefficients use the degenerate metric, the second come
 from triple-product determinants, and the relative area integrates
 det(r_u, r_v, n_par).
 
-``ParamSurface.grid`` evaluates the jet once per node of a tensor grid; the
-``jet_*`` functions compute the minors, forms, H and the parabolic normal on
-a jet of any shape, and the per-point functions are one-node grids.
+``ParamSurface.grid`` is the one caller of a surface's row evaluator
+``rows(vs) -> row(u)``, prepared once per grid call; ``row(u)`` gives the
+u-row's jet with entries that are floats or arrays over vs, so a swept surface
+calls its profile once per u-row.  The ``jet_*`` functions (minors, forms, H,
+parabolic normal) work on a jet of any shape; per-point functions are one-node grids.
 """
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -27,6 +28,7 @@ from .errors import DomainError, NonAdmissibleError
 from .quadrature import simpson_2d
 
 ADMISSIBLE_MIN_JACOBIAN = 1e-9
+CHECK_SAMPLES = 9  # per side of the orientation check grid
 TWO_PI = 2.0 * math.pi
 
 
@@ -46,24 +48,24 @@ def _inside(x, lo, hi) -> bool:
 
 
 class ParamSurface:
-    """Surface evaluator ``eval_fn(u, v) -> (r, r_u, r_v, r_uu, r_uv, r_vv)`` over a rectangle."""
+    """Surface from a row evaluator ``rows(vs) -> row(u)`` over a rectangle.
 
-    def __init__(self, u_lo, u_hi, v_lo, v_hi, eval_fn, check_samples: int = 9):
+    ``row(u)`` returns (r, r_u, r_v, r_uu, r_uv, r_vv) on the u-row, each
+    component a float or an array over vs.  The top-view Jacobian X12 is
+    checked on a 9 x 9 grid; where it is negative everywhere, u and v swap
+    roles so that X12 > 0.
+    """
+
+    def __init__(self, u_lo, u_hi, v_lo, v_hi, rows):
         if not (u_lo < u_hi and v_lo < v_hi):
             raise ValueError("empty parameter rectangle")
         self.u_lo, self.u_hi = float(u_lo), float(u_hi)
         self.v_lo, self.v_hi = float(v_lo), float(v_hi)
-        self._eval = eval_fn
-        us = np.linspace(self.u_lo, self.u_hi, check_samples)
-        x12s = jet_minors(self.grid(us, np.linspace(self.v_lo, self.v_hi, check_samples)))[2]
+        self._rows, self._swapped = rows, False
+        us = np.linspace(self.u_lo, self.u_hi, CHECK_SAMPLES)
+        x12s = jet_minors(self.grid(us, np.linspace(self.v_lo, self.v_hi, CHECK_SAMPLES)))[2]
         if np.all(x12s < 0.0):
-            inner = eval_fn
-
-            def swapped(u, v, _inner=inner):
-                r, ru, rv, ruu, ruv, rvv = _inner(v, u)
-                return (r, rv, ru, rvv, ruv, ruu)
-
-            self._eval = swapped
+            self._swapped = True
             self.u_lo, self.v_lo = self.v_lo, self.u_lo
             self.u_hi, self.v_hi = self.v_hi, self.u_hi
         elif np.any(x12s < 0.0):
@@ -72,34 +74,39 @@ class ParamSurface:
     @classmethod
     def graph(cls, u_lo, u_hi, v_lo, v_hi, f, fu, fv, fuu, fuv, fvv) -> "ParamSurface":
         """Surface (u, v, f(u, v)) from a height function and its partials."""
+        heights = (f, fu, fv, fuu, fuv, fvv)
 
-        def eval_fn(u, v):
-            return (
-                (u, v, f(u, v)),
-                (1.0, 0.0, fu(u, v)),
-                (0.0, 1.0, fv(u, v)),
-                (0.0, 0.0, fuu(u, v)),
-                (0.0, 0.0, fuv(u, v)),
-                (0.0, 0.0, fvv(u, v)),
-            )
+        def rows(vs):
+            def row(u):
+                z, zu, zv, zuu, zuv, zvv = ([h(u, v) for v in vs] for h in heights)
+                return ((u, vs, z), (1.0, 0.0, zu), (0.0, 1.0, zv),
+                        (0.0, 0.0, zuu), (0.0, 0.0, zuv), (0.0, 0.0, zvv))
 
-        return cls(u_lo, u_hi, v_lo, v_hi, eval_fn)
+            return row
+
+        return cls(u_lo, u_hi, v_lo, v_hi, rows)
 
     def grid(self, us, vs) -> SurfaceJet:
         """Jets at the nodes us x vs, fields of shape (len(us), len(vs), 3).
 
-        One evaluator call per node, stored one u-row at a time; a node outside
-        the rectangle (or NaN) raises DomainError."""
+        One row evaluator call per u-row (per v-row of a swapped surface); a
+        node outside the rectangle (or NaN) raises DomainError."""
         us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
         if not (_inside(us, self.u_lo, self.u_hi) and _inside(vs, self.v_lo, self.v_hi)):
             raise DomainError(
                 f"grid nodes outside [{self.u_lo}, {self.u_hi}] x [{self.v_lo}, {self.v_hi}]"
             )
-        out = np.empty((us.size, vs.size, 6, 3))
+        if self._swapped:
+            us, vs = vs, us
+        row = self._rows(vs)
+        out = np.empty((6, 3, us.size, vs.size))
         for i, u in enumerate(us):
-            vecs = chain.from_iterable(self._eval(u, v) for v in vs)
-            out[i] = np.fromiter(chain.from_iterable(vecs), float, 18 * vs.size).reshape(-1, 6, 3)
-        return SurfaceJet(*np.moveaxis(out, 2, 0))
+            for dest, vec in zip(out, row(u)):
+                for comp, x in zip(dest, vec):
+                    comp[i] = x
+        if self._swapped:  # back to the caller's (u, v): transpose, r_u <-> r_v, r_uu <-> r_vv
+            out = out[[0, 2, 1, 5, 4, 3]].swapaxes(2, 3)
+        return SurfaceJet(*np.moveaxis(out, 1, -1))
 
     def at(self, u: float, v: float) -> SurfaceJet:
         """Jet at one point: the one-node grid, fields of shape (3,)."""
@@ -163,17 +170,14 @@ def relative_area(
     panels_v: int | None = None,
 ) -> float:
     """Integral of det(r_u, r_v, n_par) over the (sub)rectangle."""
-    if subrectangle is None:
-        u_lo, u_hi, v_lo, v_hi = surface.u_lo, surface.u_hi, surface.v_lo, surface.v_hi
-    else:
-        u_lo, u_hi, v_lo, v_hi = subrectangle
+    box = subrectangle or (surface.u_lo, surface.u_hi, surface.v_lo, surface.v_hi)
 
     def row(u, vs):
         x23, x31, x12 = (m[0] for m in jet_minors(surface.grid([u], vs)))
         sq = np.float_power((x23, x31, x12), 2)  # pow like scalar **, unlike array **
         return 0.5 * (sq[0] + sq[1] + sq[2]) / x12
 
-    return simpson_2d(row, u_lo, u_hi, v_lo, v_hi, panels_u, panels_v)
+    return simpson_2d(row, *box, panels_u, panels_v)
 
 
 @dataclass(frozen=True)
@@ -220,33 +224,29 @@ class ParabolicRevolutionSpec:
         return self.a * self.c1 + self.b * self.c2 == 0.0
 
 
-def make_revolution(
-    spec: RevolutionSpec, theta_lo: float = 0.0, theta_hi: float = TWO_PI
-) -> ParamSurface:
-    """(t cos v, t sin v, z(t)): the helicoidal surface of pitch 0."""
-    return make_helicoidal(spec, theta_lo, theta_hi)
-
-
 def make_helicoidal(
     spec: HelicoidalSpec, theta_lo: float = 0.0, theta_hi: float = TWO_PI
 ) -> ParamSurface:
-    """(t cos v, t sin v, pitch*v + z(t))."""
+    """(t cos v, t sin v, pitch*v + z(t)); at pitch 0 the surface of revolution."""
     curve, c = spec.profile, spec.pitch
     profile = curve.profile  # ParamSurface.grid keeps t inside the curve domain
 
-    def eval_fn(t, th):
-        z, zd, zdd = profile(t)
-        ct, st = math.cos(th), math.sin(th)
-        return (
-            (t * ct, t * st, c * th + z),
-            (ct, st, zd),
-            (-t * st, t * ct, c),
-            (0.0, 0.0, zdd),
-            (-st, ct, 0.0),
-            (-t * ct, -t * st, 0.0),
-        )
+    def rows(ths):
+        ct = np.array([math.cos(th) for th in ths])  # np.cos may differ from libm in the last bit
+        st = np.array([math.sin(th) for th in ths])
+        cth = c * ths
 
-    return ParamSurface(curve.t_lo, curve.t_hi, theta_lo, theta_hi, eval_fn)
+        def row(t):
+            z, zd, zdd = profile(t)
+            return ((t * ct, t * st, cth + z), (ct, st, zd), (-t * st, t * ct, c),
+                    (0.0, 0.0, zdd), (-st, ct, 0.0), (-t * ct, -t * st, 0.0))
+
+        return row
+
+    return ParamSurface(curve.t_lo, curve.t_hi, theta_lo, theta_hi, rows)
+
+
+make_revolution = make_helicoidal
 
 
 def make_parabolic_revolution(
@@ -257,18 +257,20 @@ def make_parabolic_revolution(
     a, b, c, c1 = spec.a, spec.b, spec.c, spec.c1
     k = spec.a * spec.c1 + spec.b * spec.c2
 
-    def eval_fn(t, th):
-        z, zd, zdd = profile(t)
-        return (
-            (a * th + t, b * th, c * th + 0.5 * k * th**2 + c1 * t * th + z),
-            (1.0, 0.0, c1 * th + zd),
-            (a, b, c + k * th + c1 * t),
-            (0.0, 0.0, zdd),
-            (0.0, 0.0, c1),
-            (0.0, 0.0, k),
-        )
+    def rows(ths):
+        th2 = np.float_power(ths, 2)  # pow like scalar **, unlike array **
 
-    return ParamSurface(curve.t_lo, curve.t_hi, theta_lo, theta_hi, eval_fn)
+        def row(t):
+            z, zd, zdd = profile(t)
+            return (
+                (a * ths + t, b * ths, c * ths + 0.5 * k * th2 + c1 * t * ths + z),
+                (1.0, 0.0, c1 * ths + zd), (a, b, c + k * ths + c1 * t),
+                (0.0, 0.0, zdd), (0.0, 0.0, c1), (0.0, 0.0, k),
+            )
+
+        return row
+
+    return ParamSurface(curve.t_lo, curve.t_hi, theta_lo, theta_hi, rows)
 
 
 def revolution_mean_curvature(profile, t: float) -> float:
@@ -282,10 +284,8 @@ def revolution_mean_curvature(profile, t: float) -> float:
 def parabolic_revolution_mean_curvature(spec: ParabolicRevolutionSpec, t: float) -> float:
     """Closed form (a^2 + b^2)/(2 b^2) z'' + (b c2 - a c1)/(2 b^2)."""
     _, _, zdd = spec.profile(t)
-    a, b = spec.a, spec.b
-    return (a**2 + b**2) / (2.0 * b**2) * zdd + (b * spec.c2 - a * spec.c1) / (
-        2.0 * b**2
-    )
+    a, b, den = spec.a, spec.b, 2.0 * spec.b**2
+    return (a**2 + b**2) / den * zdd + (b * spec.c2 - a * spec.c1) / den
 
 
 def parabolic_revolution_F(spec: ParabolicRevolutionSpec, t: float) -> float:
@@ -307,10 +307,9 @@ def parabolic_revolution_F(spec: ParabolicRevolutionSpec, t: float) -> float:
     )
 
 
-def _mesh(surface: ParamSurface, nu: int, nv: int, wrap_v: bool | None):
+def _mesh(surface: ParamSurface, nu: int, nv: int):
     """(params, jet, faces) of the mesh; a full turn in v drops the seam column."""
-    if wrap_v is None:
-        wrap_v = abs((surface.v_hi - surface.v_lo) - TWO_PI) < 1e-9
+    wrap_v = abs((surface.v_hi - surface.v_lo) - TWO_PI) < 1e-9
     us = np.linspace(surface.u_lo, surface.u_hi, nu + 1)
     vs = np.linspace(surface.v_lo, surface.v_hi, nv + 1)[: nv if wrap_v else nv + 1]
     ncols = vs.size
@@ -321,25 +320,25 @@ def _mesh(surface: ParamSurface, nu: int, nv: int, wrap_v: bool | None):
     return params, surface.grid(us, vs), faces.reshape(-1, 4)
 
 
-def mesh_grid(surface: ParamSurface, nu: int, nv: int, wrap_v: bool | None = None):
+def mesh_grid(surface: ParamSurface, nu: int, nv: int):
     """Row-major (N, 2) parameters and (N, 3) vertices plus (nu*nv, 4) 1-based quad faces.
 
     A v-range spanning a full turn closes the seam by identifying the last
     column with the first instead of duplicating it.
     """
-    params, jet, faces = _mesh(surface, nu, nv, wrap_v)
+    params, jet, faces = _mesh(surface, nu, nv)
     return params, jet.r.reshape(-1, 3), faces
 
 
-def write_obj_mesh(path, surface: ParamSurface, nu: int, nv: int, wrap_v=None) -> None:
+def write_obj_mesh(path, surface: ParamSurface, nu: int, nv: int) -> None:
     """Wavefront-style text mesh: `v x y z` lines then quad `f` lines."""
-    _, verts, faces = mesh_grid(surface, nu, nv, wrap_v)
+    _, verts, faces = mesh_grid(surface, nu, nv)
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(f"v {x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in verts.tolist())
         fh.writelines(f"f {a} {b} {c} {d}\n" for a, b, c, d in faces.tolist())
 
 
-def write_vertex_curvature_csv(path, surface: ParamSurface, nu: int, nv: int, wrap_v=None) -> None:
+def write_vertex_curvature_csv(path, surface: ParamSurface, nu: int, nv: int) -> None:
     """Per-vertex mean curvature in mesh vertex order, as `u,v,H` rows."""
-    params, jet, _ = _mesh(surface, nu, nv, wrap_v)
+    params, jet, _ = _mesh(surface, nu, nv)
     write_csv(path, "u,v,H", (*params.T, jet_mean_curvature(jet).ravel()))

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -256,3 +257,65 @@ def test_non_finite_input_is_named(argv, name, capsys):
     assert out.out == ""
     assert out.err.startswith(f"error: {name} must be finite")
     assert "Traceback" not in out.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["residual", "--check", "el", "--profile", "power:1,0.5,0", "--range=-1:2"],
+         "power profile is undefined at t=-1.0"),
+        (["residual", "--check", "el", "--profile", "inverse:0,1", "--range=-1:2"],
+         "inverse_radius profile is undefined at t=0.0"),
+        (["residual", "--check", "el", "--profile", "log:1,0", "--range=-1:2"],
+         "log profile is undefined at t=-1.0"),
+        (["surface", "revolution", "--profile", "power:1,0.5,0", "--trange=-1:2",
+          "--mesh", "{mesh}"],
+         "power profile is undefined at t=-1.0"),
+    ],
+    ids=["residual_power", "residual_inverse", "residual_log", "surface_power"],
+)
+def test_profile_outside_its_domain_is_one_error_line(argv, message, tmp_path, capsys):
+    mesh = tmp_path / "m.obj"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(*(a.format(mesh=mesh) for a in argv))
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.err == f"error: {message}\n"
+    assert not mesh.exists()
+
+
+def test_non_finite_range_end_exits_one(tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    assert run_cli("catenary", "--range=1:inf", "--n", "3", "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("error: trange must be finite")
+    assert not out.exists()
+
+
+def test_non_finite_option_is_named(tmp_path, capsys):
+    code = run_cli("surface", "helicoidal", "--profile", "log:1,0", "--trange", "1:2",
+                   "--pitch=inf", "--mesh", str(tmp_path / "m.obj"))
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: pitch must be finite")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("raw", ["2:1", "1:1", "nan:1"])
+def test_unordered_range_is_a_flag_error(raw, tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli("catenary", f"--range={raw}", "--n", "3", "--out", str(tmp_path / "c.csv"))
+    assert err.value.code == 2
+    assert f"range {raw} needs lo < hi" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_overflowing_json_value_exits_one(capsys):
+    # a*c2 overflows to inf; the numpy overflow warnings of the SMS check are
+    # still raised on the way (see CHANGES.md)
+    with pytest.warns(RuntimeWarning):
+        code = run_cli("classify", "parabolic", "--ref", "yz", "--a", "1e300", "--b", "1",
+                       "--c2", "1e300")
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert out.err.startswith("error: Out of range float values are not JSON compliant")

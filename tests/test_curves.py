@@ -357,6 +357,29 @@ class TestProfileForm:
         with pytest.raises(ValueError, match="non-finite"):
             CatenaryFamily(alpha=2.0, c=math.nan)
 
+    @pytest.mark.parametrize(
+        "kind, co, t",
+        [
+            ("log", {"c": 1.0, "d": 0.0}, 0.0),
+            ("log", {"c": 1.0, "d": 0.0}, -1.0),
+            ("log_parabola", {"quad": 0.2, "z1": 0.0, "z2": 1.0}, -0.5),
+            ("inverse_radius", {"z1": 0.0, "z2": 1.0}, 0.0),
+            ("power", {"c": 1.0, "p": 0.5, "d": 0.0}, -1.0),
+            ("power", {"c": 1.0, "p": 0.5, "d": 0.0}, 0.0),
+            ("power", {"c": 1.0, "p": 1.0, "d": 0.0}, 0.0),
+            ("power", {"c": 1.0, "p": -2.0, "d": 0.0}, 0.0),
+        ],
+    )
+    def test_undefined_t_is_a_domain_error_naming_kind_and_t(self, kind, co, t):
+        with pytest.raises(DomainError, match=f"{kind} profile is undefined at t={t}"):
+            ProfileForm(kind, co)(t)
+
+    def test_defined_edges_of_the_power_domain(self):
+        assert ProfileForm("power", {"c": 1.0, "p": 2.0, "d": 0.0})(0.0) == (0.0, 0.0, 2.0)
+        assert ProfileForm("power", {"c": 1.0, "p": 2.5, "d": 0.0})(0.0) == (0.0, 0.0, 0.0)
+        assert ProfileForm("power", {"c": 1.0, "p": -1.0, "d": 0.0})(-2.0) == (-0.5, -0.25, -0.25)
+        assert ProfileForm("inverse_radius", {"z1": 0.0, "z2": 1.0})(-2.0) == (-0.5, -0.25, -0.25)
+
     def test_plane_curve_is_the_graph(self):
         form = ProfileForm("log_parabola", {"quad": 0.4, "z1": 0.2, "z2": -0.7})
         j = form.plane_curve(0.5, 3.0).at(1.25)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from isokit.core import euclid_dot
-from isokit.curves import CatenaryFamily, PlaneCurve, read_curve_csv, write_curve_csv
+from isokit.curves import CatenaryFamily, GraphCurve, PlaneCurve, read_curve_csv, write_curve_csv
 from isokit.errors import DomainError, NonAdmissibleError
 from isokit.singular import ProfileForm, cmc_profile_coefficient
 from isokit.surfaces import (
+    TWO_PI,
     HelicoidalSpec,
     ParabolicRevolutionSpec,
     ParamSurface,
@@ -41,7 +42,7 @@ BOWL = graph_surface(
     lambda u, v: 0.5 * (u * u + v * v), lambda u, v: u, lambda u, v: v,
     lambda u, v: 1.0, lambda u, v: 0.0, lambda u, v: 1.0,
 )
-WAVY = graph_surface(
+WAVY_HEIGHTS = (
     lambda u, v: math.sin(u) * math.cos(v),
     lambda u, v: math.cos(u) * math.cos(v),
     lambda u, v: -math.sin(u) * math.sin(v),
@@ -49,6 +50,7 @@ WAVY = graph_surface(
     lambda u, v: -math.cos(u) * math.sin(v),
     lambda u, v: -math.sin(u) * math.cos(v),
 )
+WAVY = graph_surface(*WAVY_HEIGHTS)
 
 
 def log_profile(c, d=0.0):
@@ -313,10 +315,10 @@ class TestInvariantsAndOrientation:
         # parameters swapped relative to a graph: X12 = -1 before normalization
         surf = ParamSurface(
             0.0, 1.0, 0.0, 2.0,
-            lambda u, v: (
-                (v, u, v * v),
+            lambda vs: lambda u: (
+                (vs, u, vs * vs),
                 (0.0, 1.0, 0.0),
-                (1.0, 0.0, 2 * v),
+                (1.0, 0.0, 2 * vs),
                 (0.0, 0.0, 0.0),
                 (0.0, 0.0, 0.0),
                 (0.0, 0.0, 2.0),
@@ -332,8 +334,8 @@ class TestInvariantsAndOrientation:
         with pytest.raises(NonAdmissibleError):
             ParamSurface(
                 -1.0, 1.0, 0.0, 1.0,
-                lambda u, v: (
-                    (u * u, v, 0.0),
+                lambda vs: lambda u: (
+                    (u * u, vs, 0.0),
                     (2 * u, 0.0, 0.0),
                     (0.0, 1.0, 0.0),
                     (2.0, 0.0, 0.0),
@@ -380,7 +382,12 @@ class TestGridPath:
         assert jet.r.shape == (5, 4, 3)
         for i, u in enumerate(us):
             for j, v in enumerate(vs):
-                raw = np.array(WAVY._eval(u, v), dtype=float)
+                z, zu, zv, zuu, zuv, zvv = (h(u, v) for h in WAVY_HEIGHTS)
+                raw = np.array(
+                    [(u, v, z), (1.0, 0.0, zu), (0.0, 1.0, zv),
+                     (0.0, 0.0, zuu), (0.0, 0.0, zuv), (0.0, 0.0, zvv)],
+                    dtype=float,
+                )
                 assert np.array_equal(np.stack([f[i, j] for f in jet]), raw)
 
     def test_nan_and_outside_rectangle_raise_domain_error(self):
@@ -473,3 +480,93 @@ class TestGraphProfiles:
         assert tuple(jet.r) == (0.3 * 0.5 + 1.3, -1.5 * 0.5, height)
         assert tuple(jet.rv) == (1.0, 0.0, -0.25 * 0.5 + zd)
         assert jet.rvv[2] == zdd
+
+
+# The per-node evaluators that preceded the row evaluators, kept as references:
+# each row must reproduce them bit for bit (math.cos/sin, scalar th**2).
+def _helicoidal_node(spec, t, th):
+    z, zd, zdd = spec.profile.profile(t)
+    c, ct, st = spec.pitch, math.cos(th), math.sin(th)
+    return (
+        (t * ct, t * st, c * th + z),
+        (ct, st, zd),
+        (-t * st, t * ct, c),
+        (0.0, 0.0, zdd),
+        (-st, ct, 0.0),
+        (-t * ct, -t * st, 0.0),
+    )
+
+
+def _parabolic_node(spec, t, th):
+    z, zd, zdd = spec.profile.profile(t)
+    a, b, c, c1 = spec.a, spec.b, spec.c, spec.c1
+    k = spec.a * spec.c1 + spec.b * spec.c2
+    return (
+        (a * th + t, b * th, c * th + 0.5 * k * th**2 + c1 * t * th + z),
+        (1.0, 0.0, c1 * th + zd),
+        (a, b, c + k * th + c1 * t),
+        (0.0, 0.0, zdd),
+        (0.0, 0.0, c1),
+        (0.0, 0.0, k),
+    )
+
+
+class TestRowEvaluator:
+    CURVE = ProfileForm("power", {"c": 0.8, "p": 2.5, "d": 0.1}).plane_curve(0.7, 2.3)
+
+    def _assert_grid_matches_nodes(self, surf, node, spec, us, vs, swapped=False):
+        jet = surf.grid(us, vs)
+        assert jet.r.shape == (len(us), len(vs), 3)
+        for i, u in enumerate(np.asarray(us, dtype=float)):
+            for j, v in enumerate(np.asarray(vs, dtype=float)):
+                if swapped:  # (theta, t) parameters: r_u <-> r_v, r_uu <-> r_vv
+                    r, rv, ru, rvv, ruv, ruu = node(spec, v, u)
+                    expected = np.array((r, ru, rv, ruu, ruv, rvv), dtype=float)
+                else:
+                    expected = np.array(node(spec, u, v), dtype=float)
+                assert np.array_equal(np.stack([f[i, j] for f in jet]), expected)
+
+    @pytest.mark.parametrize("pitch", [0.0, -0.4, 0.7])
+    @pytest.mark.parametrize("thetas", [(0.0, TWO_PI), (0.3, 2.9)], ids=["full", "partial"])
+    def test_helicoidal_rows_match_per_node_evaluator(self, pitch, thetas):
+        spec = HelicoidalSpec(self.CURVE, pitch)
+        surf = make_helicoidal(spec, *thetas)
+        us, vs = np.linspace(0.7, 2.3, 7), np.linspace(*thetas, 13)
+        self._assert_grid_matches_nodes(surf, _helicoidal_node, spec, us, vs)
+        self._assert_grid_matches_nodes(surf, _helicoidal_node, spec, [1.1], [thetas[0]])
+
+    @pytest.mark.parametrize("b", [1.3, -1.5], ids=["direct", "swapped"])
+    def test_parabolic_rows_match_per_node_evaluator(self, b):
+        # A flat profile and 42 thetas: at three nodes an array th**2 (x*x), unlike
+        # the scalar th**2 (pow), changes the last bit of r.
+        flat = ProfileForm("quadratic", {"quad": 0.01, "z1": 0.0}).plane_curve(0.7, 2.3)
+        spec = ParabolicRevolutionSpec(0.4, b, 0.2, -0.3, 0.6, flat)
+        surf = make_parabolic_revolution(spec, -0.9, 0.8)
+        ts, ths = np.linspace(0.7, 2.3, 7), np.linspace(-0.9, 0.8, 42)
+        if b > 0:
+            self._assert_grid_matches_nodes(surf, _parabolic_node, spec, ts, ths)
+        else:
+            assert (surf.u_lo, surf.u_hi) == (-0.9, 0.8)
+            self._assert_grid_matches_nodes(surf, _parabolic_node, spec, ths, ts, swapped=True)
+
+    def test_profile_called_once_per_u_row(self):
+        form, calls = ProfileForm("log", {"c": 1.3, "d": 0.2}), []
+
+        def profile(t):
+            calls.append(t)
+            return form(t)
+
+        hel = make_helicoidal(HelicoidalSpec(GraphCurve(0.5, 2.0, profile), 0.5))
+        par = make_parabolic_revolution(
+            ParabolicRevolutionSpec(0.3, -1.2, 0.1, 0.2, 0.4, GraphCurve(0.5, 2.0, profile))
+        )
+        ts, ths = np.linspace(0.5, 2.0, 5), np.linspace(0.0, 1.0, 9)
+        calls.clear()
+        hel.grid(ts, ths)
+        assert len(calls) == 5
+        calls.clear()
+        par.grid(ths, ts)  # swapped: (theta, t); still one call per t-row
+        assert len(calls) == 5
+        calls.clear()
+        relative_area(hel, panels_u=8, panels_v=16)
+        assert len(calls) == 9

@@ -75,6 +75,10 @@ COMMANDS = [
                                    "--c1=-0.25", "--c2", "0.6", "--thetarange=-0.8:0.8",
                                    "--profile", "log:1.5,0.25", "--trange", "0.8:2.4",
                                    "--mesh", "mesh.obj", "--grid", "6x12"]),
+    # a theta range that starts off 0 and is not a full turn: a mesh without the seam
+    ("surface_helicoidal_partial", ["surface", "helicoidal", "--pitch=-0.4", "--thetarange=0.3:2.9",
+                                    "--profile", "power:0.75,-1.5,0.5", "--trange", "0.8:2.4",
+                                    "--mesh", "mesh.obj", "--grid", "6x12"]),
     # the shifted log family c*ln(t - lam) + d
     ("catenary_shifted_log", ["catenary", "--alpha", "1", "--c", "1.3", "--d=-0.2",
                               "--lambda", "0.2", "--range", "0.5:2", "--n", "40",
