@@ -48,25 +48,36 @@ def _parse_grid(raw: str) -> tuple[int, int]:
     return _count(1)(nu), _count(1)(nv)
 
 
-def _parse_profile(raw: str) -> curves.ProfileForm:
-    """Profile spec `kind:args` -> ProfileForm.
+_CLI_PROFILES = {"log": "log", "power": "power", "inverse": "inverse_radius", "poly": "poly"}
 
-    Kinds: log:c,d  power:c,p,d  inverse:z1,z2  poly:a0,a1,...
+
+def _parse_profile(raw: str) -> curves.ProfileForm:
+    """Profile spec `kind:args` -> ProfileForm; the values fill the kind's coefficient names.
+
+    Kinds: log:c,d  power:c,p,d  inverse:z1,z2  poly:a0,a1,... (one tuple a)
     """
-    kind, _, argstr = raw.partition(":")
-    vals = [float(v) for v in argstr.split(",")] if argstr else []
-    if kind == "log":
-        c, d = vals
-        return curves.ProfileForm("log", {"c": c, "d": d})
-    if kind == "power":
-        c, p, d = vals
-        return curves.ProfileForm("power", {"c": c, "p": p, "d": d})
-    if kind == "inverse":
-        z1, z2 = vals
-        return curves.ProfileForm("inverse_radius", {"z1": z1, "z2": z2})
-    if kind == "poly":
-        return curves.ProfileForm("poly", {"a": tuple(vals)})
-    raise argparse.ArgumentTypeError(f"unknown profile kind {kind!r}")
+    name, _, argstr = raw.partition(":")
+    if name not in _CLI_PROFILES:
+        raise argparse.ArgumentTypeError(f"unknown profile kind {name!r}")
+    kind = _CLI_PROFILES[name]
+    vals = tuple(float(v) for v in argstr.split(",")) if argstr else ()
+    if kind == "poly":  # its one coefficient is the tuple a
+        vals = (vals,)
+    # a wrong count fails the strict zip with a ValueError: a flag error (exit 2)
+    return curves.ProfileForm(kind, dict(zip(curves.PROFILE_KINDS[kind].names, vals, strict=True)))
+
+
+def _add_sweep_options(p, trange_flag: str, thetarange_default) -> None:
+    """The options of the swept surface that _make_surface builds."""
+    p.add_argument("--profile", type=_parse_profile, required=True)
+    p.add_argument(trange_flag, dest="trange", type=_parse_range, required=True)
+    p.add_argument("--thetarange", type=_parse_range, default=thetarange_default)
+    for flag, default in (("--pitch", 0.0), ("--a", 0.0), ("--b", 1.0), ("--c", 0.0),
+                          ("--c1", 0.0), ("--c2", 0.0)):
+        p.add_argument(flag, type=float, default=default)
+
+
+_SURFACES = ["revolution", "helicoidal", "parabolic"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -100,16 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_parse_grid, default=(32, 64))
 
     p = sub.add_parser("surface", help="generate a surface mesh with curvature sidecar")
-    p.add_argument("kind", choices=["revolution", "helicoidal", "parabolic"])
-    p.add_argument("--profile", type=_parse_profile, required=True)
-    p.add_argument("--trange", type=_parse_range, required=True)
-    p.add_argument("--thetarange", type=_parse_range, default=None)
-    p.add_argument("--pitch", type=float, default=0.0)
-    p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--c", type=float, default=0.0)
-    p.add_argument("--c1", type=float, default=0.0)
-    p.add_argument("--c2", type=float, default=0.0)
+    p.add_argument("kind", choices=_SURFACES)
+    _add_sweep_options(p, "--trange", None)
     p.add_argument("--mesh", required=True)
     p.add_argument("--grid", type=_parse_grid, default=(32, 64))
     p.add_argument("--curvature-csv", default=None)
@@ -139,18 +142,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sref", choices=[singular.PI_YZ, singular.PI_XY], default=singular.PI_YZ)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    p.add_argument("--profile", type=_parse_profile, required=True)
-    p.add_argument("--range", dest="trange", type=_parse_range, required=True)
+    _add_sweep_options(p, "--range", (-1.25, 1.25))
     p.add_argument("--n", type=_count(1), default=100)
-    p.add_argument("--surface", choices=["revolution", "helicoidal", "parabolic"], default="revolution")
-    p.add_argument("--thetarange", type=_parse_range, default=(-1.25, 1.25))
+    p.add_argument("--surface", dest="kind", choices=_SURFACES, default="revolution")
     p.add_argument("--grid", type=_parse_grid, default=(50, 16))
-    p.add_argument("--pitch", type=float, default=0.0)
-    p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--c", type=float, default=0.0)
-    p.add_argument("--c1", type=float, default=0.0)
-    p.add_argument("--c2", type=float, default=0.0)
     return parser
 
 
@@ -191,25 +186,18 @@ def _cmd_catenoid(args) -> int:
     return 0
 
 
-def _make_surface(kind, profile, trange, thetarange, pitch, a, b, c, c1, c2):
-    curve = profile.plane_curve(*trange)
-    if kind == "revolution":
-        th = thetarange or (0.0, 2.0 * math.pi)
-        return surfaces.make_revolution(surfaces.RevolutionSpec(curve), *th)
-    if kind == "helicoidal":
-        th = thetarange or (0.0, 2.0 * math.pi)
-        return surfaces.make_helicoidal(surfaces.HelicoidalSpec(curve, pitch), *th)
-    th = thetarange or (-1.0, 1.0)
-    return surfaces.make_parabolic_revolution(
-        surfaces.ParabolicRevolutionSpec(a, b, c, c1, c2, curve), *th
-    )
+def _make_surface(args):
+    """The swept surface of args.profile over args.trange named by args.kind."""
+    curve = args.profile.plane_curve(*args.trange)
+    if args.kind == "parabolic":
+        spec = surfaces.ParabolicRevolutionSpec(args.a, args.b, args.c, args.c1, args.c2, curve)
+        return surfaces.make_parabolic_revolution(spec, *(args.thetarange or (-1.0, 1.0)))
+    spec = surfaces.HelicoidalSpec(curve, args.pitch if args.kind == "helicoidal" else 0.0)
+    return surfaces.make_helicoidal(spec, *(args.thetarange or (0.0, surfaces.TWO_PI)))
 
 
 def _cmd_surface(args) -> int:
-    surf = _make_surface(
-        args.kind, args.profile, args.trange, args.thetarange,
-        args.pitch, args.a, args.b, args.c, args.c1, args.c2,
-    )
+    surf = _make_surface(args)
     surfaces.write_obj_mesh(args.mesh, surf, *args.grid)
     sidecar = args.curvature_csv or args.mesh + ".curvature.csv"
     surfaces.write_vertex_curvature_csv(sidecar, surf, *args.grid)
@@ -241,10 +229,7 @@ def _cmd_residual(args) -> int:
         ts = np.linspace(t_lo, t_hi, args.n)
         worst = max(abs(variational.el_residual(spec, args.profile, float(t))) for t in ts)
     else:
-        surf = _make_surface(
-            args.surface, args.profile, args.trange, args.thetarange,
-            args.pitch, args.a, args.b, args.c, args.c1, args.c2,
-        )
+        surf = _make_surface(args)
         spec = singular.SingularSpec(args.sref, args.alpha, args.lam)
         nu, nv = args.grid
         ts = np.linspace(surf.u_lo, surf.u_hi, nu)

@@ -7,12 +7,15 @@ minimal normal (-z'/x', 1) and the parabolic normal
 (-z'/x', 1/2 - z'^2/(2 x'^2)), and the relative length element weighs the
 usual dt by their Euclidean pairing: (x'/2 + z'^2/(2 x')) dt.  A profile is
 any callable t -> (z, z', z''); GraphCurve sweeps one into the curve (t, z(t)).
+The closed-form kinds are the rows of PROFILE_KINDS; a ProfileForm's
+coefficient names must match its kind's names exactly.
 """
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,6 +33,7 @@ LZ = "lz"  # the isotropic z-axis; distance to it is the x-coordinate
 LX = "lx"  # the non-isotropic x-axis; distance to it is the z-coordinate
 
 ADMISSIBLE_MIN_SLOPE = 1e-9
+CHECK_SAMPLES = 129  # nodes of a PlaneCurve's admissibility check
 
 
 class CurveJet(NamedTuple):
@@ -60,14 +64,14 @@ class PlaneCurve:
     x' > 0 everywhere.  ``grid`` is the one caller of the evaluator.
     """
 
-    def __init__(self, t_lo: float, t_hi: float, eval_fn, check_samples: int = 129):
+    def __init__(self, t_lo: float, t_hi: float, eval_fn):
         if not (t_lo < t_hi):
             raise InvalidIntervalError(f"empty parameter interval [{t_lo}, {t_hi}]")
         self.t_lo = float(t_lo)
         self.t_hi = float(t_hi)
         self._eval = eval_fn
         self._reversed = False
-        xds = self.grid(np.linspace(self.t_lo, self.t_hi, check_samples)).xd
+        xds = self.grid(np.linspace(self.t_lo, self.t_hi, CHECK_SAMPLES)).xd
         if np.any(np.abs(xds) < ADMISSIBLE_MIN_SLOPE):
             raise NonAdmissibleError(
                 f"|x'| < {ADMISSIBLE_MIN_SLOPE} on the sampling grid; tangent is isotropic"
@@ -219,69 +223,81 @@ def relative_arclength(
     return simpson_samples(0.5 * j.xd + 0.5 * sq / j.xd, h)
 
 
-_PROFILE_KINDS = ("log", "power", "inverse_radius", "log_parabola", "quadratic", "poly")
-# Where a kind's formulas would take the log of t <= 0, a fractional power of
-# t < 0 or a negative power of 0 (power p < 2 has t**(p - 2)).
-_DOMAIN_GAPS = {
-    "log": lambda t, co: t <= 0.0,
-    "log_parabola": lambda t, co: t <= 0.0,
-    "inverse_radius": lambda t, co: t == 0.0,
-    "power": lambda t, co: (t < 0.0 and co["p"] % 1.0 != 0.0) or (t == 0.0 and co["p"] < 2.0),
+class ProfileKind(NamedTuple):
+    names: tuple[str, ...]  # coefficient names, in the order gap and jet take their values
+    gap: Callable | None  # gap(*values, t): true where the formulas are undefined
+    jet: Callable  # jet(*values, t) -> (z, z', z'')
+
+
+def _poly_jet(a, t):
+    a = np.asarray(a, dtype=float)
+    z = a * t ** np.arange(a.size)
+    zd = a[1:] * np.arange(1, a.size) * t ** np.arange(a.size - 1)
+    zdd = a[2:] * np.arange(2, a.size) * np.arange(1, a.size - 1) * t ** np.arange(a.size - 2)
+    return (float(z.sum()), float(zd.sum()), float(zdd.sum()))
+
+
+PROFILE_KINDS = {
+    "log": ProfileKind(
+        ("c", "d"), lambda c, d, t: t <= 0.0,
+        lambda c, d, t: (c * math.log(t) + d, c / t, -c / t**2),
+    ),
+    "power": ProfileKind(  # gaps: a fractional power of t < 0; t**(p - 2) at 0 for p < 2
+        ("c", "p", "d"),
+        lambda c, p, d, t: (t < 0.0 and p % 1.0 != 0.0) or (t == 0.0 and p < 2.0),
+        lambda c, p, d, t: (c * t**p + d, c * p * t ** (p - 1), c * p * (p - 1) * t ** (p - 2)),
+    ),
+    "inverse_radius": ProfileKind(
+        ("z1", "z2"), lambda z1, z2, t: t == 0.0,
+        lambda z1, z2, t: (z1 + z2 / t, -z2 / t**2, 2.0 * z2 / t**3),
+    ),
+    "log_parabola": ProfileKind(
+        ("quad", "z1", "z2"), lambda q, z1, z2, t: t <= 0.0,
+        lambda q, z1, z2, t: (
+            q * t**2 + z2 * math.log(t) + z1, 2.0 * q * t + z2 / t, 2.0 * q - z2 / t**2
+        ),
+    ),
+    "quadratic": ProfileKind(
+        ("quad", "z1"), None, lambda q, z1, t: (q * t**2 + z1, 2.0 * q * t, 2.0 * q)
+    ),
+    "poly": ProfileKind(("a",), None, _poly_jet),
 }
 
 
 @dataclass(frozen=True)
 class ProfileForm:
-    """Closed-form profile z(t) identified by kind + coefficients.
+    """Closed-form profile z(t): a kind of ``PROFILE_KINDS`` and its coefficients.
 
     Kinds: ``log`` c*ln(t) + d; ``power`` c*t^p + d; ``inverse_radius``
     z1 + z2/t; ``log_parabola`` quad*t^2 + z2*ln(t) + z1; ``quadratic``
-    quad*t^2 + z1; ``poly`` sum of a[k]*t^k.  Unknown kinds and non-finite
-    coefficients are rejected with ValueError; a t where the formulas are
-    undefined raises DomainError.
+    quad*t^2 + z1; ``poly`` sum of a[k]*t^k.  The coefficient names must be
+    exactly the kind's; other names, an unknown kind and non-finite values
+    are ValueErrors, and a t where the formulas are undefined is a DomainError.
     """
 
     kind: str
     coefficients: dict
 
     def __post_init__(self):
-        if self.kind not in _PROFILE_KINDS:
+        if self.kind not in PROFILE_KINDS:
             raise ValueError(f"unknown profile kind {self.kind!r}")
-        if not all(np.all(np.isfinite(v)) for v in self.coefficients.values()):
+        names, gap, jet = PROFILE_KINDS[self.kind]
+        if set(self.coefficients) != set(names):
+            got = tuple(self.coefficients)
+            raise ValueError(f"{self.kind} profile needs coefficients {names}, got {got}")
+        values = tuple(self.coefficients[name] for name in names)
+        if not all(np.all(np.isfinite(v)) for v in values):
             raise ValueError(f"non-finite coefficient in {self.kind} profile {self.coefficients}")
+        object.__setattr__(self, "_gap", gap and partial(gap, *values))
+        object.__setattr__(self, "_jet", partial(jet, *values))
 
     def __call__(self, t: float) -> tuple[float, float, float]:
-        co = self.coefficients
-        gap = _DOMAIN_GAPS.get(self.kind)
-        if gap is not None and gap(t, co):
+        if self._gap is not None and self._gap(t):
             raise DomainError(f"{self.kind} profile is undefined at t={t}")
-        if self.kind == "log":
-            c, d = co["c"], co["d"]
-            return (c * math.log(t) + d, c / t, -c / t**2)
-        if self.kind == "power":
-            c, p, d = co["c"], co["p"], co["d"]
-            return (c * t**p + d, c * p * t ** (p - 1), c * p * (p - 1) * t ** (p - 2))
-        if self.kind == "inverse_radius":
-            return (
-                co["z1"] + co["z2"] / t,
-                -co["z2"] / t**2,
-                2.0 * co["z2"] / t**3,
-            )
-        if self.kind == "log_parabola":
-            q, z1, z2 = co["quad"], co["z1"], co["z2"]
-            return (
-                q * t**2 + z2 * math.log(t) + z1,
-                2.0 * q * t + z2 / t,
-                2.0 * q - z2 / t**2,
-            )
-        if self.kind == "quadratic":
-            q, z1 = co["quad"], co["z1"]
-            return (q * t**2 + z1, 2.0 * q * t, 2.0 * q)
-        a = np.asarray(co["a"], dtype=float)
-        z = a * t ** np.arange(a.size)
-        zd = a[1:] * np.arange(1, a.size) * t ** np.arange(a.size - 1)
-        zdd = a[2:] * np.arange(2, a.size) * np.arange(1, a.size - 1) * t ** np.arange(a.size - 2)
-        return (float(z.sum()), float(zd.sum()), float(zdd.sum()))
+        return self._jet(t)
+
+    def __reduce__(self):  # the bound gap and jet do not pickle; kind and coefficients do
+        return ProfileForm, (self.kind, self.coefficients)
 
     def plane_curve(self, t_lo: float, t_hi: float) -> GraphCurve:
         return GraphCurve(t_lo, t_hi, self)
@@ -296,8 +312,8 @@ class CatenaryFamily:
 
     With respect to the isotropic axis (reference ``LZ``) the solutions are
     z = c*ln(t - lam) + d for alpha = 1 and z = c*t**(1-alpha) + d (lam = 0)
-    for alpha not in {0, 1}, evaluated as the ``log`` or ``power``
-    ProfileForm at t - lam.  Profiles for the non-isotropic axis (``LX``)
+    for alpha not in {0, 1}, evaluated as ``form``, the ``log`` or ``power``
+    ProfileForm, at t - lam.  Profiles for the non-isotropic axis (``LX``)
     have no elementary closed form and live in :mod:`isokit.odes`.
     """
 
@@ -320,7 +336,7 @@ class CatenaryFamily:
             form = ProfileForm("log", {"c": self.c, "d": self.d})
         else:
             form = ProfileForm("power", {"c": self.c, "p": 1.0 - self.alpha, "d": self.d})
-        object.__setattr__(self, "_form", form)
+        object.__setattr__(self, "form", form)
 
     def __call__(self, t: float) -> tuple[float, float, float]:
         """(z, z', z'') at t; DomainError outside the family domain."""
@@ -332,12 +348,20 @@ class CatenaryFamily:
         s = t - self.lam
         if s <= 0.0:
             raise DomainError(f"t - lam = {s} <= 0")
-        return self._form(s)
+        return self.form(s)
 
     def plane_curve(self, t_lo: float, t_hi: float) -> GraphCurve:
         """Graph curve (t, z(t)) of this family over [t_lo, t_hi]."""
         self(min(t_lo, t_hi))  # domain check at the left end
         return GraphCurve(t_lo, t_hi, self)
+
+
+def _check_weight_base(base: float, alpha: float, name: str) -> None:
+    """DomainError where base**alpha or base**(alpha - 1) is undefined."""
+    if base <= 0.0 and alpha != round(alpha):
+        raise DomainError(f"non-integer exponent needs {name} > 0")
+    if base == 0.0 and alpha < 1.0:
+        raise DomainError("negative exponent with zero weight base")
 
 
 def catenary_curvature_residual(
@@ -359,8 +383,7 @@ def catenary_curvature_residual(
         base, pairing = j.z, npar_z
     else:
         raise ValueError(f"unknown reference line {reference!r}")
-    if base <= 0.0 and alpha != round(alpha):
-        raise DomainError("non-integer exponent needs a positive distance")
+    _check_weight_base(base, alpha, "x" if reference == LZ else "z")
     denom = base**alpha - lam
     if abs(denom) < 1e-12:
         raise SingularDenominatorError(

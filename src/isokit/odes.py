@@ -34,6 +34,8 @@ from .errors import (
 from .quadrature import cumulative_simpson
 
 DENOM_FLOOR = 1e-12
+PICARD_NODES = 513  # odd, as nested Simpson needs
+PICARD_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -220,12 +222,7 @@ def picard_radius(a: float, epsilon: float) -> float:
     return 0.9 * min(self_map, contraction)
 
 
-def picard_solve_degenerate(
-    a: float,
-    tol: float = 1e-12,
-    max_iter: int = 200,
-    nodes: int = 513,
-) -> IVPResult:
+def picard_solve_degenerate(a: float, tol: float = 1e-12) -> IVPResult:
     """Axis-crossing revolution profile with z(0) = a > 0 and z'(0) = 0.
 
     Iterates the integral operator from the constant profile until successive
@@ -235,15 +232,13 @@ def picard_solve_degenerate(
     """
     if not (math.isfinite(a) and a > 0.0):
         raise ValueError(f"a must be finite and positive, got {a}")
-    if nodes % 2 == 0:
-        raise ValueError("nested Simpson needs an odd node count")
     epsilon = 0.5 * a
     radius = picard_radius(a, epsilon)
-    t = np.linspace(0.0, radius, nodes)
-    profile = SampledProfile(t, np.full(nodes, float(a)), np.zeros(nodes))
+    t = np.linspace(0.0, radius, PICARD_NODES)
+    profile = SampledProfile(t, np.full(t.size, float(a)), np.zeros(t.size))
     ratios: list[float] = []
     prev_diff = None
-    for it in range(1, max_iter + 1):
+    for it in range(1, PICARD_MAX_ITER + 1):
         new = operator_T_apply(a, profile)
         diff = float(np.max(np.abs(new.z - profile.z)) + np.max(np.abs(new.zp - profile.zp)))
         profile = new
@@ -268,7 +263,7 @@ def picard_solve_degenerate(
                 epsilon=epsilon,
             )
         prev_diff = diff
-    raise MaxIterExceededError(f"no convergence to {tol} within {max_iter} iterations")
+    raise MaxIterExceededError(f"no convergence to {tol} within {PICARD_MAX_ITER} iterations")
 
 
 def _origin_curvature_fit(profile: SampledProfile) -> float:

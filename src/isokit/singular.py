@@ -256,8 +256,8 @@ def classify_parabolic_revolution(
             constraints=[("c1", c1), ("sms_residual_max_abs", res)],
             profile=form,
         )
-    gate = a * c2 + 2.0 * b * c1
-    if abs(gate) > 1e-12 * max(1.0, abs(a * c2), abs(2.0 * b * c1)):
+    gate = a * c2 + 2.0 * b * c1  # an overflowed (non-finite) gate counts as violated
+    if not math.isfinite(gate) or abs(gate) > 1e-12 * max(1.0, abs(a * c2), abs(2.0 * b * c1)):
         return ClassificationReport("NoSolution", params, [("a*c2 + 2*b*c1", gate)])
     form = ProfileForm("quadratic", {"quad": c1 / (2.0 * a), "z1": z1})
     res = _verify_parabolic(form, spec, a, b, c, c1, c2)
@@ -359,9 +359,7 @@ class AlphaRevolutionLink:
         return CatenaryFamily(reference=LZ, alpha=self.catenary_alpha, c=c, d=d, lam=0.0)
 
     def profile_form(self, c: float, d: float) -> ProfileForm:
-        if self.catenary_alpha == 1.0:
-            return ProfileForm("log", {"c": c, "d": d})
-        return ProfileForm("power", {"c": c, "p": 1.0 - self.catenary_alpha, "d": d})
+        return self.family(c, d).form
 
     def ode_residual(self, profile, t: float) -> float:
         _, zd, zdd = profile(t)

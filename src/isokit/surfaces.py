@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import IsoVec3, write_csv
+from .core import IsoVec3, write_csv, write_text
 from .curves import GraphCurve
 from .errors import DomainError, NonAdmissibleError
 from .quadrature import simpson_2d
@@ -333,9 +333,8 @@ def mesh_grid(surface: ParamSurface, nu: int, nv: int):
 def write_obj_mesh(path, surface: ParamSurface, nu: int, nv: int) -> None:
     """Wavefront-style text mesh: `v x y z` lines then quad `f` lines."""
     _, verts, faces = mesh_grid(surface, nu, nv)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(f"v {x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in verts.tolist())
-        fh.writelines(f"f {a} {b} {c} {d}\n" for a, b, c, d in faces.tolist())
+    v_lines = "".join(f"v {x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in verts.tolist())
+    write_text(path, v_lines + "".join(f"f {a} {b} {c} {d}\n" for a, b, c, d in faces.tolist()))
 
 
 def write_vertex_curvature_csv(path, surface: ParamSurface, nu: int, nv: int) -> None:

@@ -21,8 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import LX, LZ
+from .curves import LX, LZ, _check_weight_base
 from .errors import DomainError, NoConvergenceError, SingularDenominatorError
+
+MAX_ITER = 10_000  # Newton steps of minimize
+TOL_SCALE = 1e-10  # minimize stops once max|gradient| < TOL_SCALE * n
 
 
 def _require_finite(**values) -> None:
@@ -179,18 +182,15 @@ def _check_weight_sign(t, w):
 
 
 def minimize(
-    spec: WeightFunctionalSpec,
-    endpoints: tuple[float, float, float, float],
-    n: int,
-    max_iter: int = 10_000,
-    tol_scale: float = 1e-10,
+    spec: WeightFunctionalSpec, endpoints: tuple[float, float, float, float], n: int
 ) -> DiscreteCurve:
     """Profile with fixed endpoints driving the interior gradient to zero.
 
     ``endpoints`` is (t_a, z_a, t_b, z_b); ``n`` counts the grid cells.  The
-    returned curve satisfies max|gradient| < tol_scale * n.  For the isotropic
-    axis a weight t**alpha - lam that vanishes or changes sign on the grid
-    raises SingularDenominatorError before the first iteration.
+    returned curve satisfies max|gradient| < TOL_SCALE * n within MAX_ITER
+    Newton steps.  For the isotropic axis a weight t**alpha - lam that
+    vanishes or changes sign on the grid raises SingularDenominatorError
+    before the first iteration.
     """
     t_a, z_a, t_b, z_b = endpoints
     _require_finite(t_a=t_a, z_a=z_a, t_b=t_b, z_b=z_b)
@@ -198,12 +198,12 @@ def minimize(
         raise ValueError("need t_a < t_b")
     t = np.linspace(t_a, t_b, n + 1)
     z = np.linspace(z_a, z_b, n + 1)
-    tol = tol_scale * n
+    tol = TOL_SCALE * n
     if spec.reference == LZ:
         _check_weight_sign(t, _weights(spec, t, z)[0])
 
     grad, diag, off = _gradient_hessian(spec, t, z)
-    for _ in range(max_iter + 1):
+    for _ in range(MAX_ITER + 1):
         gn = float(np.max(np.abs(grad)))
         if gn < tol:
             return DiscreteCurve(t, z)
@@ -224,7 +224,7 @@ def minimize(
                 break
         else:
             raise NoConvergenceError(f"no descent step found at gradient norm {gn:.3e}")
-    raise NoConvergenceError(f"gradient norm still above {tol:.3e} after {max_iter} iterations")
+    raise NoConvergenceError(f"gradient norm still above {tol:.3e} after {MAX_ITER} iterations")
 
 
 def el_residual(spec: WeightFunctionalSpec, profile, t: float) -> float:
@@ -238,11 +238,9 @@ def el_residual(spec: WeightFunctionalSpec, profile, t: float) -> float:
     z, zd, zdd = profile(t)
     a, lam = spec.alpha, spec.lam
     if spec.reference == LZ:
-        if t <= 0.0 and a != round(a):
-            raise DomainError("non-integer exponent needs t > 0")
+        _check_weight_base(t, a, "t")
         return a * t ** (a - 1.0) * zd + (t**a - lam) * zdd
-    if z <= 0.0 and a != round(a):
-        raise DomainError("non-integer exponent needs z > 0")
+    _check_weight_base(z, a, "z")
     return (z**a - lam) * zdd - a * z ** (a - 1.0) * 0.5 * (1.0 - zd**2)
 
 

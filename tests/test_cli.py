@@ -309,12 +309,36 @@ def test_unordered_range_is_a_flag_error(raw, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_profile_values_fill_the_kind_names():
+    assert cli._parse_profile("inverse:0.4,1.5").coefficients == {"z1": 0.4, "z2": 1.5}
+    assert cli._parse_profile("power:5,-1,0").coefficients == {"c": 5.0, "p": -1.0, "d": 0.0}
+    assert cli._parse_profile("poly:1,2").coefficients == {"a": (1.0, 2.0)}
+
+
+@pytest.mark.parametrize("spec", ["log:1", "log:1,2,3", "inverse:1", "power:1,2", "quadratic:1,2"])
+def test_wrong_profile_value_count_or_kind_is_a_flag_error(spec, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli("residual", "--check", "el", "--profile", spec, "--range", "1:2")
+    assert err.value.code == 2
+    assert "argument --profile" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ref", ["lz", "lx"])
+def test_negative_exponent_at_zero_base_exits_one(ref, capsys):
+    # t**(alpha - 1) (lz) and z**(alpha - 1) (lx) at 0 were ZeroDivisionErrors
+    code = run_cli("residual", "--check", "el", "--ref", ref, "--alpha=-1",
+                   "--profile", "power:1,2,0", "--range=-1:1", "--n", "3")
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert out.err == "error: negative exponent with zero weight base\n"
+
+
 def test_overflowing_json_value_exits_one(capsys):
-    # a*c2 overflows to inf; the numpy overflow warnings of the SMS check are
-    # still raised on the way (see CHANGES.md)
-    with pytest.warns(RuntimeWarning):
-        code = run_cli("classify", "parabolic", "--ref", "yz", "--a", "1e300", "--b", "1",
-                       "--c2", "1e300")
+    # a*c2 overflows to inf: the gate counts as violated, so no surface is built
+    # and no numpy warning is raised (pytest turns RuntimeWarnings into errors)
+    code = run_cli("classify", "parabolic", "--ref", "yz", "--a", "1e300", "--b", "1",
+                   "--c2", "1e300")
     out = capsys.readouterr()
     assert code == 1
     assert out.out == ""

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from isokit.core import euclid_dot
 from isokit.curves import (
     LX,
     LZ,
+    PROFILE_KINDS,
     CatenaryFamily,
     GraphCurve,
     PlaneCurve,
@@ -195,6 +197,13 @@ class TestCurvatureResidual:
             )
             assert worst < 1e-9
 
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0])
+    def test_negative_exponent_at_zero_distance(self, alpha):
+        # x**(alpha - 1) at x = 0 was a ZeroDivisionError
+        curve = ProfileForm("power", {"c": 1.0, "p": 2.0, "d": 0.0}).plane_curve(-1.0, 1.0)
+        with pytest.raises(DomainError, match="negative exponent with zero weight base"):
+            catenary_curvature_residual(curve, LZ, alpha, 0.0, 0.0)
+
     def test_nonisotropic_reference_diagonal(self):
         diag = graph(0.2, 2.0, lambda t: t, lambda t: 1.0, lambda t: 0.0)
         # z'' = 0 and the pairing (1 - z'^2)/2 vanishes
@@ -278,14 +287,14 @@ class TestAdmissibility:
         # same point set: position at s equals the original at 3 - s
         assert (j.x, j.z) == pytest.approx((-(3 - 1.25), (3 - 1.25) ** 2))
 
-    def test_pointwise_threshold(self):
+    def test_pointwise_threshold(self, monkeypatch):
         # admissible at the two check nodes but isotropic in between
+        monkeypatch.setattr(curves_module, "CHECK_SAMPLES", 2)
         sneaky = PlaneCurve(
             0.0, 1.0,
             lambda t: (t + math.sin(2 * math.pi * t) / (2 * math.pi), 0.0,
                        1 + math.cos(2 * math.pi * t), 0.0,
                        -2 * math.pi * math.sin(2 * math.pi * t), 0.0),
-            check_samples=2,
         )
         with pytest.raises(NonAdmissibleError):
             curvature(sneaky, 0.5)
@@ -385,6 +394,45 @@ class TestProfileForm:
         j = form.plane_curve(0.5, 3.0).at(1.25)
         assert (j.x, j.xd, j.xdd) == (1.25, 1.0, 0.0)
         assert (j.z, j.zd, j.zdd) == form(1.25)
+
+
+# one admissible coefficient set per kind; every test below runs over PROFILE_KINDS
+KIND_SAMPLES = {
+    "log": {"c": 1.3, "d": -0.2},
+    "power": {"c": 0.8, "p": -1.5, "d": 0.1},
+    "inverse_radius": {"z1": 0.4, "z2": 1.5},
+    "log_parabola": {"quad": 0.4, "z1": 0.2, "z2": -0.7},
+    "quadratic": {"quad": -0.3, "z1": 0.6},
+    "poly": {"a": (0.1, -0.3, 0.2, 0.05)},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PROFILE_KINDS))
+class TestProfileKinds:
+    def test_coefficient_names_are_the_table_names(self, kind):
+        assert sorted(KIND_SAMPLES[kind]) == sorted(PROFILE_KINDS[kind].names)
+
+    def test_derivatives_match_central_differences(self, kind):
+        form, h = ProfileForm(kind, KIND_SAMPLES[kind]), 1e-4
+        for t in (0.6, 1.3, 2.4):
+            z, zd, zdd = form(t)
+            (zm, zdm, _), (zp, zdp, _) = form(t - h), form(t + h)
+            assert zd == pytest.approx((zp - zm) / (2 * h), rel=1e-7, abs=1e-9)
+            assert zdd == pytest.approx((zdp - zdm) / (2 * h), rel=1e-7, abs=1e-9)
+            assert zdd == pytest.approx((zp - 2 * z + zm) / h**2, rel=1e-5, abs=1e-6)
+
+    def test_missing_or_extra_coefficient_names_the_kind(self, kind):
+        co = KIND_SAMPLES[kind]
+        first = next(iter(co))
+        missing = {k: v for k, v in co.items() if k != first}
+        for bad in (missing, {**co, "lam": 0.0}):
+            with pytest.raises(ValueError, match=f"^{kind} profile needs coefficients"):
+                ProfileForm(kind, bad)
+
+    def test_pickles_by_kind_and_coefficients(self, kind):
+        form = ProfileForm(kind, KIND_SAMPLES[kind])
+        back = pickle.loads(pickle.dumps(form))
+        assert back == form and back(1.3) == form(1.3)
 
 
 class TestProfileJet:

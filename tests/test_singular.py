@@ -193,6 +193,14 @@ class TestClassifyParabolic:
         assert report.constraints[0][0] == "a*c2 + 2*b*c1"
         assert report.constraints[0][1] == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("a, c1, c2", [(1e300, 0.0, 1e300), (1e300, -1e300, 1e300)])
+    def test_case_1b_non_finite_gate_is_violated(self, a, c1, c2):
+        # a*c2 overflows to inf (and inf - inf is NaN); no surface is built, so no warning
+        report = classify_parabolic_revolution(a, 1.0, 0.0, c1, c2, PI_YZ)
+        assert report.case == "NoSolution"
+        assert [name for name, _ in report.constraints] == ["a*c2 + 2*b*c1"]
+        assert report.profile is None
+
     def test_nonisotropic_requires_c_and_c1_zero(self):
         report = classify_parabolic_revolution(0.0, 1.0, 1.0, 0.0, 1.0, PI_XY)
         assert report.case == "NoSolution"

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from isokit import variational
 from isokit.curves import LX, LZ, CatenaryFamily
 from isokit.errors import DomainError, NoConvergenceError, SingularDenominatorError
 from isokit.variational import (
@@ -149,9 +150,10 @@ class TestMinimize:
         for coarse, fine in zip(gaps, gaps[1:]):
             assert fine <= 1.1 * coarse
 
-    def test_iteration_budget(self):
+    def test_iteration_budget(self, monkeypatch):
+        monkeypatch.setattr(variational, "MAX_ITER", 0)
         with pytest.raises(NoConvergenceError):
-            minimize(WeightFunctionalSpec(LX, 2.0, 0.0), (1.0, 1.0, 2.0, 3.0), 40, max_iter=0)
+            minimize(WeightFunctionalSpec(LX, 2.0, 0.0), (1.0, 1.0, 2.0, 3.0), 40)
 
     @pytest.mark.parametrize(
         ("n", "where"),

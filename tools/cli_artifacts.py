@@ -88,6 +88,20 @@ COMMANDS = [
                                  "--mesh", "mesh.obj", "--grid", "6x12"])
     for kind, flags in SURFACES.items()
     for pname, spec in PROFILES.items()
+] + [
+    # the Euler-Lagrange residual on the inverse (critical for alpha = 2) and poly profiles
+    ("residual_el_inverse", ["residual", "--check", "el", "--ref", "lz", "--alpha", "2",
+                             "--profile", "inverse:0.4,1.5", "--range", "0.5:3"]),
+    ("residual_el_poly_lx", ["residual", "--check", "el", "--ref", "lx", "--alpha", "1.5",
+                             "--profile", "poly:0.1,-0.3,0.2,0.05", "--range", "1:3"]),
+    # documented error exits: a negative exponent at a zero weight base, an overflowing
+    # classification gate, and a profile with too few values (a flag error)
+    ("residual_el_zero_base", ["residual", "--check", "el", "--ref", "lz", "--alpha=-1",
+                               "--profile", "power:1,2,0", "--range=-1:1", "--n", "3"]),
+    ("classify_parabolic_overflow", ["classify", "parabolic", "--ref", "yz", "--a", "1e300",
+                                     "--b", "1", "--c2", "1e300"]),
+    ("residual_profile_too_few_values", ["residual", "--check", "el", "--profile", "log:1",
+                                         "--range", "1:2"]),
 ]
 
 
