@@ -7,6 +7,7 @@ formatting (17 significant digits), sorted JSON keys, no timestamps.
 """
 
 import argparse
+import functools
 import math
 import sys
 
@@ -80,6 +81,7 @@ def _add_sweep_options(p, trange_flag: str, thetarange_default) -> None:
 _SURFACES = ["revolution", "helicoidal", "parabolic"]
 
 
+@functools.cache  # built on the first run call; every default is immutable
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="isokit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -197,10 +199,9 @@ def _make_surface(args):
 
 
 def _cmd_surface(args) -> int:
-    surf = _make_surface(args)
-    surfaces.write_obj_mesh(args.mesh, surf, *args.grid)
-    sidecar = args.curvature_csv or args.mesh + ".curvature.csv"
-    surfaces.write_vertex_curvature_csv(sidecar, surf, *args.grid)
+    mesh = surfaces._mesh(_make_surface(args), *args.grid)
+    surfaces._write_obj(args.mesh, mesh)
+    surfaces._write_curvature_csv(args.curvature_csv or args.mesh + ".curvature.csv", mesh)
     return 0
 
 
@@ -250,8 +251,26 @@ _COMMANDS = {
 }
 
 
+def _join_values(argv) -> list:
+    """``--opt VALUE`` -> ``--opt=VALUE`` up to a bare ``--``, so that a value
+    starting with '-' (-5e-1, -0.8:0.8) is not read as a flag.  Every option
+    but --help takes exactly one value."""
+    out, it = [], iter(argv)
+    for arg in it:
+        if arg == "--":
+            return out + [arg, *it]
+        if arg.startswith("--") and "=" not in arg and not "--help".startswith(arg):
+            value = next(it, None)
+            arg = arg if value is None else f"{arg}={value}"
+        out.append(arg)
+    return out
+
+
 def run(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(_join_values(sys.argv[1:] if argv is None else argv))
+    if args.command == "surface" and args.mesh == "-" and args.curvature_csv is None:
+        parser.error("surface --mesh - needs --curvature-csv")
     try:
         _check_finite(args)
         return _COMMANDS[args.command](args)

@@ -13,6 +13,8 @@ import math
 import sys
 from typing import NamedTuple
 
+import numpy as np
+
 
 class IsoVec2(NamedTuple):
     """Vector of the isotropic plane: x is spatial, z is the isotropic direction."""
@@ -84,4 +86,5 @@ def write_json(dest, obj) -> None:
 def write_csv(dest, header: str, columns) -> None:
     """Header row, then one row per index of ``columns``, 17 significant digits."""
     row = ",".join(["{:.17g}"] * len(columns)) + "\n"
-    write_text(dest, header + "\n" + "".join(row.format(*r) for r in zip(*columns)))
+    floats = [np.asarray(c, dtype=float).tolist() for c in columns]  # formats faster than np.float64
+    write_text(dest, header + "\n" + "".join(row.format(*r) for r in zip(*floats)))

@@ -308,7 +308,10 @@ def parabolic_revolution_F(spec: ParabolicRevolutionSpec, t: float) -> float:
 
 
 def _mesh(surface: ParamSurface, nu: int, nv: int):
-    """(params, jet, faces) of the mesh; a full turn in v drops the seam column."""
+    """(params, jet, faces) of the mesh; a full turn in v drops the seam column.
+
+    The writers below format one such triple, so a mesh and its curvature
+    sidecar share one grid."""
     wrap_v = abs((surface.v_hi - surface.v_lo) - TWO_PI) < 1e-9
     us = np.linspace(surface.u_lo, surface.u_hi, nu + 1)
     vs = np.linspace(surface.v_lo, surface.v_hi, nv + 1)[: nv if wrap_v else nv + 1]
@@ -332,12 +335,21 @@ def mesh_grid(surface: ParamSurface, nu: int, nv: int):
 
 def write_obj_mesh(path, surface: ParamSurface, nu: int, nv: int) -> None:
     """Wavefront-style text mesh: `v x y z` lines then quad `f` lines."""
-    _, verts, faces = mesh_grid(surface, nu, nv)
-    v_lines = "".join(f"v {x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in verts.tolist())
-    write_text(path, v_lines + "".join(f"f {a} {b} {c} {d}\n" for a, b, c, d in faces.tolist()))
+    _write_obj(path, _mesh(surface, nu, nv))
 
 
 def write_vertex_curvature_csv(path, surface: ParamSurface, nu: int, nv: int) -> None:
     """Per-vertex mean curvature in mesh vertex order, as `u,v,H` rows."""
-    params, jet, _ = _mesh(surface, nu, nv)
+    _write_curvature_csv(path, _mesh(surface, nu, nv))
+
+
+def _write_obj(path, mesh) -> None:
+    _, jet, faces = mesh
+    verts = jet.r.reshape(-1, 3).tolist()
+    v_lines = "".join(f"v {x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in verts)
+    write_text(path, v_lines + "".join(f"f {a} {b} {c} {d}\n" for a, b, c, d in faces.tolist()))
+
+
+def _write_curvature_csv(path, mesh) -> None:
+    params, jet, _ = mesh
     write_csv(path, "u,v,H", (*params.T, jet_mean_curvature(jet).ravel()))

@@ -78,15 +78,11 @@ def _weight_base(spec: WeightFunctionalSpec, t: np.ndarray, z: np.ndarray) -> np
 def _weights(spec, t, z):
     base = _weight_base(spec, t, z)
     w = base**spec.alpha - spec.lam
-    if spec.reference == LX:
+    wp = wpp = np.zeros_like(base)
+    if spec.reference == LX and spec.alpha != 0.0:  # at alpha 0 the weight is constant
         wp = spec.alpha * base ** (spec.alpha - 1.0)
-        if spec.alpha == 1.0:
-            wpp = np.zeros_like(base)
-        else:
+        if spec.alpha != 1.0:
             wpp = spec.alpha * (spec.alpha - 1.0) * base ** (spec.alpha - 2.0)
-    else:
-        wp = np.zeros_like(base)
-        wpp = np.zeros_like(base)
     return w, wp, wpp
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -343,3 +344,137 @@ def test_overflowing_json_value_exits_one(capsys):
     assert code == 1
     assert out.out == ""
     assert out.err.startswith("error: Out of range float values are not JSON compliant")
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_every_option_but_help_takes_one_value():
+    # run joins `--opt VALUE` into `--opt=VALUE`, which needs exactly one value per option
+    parser = cli._build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, subparser in sub.choices.items():
+        for action in subparser._actions:
+            flags = [f for f in action.option_strings if f.startswith("--") and f != "--help"]
+            if flags:
+                assert isinstance(action, argparse._StoreAction) and action.nargs is None, (
+                    name, flags)
+
+
+SESSION = [
+    ["catenary", "--alpha", "2", "--c", "1.5", "--range", "1:3", "--n", "7", "--out", "c.csv"],
+    ["minimize", "--ref", "lx", "--alpha", "1.5", "--endpoints", "0,1.5,1,1.7", "--n", "20",
+     "--out", "p.csv", "--json", "p.json"],
+    ["catenoid", "--r1", "1", "--z1", "0", "--r2", "2.5", "--z2", "1.2", "--mesh", "cat.obj",
+     "--grid", "3x6"],
+    ["surface", "parabolic", "--a", "0.3", "--b", "-1.5", "--c1", "-0.25", "--c2", "0.6",
+     "--thetarange", "-0.8:0.8", "--profile", "log:1.5,0.25", "--trange", "0.8:2.4",
+     "--mesh", "s.obj", "--grid", "3x4"],
+    ["classify", "parabolic", "--a", "1", "--b", "1", "--c1", "0.5", "--c2", "-1", "--ref", "yz"],
+    ["ivp", "--a", "1", "--out", "ivp.csv"],
+    ["residual", "--check", "sms", "--profile", "inverse:0.4,1.5", "--range", "0.5:3",
+     "--grid", "6x4"],
+    ["residual", "--check", "el", "--profile", "log:1", "--range", "1:2"],
+    ["catenary", "--range", "1:2", "--n", "3", "--out", "c.csv"],
+]
+
+
+def _run_session(workdir, fresh):
+    """(exit code, stdout, files) per SESSION command, each in its own directory."""
+    results = []
+    for k, argv in enumerate(SESSION):
+        cwd = workdir / str(k)
+        cwd.mkdir()
+        if fresh:
+            cli._build_parser.cache_clear()
+        out, home = io.StringIO(), os.getcwd()
+        os.chdir(cwd)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = cli.run(argv)
+                except SystemExit as exc:
+                    code = exc.code
+        finally:
+            os.chdir(home)
+        files = {p.name: p.read_bytes() for p in sorted(cwd.iterdir())}
+        results.append((code, out.getvalue(), files))
+    return results
+
+
+def test_cached_parser_gives_the_artifacts_of_fresh_parsers(tmp_path):
+    (tmp_path / "cached").mkdir()
+    (tmp_path / "fresh").mkdir()
+    cached = _run_session(tmp_path / "cached", fresh=False)
+    fresh = _run_session(tmp_path / "fresh", fresh=True)
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [0, 0, 0, 0, 0, 0, 0, 2, 0]
+
+
+def test_defaults_do_not_leak_between_runs(capsys):
+    argv = ["residual", "--check", "el", "--profile", "log:1,0", "--range", "1:2"]
+    for extra in ([], ["--n", "5"], []):
+        run_cli(*argv, *extra)
+    first, with_n, again = capsys.readouterr().out.splitlines()
+    assert again == first != with_n
+
+
+def test_separate_values_may_start_with_a_dash(tmp_path, capsys):
+    joined = ["surface", "parabolic", "--c1=-0.25", "--thetarange=-0.8:0.8", "--b=1.2",
+              "--profile=log:1.5,0.25", "--trange=0.8:2.4", "--grid=3x4"]
+    outputs = []
+    for form, argv in (("joined", joined), ("separate", [x for a in joined for x in a.split("=")])):
+        mesh = tmp_path / f"{form}.obj"
+        assert run_cli(*argv, "--mesh", str(mesh)) == 0
+        outputs.append((mesh.read_bytes(), Path(f"{mesh}.curvature.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+    out = tmp_path / "c.csv"
+    assert run_cli("catenary", "--d", "-5e-1", "--range", "-2:-1", "--n", "3",
+                   "--lambda", "-3", "--out", str(out)) == 0
+    assert out.read_text().splitlines()[1] == "-2,-2,-0.5"
+
+
+def test_argv_none_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["isokit", "classify", "helicoidal", "--c", "-1e0",
+                                      "--ref", "yz"])
+    assert cli.run() == 0
+    assert json.loads(capsys.readouterr().out)["case"] == "NoHelicoidal"
+
+
+def test_values_after_a_bare_double_dash_are_not_joined():
+    assert cli._join_values(["catenary", "--range", "1:2", "--", "--n", "3"]) == [
+        "catenary", "--range=1:2", "--", "--n", "3"]
+    assert cli._join_values(["catenary", "--help", "--range"]) == [
+        "catenary", "--help", "--range"]
+
+
+def test_mesh_to_stdout_needs_a_curvature_csv(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["surface", "revolution", "--profile", "log:1,0", "--trange", "1:2",
+            "--mesh", "-", "--grid", "1x3"]
+    with pytest.raises(SystemExit) as err:
+        run_cli(*argv)
+    assert err.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert [ln for ln in out.err.splitlines() if "error:" in ln] == [
+        "isokit: error: surface --mesh - needs --curvature-csv"]
+    assert list(tmp_path.iterdir()) == []
+    assert run_cli(*argv, "--curvature-csv", "h.csv") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln[0] for ln in lines] == ["v"] * 6 + ["f"] * 3
+    assert [p.name for p in tmp_path.iterdir()] == ["h.csv"]
+
+
+def test_minimize_lx_at_alpha_zero_is_the_straight_line(capsys):
+    # the weight is the constant 1 - lam: no power of the zero base z = 0 is taken
+    code = run_cli("minimize", "--ref", "lx", "--alpha", "0", "--endpoints", "0,0,1,1",
+                   "--n", "10")
+    out = capsys.readouterr()
+    assert code == 0
+    assert out.err == ""
+    lines = out.out.splitlines()
+    rows = [[float(v) for v in r.split(",")] for r in lines[1:lines.index("{")]]
+    assert len(rows) == 11
+    assert all(z == pytest.approx(t, abs=1e-12) for t, _, z in rows)

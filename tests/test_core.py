@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from isokit.core import (
     iso_norm,
     sec_dot,
     top_view,
+    write_csv,
     write_json,
 )
 
@@ -98,3 +100,27 @@ def test_write_json_sorted_indented_with_newline(tmp_path):
     assert buf.getvalue() == expected
     write_json(tmp_path / "o.json", obj)
     assert (tmp_path / "o.json").read_text() == expected
+
+
+def _numpy_scalar_csv(header, columns):
+    """The formatting write_csv replaced: numpy scalars straight into .17g."""
+    row = ",".join(["{:.17g}"] * len(columns)) + "\n"
+    return header + "\n" + "".join(row.format(*r) for r in zip(*columns))
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        (np.linspace(-1.0, 2.0, 7), np.array([1e-300, -0.0, 1e300, 5e-324, math.pi, -1.5, 2.0])),
+        ([1.0 / 3.0, -2.0, 0.1], [math.e, -0.0, 1e22]),
+        (np.linspace(0.1, 0.7, 4, dtype=np.float32), np.arange(4, dtype=np.float32) / 3),
+        (np.arange(-3, 3), [7, -2, 0, 10**15, 2**53, 5]),
+        ([], np.array([])),
+    ],
+    ids=["float64", "float_list", "float32", "int", "empty"],
+)
+def test_write_csv_matches_numpy_scalar_formatting(columns):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        write_csv("-", "a,b", columns)
+    assert buf.getvalue() == _numpy_scalar_csv("a,b", columns)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from isokit import cli, surfaces
 from isokit.core import euclid_dot
 from isokit.curves import CatenaryFamily, GraphCurve, PlaneCurve, read_curve_csv, write_curve_csv
 from isokit.errors import DomainError, NonAdmissibleError
@@ -417,6 +418,22 @@ class TestGridPath:
                 f"{u:.17g},{v:.17g},{mean_curvature(surf, u, v):.17g}" for u, v in params
             ]
             assert rows == expected
+
+    def test_surface_command_grids_its_mesh_once(self, tmp_path, monkeypatch):
+        calls = []
+        mesh = surfaces._mesh
+        monkeypatch.setattr(surfaces, "_mesh", lambda *a: calls.append(a[1:]) or mesh(*a))
+        obj, csv = tmp_path / "m.obj", tmp_path / "m.csv"
+        assert cli.run(["surface", "helicoidal", "--pitch=0.7", "--profile=log:1.5,0.25",
+                        "--trange=0.8:2.4", "--grid=3x5", f"--mesh={obj}",
+                        f"--curvature-csv={csv}"]) == 0
+        assert calls == [(3, 5)]
+        curve = ProfileForm("log", {"c": 1.5, "d": 0.25}).plane_curve(0.8, 2.4)
+        surf = make_helicoidal(HelicoidalSpec(curve, 0.7))
+        write_obj_mesh(tmp_path / "w.obj", surf, 3, 5)
+        write_vertex_curvature_csv(tmp_path / "w.csv", surf, 3, 5)
+        assert (tmp_path / "w.obj").read_bytes() == obj.read_bytes()
+        assert (tmp_path / "w.csv").read_bytes() == csv.read_bytes()
 
     def test_revolution_mesh_is_helicoidal_at_pitch_zero(self, tmp_path):
         curve = ProfileForm("inverse_radius", {"z1": 0.3, "z2": 1.1}).plane_curve(0.6, 2.4)

@@ -7,9 +7,10 @@ through ``cli.run`` inside a fresh temporary directory, and prints one
 ``name sha256`` line per captured stdout stream and per written file, plus
 a ``name/exit code`` line per command.  Run it on two trees and ``diff``
 the outputs to check that a change keeps the CLI artifacts byte-identical.
-Negative option values use the ``--flag=value`` form, which argparse cannot
-mistake for a flag.  Uses only the standard library (and the package under
-test).
+Option values may follow their flag as a separate argument even when they
+start with '-'; the ``*_separate`` commands do so and must hash like their
+``--flag=value`` twins.  Uses only the standard library (and the package
+under test).
 """
 
 import contextlib
@@ -102,6 +103,16 @@ COMMANDS = [
                                      "--b", "1", "--c2", "1e300"]),
     ("residual_profile_too_few_values", ["residual", "--check", "el", "--profile", "log:1",
                                          "--range", "1:2"]),
+    # separate values that start with '-': twins of surface_parabolic_log and
+    # catenary_shifted_log, whose values use the --flag=value form
+    ("surface_parabolic_log_separate", ["surface", "parabolic", "--a", "0.3", "--b", "1.2",
+                                        "--c", "0.4", "--c1", "-0.25", "--c2", "0.6",
+                                        "--thetarange", "-0.8:0.8", "--profile", "log:1.5,0.25",
+                                        "--trange", "0.8:2.4", "--mesh", "mesh.obj",
+                                        "--grid", "6x12"]),
+    ("catenary_shifted_log_separate", ["catenary", "--alpha", "1", "--c", "1.3", "--d", "-2e-1",
+                                       "--lambda", "0.2", "--range", "0.5:2", "--n", "40",
+                                       "--out", "curve.csv"]),
 ]
 
 
