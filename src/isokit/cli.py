@@ -133,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ivp", help="solve the degenerate axis-crossing problem")
     p.add_argument("--a", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=1e-12, help="C^1 correction bound, relative to a")
     p.add_argument("--out", default="-", help="CSV destination")
     p.add_argument("--json", dest="json_out", default=None, help="sidecar destination")
 

@@ -12,12 +12,13 @@ z'(0) = 0 it is solved there as the fixed point of
 
     (T z)(t) = a + int_0^t (1/r) int_0^r tau (1 - z'(tau)^2)/(2 z(tau)) dtau dr
 
-on [0, R], where R keeps T a contractive self-map of the C^1 ball of radius
-a/2 around the constant a (closed-form Lipschitz constants of 0.5/x and
-1 - x^2 on [a/2, 3a/2], then a 0.9 safety factor).  The curvature of the
-solution at the origin is 1/(4a).
+on [0, R]; at a = 1, R = 0.15 keeps T a contractive self-map of the C^1 ball
+of radius 1/2 around 1 (closed-form Lipschitz constants, 0.9 safety factor).
+The equation is invariant under (t, z) -> (a t, a z), so the profile for any
+a is a Z(t/a) on [0, 0.15 a].  Its curvature at the origin is 1/(4a).
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -26,6 +27,7 @@ import numpy as np
 
 from .core import write_csv
 from .errors import (
+    DomainError,
     MaxIterExceededError,
     NonContractionError,
     SingularityError,
@@ -46,14 +48,14 @@ class ProfileODE:
 
     @classmethod
     def nonisotropic_alpha_catenary(cls, alpha: float, lam: float = 0.0) -> "ProfileODE":
-        def rhs(t, z, zp, _a=alpha, _l=lam):
+        def rhs(t, z, zp, _a=alpha, _l=lam, _am1=alpha - 1.0):
             del t
             if z <= 0.0 and _a != round(_a):
                 raise SingularityError("weight base must stay positive")
             denom = z**_a - _l
             if abs(denom) < DENOM_FLOOR:
                 raise SingularityError(f"weight denominator {denom} vanished")
-            return _a * z ** (_a - 1.0) * 0.5 * (1.0 - zp * zp) / denom
+            return _a * z**_am1 * 0.5 * (1.0 - zp * zp) / denom
 
         return cls("nonisotropic_alpha_catenary", rhs, {"alpha": alpha, "lam": lam})
 
@@ -75,17 +77,14 @@ class ProfileODE:
         if b == 0.0:
             raise ValueError("parabolic profile ODE needs b != 0")
         ab2 = a * a + b * b
+        # constant left-to-right prefixes, so each term rounds as when written out in full
+        bc2, bb_ab2, drift, pull = b * c2, b * b / ab2, 2.0 * a * b * c2, 2.0 * b * c2
 
         def rhs(t, z, zp):
-            denom = 2.0 * z + b * c2 * t * t
+            denom = 2.0 * z + bc2 * t * t
             if abs(denom) < DENOM_FLOOR:
                 raise SingularityError(f"denominator {denom} vanished")
-            num = (
-                b * b / ab2
-                - zp * zp
-                + 2.0 * a * b * c2 * t * zp / ab2
-                - 2.0 * b * c2 * (z + b * c2 * t * t) / ab2
-            )
+            num = bb_ab2 - zp * zp + drift * t * zp / ab2 - pull * (z + bc2 * t * t) / ab2
             return num / denom
 
         return cls("parabolic_nonisotropic", rhs, {"a": a, "b": b, "c2": c2})
@@ -225,21 +224,36 @@ def picard_radius(a: float, epsilon: float) -> float:
 def picard_solve_degenerate(a: float, tol: float = 1e-12) -> IVPResult:
     """Axis-crossing revolution profile with z(0) = a > 0 and z'(0) = 0.
 
-    Iterates the integral operator from the constant profile until successive
-    C^1 corrections (max|dz| + max|dz'|) fall below tol; the curvature at the
-    origin is recovered by a least-squares fit of z - a against t^2 and t^4
-    over the inner half of the domain.
+    The profile is a Z(t/a) for the solution Z at a = 1, solved once per tol,
+    so z' = Z'(t/a) and z''(0) = Z''(0)/a.  tol bounds the C^1 corrections
+    relative to a; an a whose heights or z''(0) overflow raises DomainError.
     """
     if not (math.isfinite(a) and a > 0.0):
         raise ValueError(f"a must be finite and positive, got {a}")
-    epsilon = 0.5 * a
-    radius = picard_radius(a, epsilon)
+    unit = _unit_picard(tol)
+    zpp_origin = unit.zpp_origin / a
+    # Z increases, so its last height is the top one
+    if not (math.isfinite(a * float(unit.z[-1])) and math.isfinite(zpp_origin)):
+        raise DomainError(f"the profile scaled to a = {a} overflows a float")
+    return IVPResult(
+        a * unit.t, a * unit.z, unit.zp.copy(), iterations=unit.iterations,
+        contraction_ratios=list(unit.contraction_ratios), zpp_origin=zpp_origin,
+        a=a, radius=a * unit.radius, epsilon=0.5 * a,
+    )
+
+
+@functools.lru_cache(maxsize=4)
+def _unit_picard(tol: float) -> IVPResult:
+    """The a = 1 profile, iterated from the constant until the C^1 correction
+    max|dz| + max|dz'| is below tol; z''(0) is a least-squares fit of z - 1
+    against t^2 and t^4 on the inner half.  Callers copy its arrays."""
+    radius = picard_radius(1.0, 0.5)
     t = np.linspace(0.0, radius, PICARD_NODES)
-    profile = SampledProfile(t, np.full(t.size, float(a)), np.zeros(t.size))
+    profile = SampledProfile(t, np.full(t.size, 1.0), np.zeros(t.size))
     ratios: list[float] = []
     prev_diff = None
     for it in range(1, PICARD_MAX_ITER + 1):
-        new = operator_T_apply(a, profile)
+        new = operator_T_apply(1.0, profile)
         diff = float(np.max(np.abs(new.z - profile.z)) + np.max(np.abs(new.zp - profile.zp)))
         profile = new
         if prev_diff is not None and prev_diff > 0.0:
@@ -250,18 +264,8 @@ def picard_solve_degenerate(a: float, tol: float = 1e-12) -> IVPResult:
                     f"correction ratio {ratio:.3f} >= 1 at iteration {it}"
                 )
         if diff < tol:
-            zpp0 = _origin_curvature_fit(profile)
-            return IVPResult(
-                profile.t,
-                profile.z,
-                profile.zp,
-                iterations=it,
-                contraction_ratios=ratios,
-                zpp_origin=zpp0,
-                a=a,
-                radius=radius,
-                epsilon=epsilon,
-            )
+            return IVPResult(*profile, iterations=it, contraction_ratios=ratios,
+                             zpp_origin=_origin_curvature_fit(profile), radius=radius)
         prev_diff = diff
     raise MaxIterExceededError(f"no convergence to {tol} within {PICARD_MAX_ITER} iterations")
 

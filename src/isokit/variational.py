@@ -147,15 +147,14 @@ def _solve_tridiagonal(diag, off, rhs):
     if cp == 0.0:
         raise ZeroDivisionError("zero pivot in tridiagonal solve")
     di = d[0] = r[0] / cp
-    for i in range(1, n):
-        o = b[i - 1]
+    for i, o, ai, ri in zip(range(1, n), b, a[1:], r[1:]):
         ci = c[i - 1] = o / cp
-        cp = a[i] - o * ci
+        cp = ai - o * ci
         if cp == 0.0:
             raise ZeroDivisionError("zero pivot in tridiagonal solve")
-        di = d[i] = (r[i] - o * di) / cp
-    for i in range(n - 2, -1, -1):
-        di = d[i] = d[i] - c[i] * di
+        di = d[i] = (ri - o * di) / cp
+    for i, ci, dd in zip(range(n - 2, -1, -1), c[::-1], d[-2::-1]):
+        di = d[i] = dd - ci * di
     return d_arr
 
 

@@ -200,14 +200,24 @@ def test_write_csv_dash_follows_current_stdout(tmp_path):
     assert path.read_text() == "t,z\n"
 
 
-def test_ivp_tiny_height_exits_one_without_traceback():
+@pytest.mark.parametrize("a", ["1e-13", "1e300"])
+def test_ivp_extreme_height_keeps_the_origin_law(a, tmp_path, capsys):
+    # the solve is scaled from a = 1, so neither a tiny nor a huge height loses z''(0)
+    assert run_cli("ivp", "--a", a, "--out", str(tmp_path / "ivp.csv")) == 0
+    sidecar = json.loads(capsys.readouterr().out)
+    assert abs(4.0 * float(a) * sidecar["zpp_origin"] - 1.0) <= 1e-6
+
+
+def test_ivp_overflowing_height_exits_one_without_traceback():
     env = dict(os.environ, PYTHONPATH=str(Path(isokit.__file__).resolve().parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-m", "isokit.cli", "ivp", "--a=1e-13"],
+        [sys.executable, "-m", "isokit.cli", "ivp", "--a=1.795e308"],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 1
+    assert proc.stdout == ""
     assert proc.stderr.startswith("error:")
+    assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
 
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isokit.errors import (
     MaxIterExceededError,
@@ -14,6 +16,7 @@ from isokit.odes import (
     IVPResult,
     ProfileODE,
     SampledProfile,
+    _unit_picard,
     integrate,
     ivp_residual,
     operator_T_apply,
@@ -52,6 +55,51 @@ class TestProfileODEs:
             assert ode.rhs(t, t, 1.0) == pytest.approx(0.0, abs=1e-14)
         with pytest.raises(ValueError):
             ProfileODE.parabolic_nonisotropic(0.0, 0.0, 1.0)
+
+
+def _formula_alpha(alpha, lam):
+    return lambda t, z, zp: alpha * z ** (alpha - 1.0) * 0.5 * (1.0 - zp * zp) / (z**alpha - lam)
+
+
+def _formula_revolution():
+    def rhs(t, z, zp):
+        core = (1.0 - zp * zp) / (2.0 * z)
+        return 0.5 * core if t < 1e-8 else core - zp / t
+
+    return rhs
+
+
+def _formula_parabolic(a, b, c2):
+    ab2 = a * a + b * b
+    return lambda t, z, zp: (
+        b * b / ab2
+        - zp * zp
+        + 2.0 * a * b * c2 * t * zp / ab2
+        - 2.0 * b * c2 * (z + b * c2 * t * t) / ab2
+    ) / (2.0 * z + b * c2 * t * t)
+
+
+@pytest.mark.parametrize(
+    "ode, formula",
+    [
+        (ProfileODE.nonisotropic_alpha_catenary(1.0, 0.0), _formula_alpha(1.0, 0.0)),
+        (ProfileODE.nonisotropic_alpha_catenary(2.5, 0.3), _formula_alpha(2.5, 0.3)),
+        (ProfileODE.nonisotropic_alpha_catenary(-1.5, -0.2), _formula_alpha(-1.5, -0.2)),
+        (ProfileODE.revolution_nonisotropic(), _formula_revolution()),
+        (ProfileODE.parabolic_nonisotropic(0.3, 1.2, 0.6), _formula_parabolic(0.3, 1.2, 0.6)),
+        (ProfileODE.parabolic_nonisotropic(-0.7, 1.9, 0.25), _formula_parabolic(-0.7, 1.9, 0.25)),
+        (ProfileODE.parabolic_nonisotropic(1.0, -1.3, -0.45), _formula_parabolic(1.0, -1.3, -0.45)),
+    ],
+    ids=["alpha1", "alpha2.5", "alpha-1.5", "revolution",
+         "parabolic", "parabolic_a<0", "parabolic_b<0"],
+)
+def test_rhs_bytes_match_the_written_formula(ode, formula):
+    # integrate() calls ode.rhs, so only a direct comparison sees a regrouped constant
+    rng = np.random.default_rng(20261018)
+    ts = np.concatenate([[0.0, 5e-9], rng.uniform(0.0, 3.0, 198)])
+    for t, z, zp in zip(ts.tolist(), rng.uniform(0.2, 3.0, 200).tolist(),
+                        rng.uniform(-2.0, 2.0, 200).tolist()):
+        assert ode.rhs(t, z, zp).hex() == formula(t, z, zp).hex()
 
 
 class TestIntegrate:
@@ -186,6 +234,13 @@ class TestOperator:
 
 
 class TestPicard:
+    @pytest.fixture(autouse=True)
+    def _fresh_unit_solve(self):
+        # some tests patch the iteration: none may see or leave a cached unit solve
+        _unit_picard.cache_clear()
+        yield
+        _unit_picard.cache_clear()
+
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
     def test_origin_curvature(self, a):
         res = picard_solve_degenerate(a)
@@ -255,6 +310,27 @@ class TestPicard:
         monkeypatch.setattr(odes_module, "operator_T_apply", expanding)
         with pytest.raises(NonContractionError):
             odes_module.picard_solve_degenerate(1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(min_value=-8.0, max_value=4.0))
+def test_picard_is_the_unit_solve_scaled(exponent):
+    a = 10.0**exponent
+    unit = picard_solve_degenerate(1.0)
+    res = picard_solve_degenerate(a)
+    assert res.z[0] == a
+    assert res.zp[0] == 0.0
+    assert abs(4.0 * a * res.zpp_origin - 1.0) <= 1e-6
+    assert res.t.tobytes() == (a * unit.t).tobytes()
+    assert res.z.tobytes() == (a * unit.z).tobytes()
+    assert res.zp.tobytes() == unit.zp.tobytes()
+    before = [arr.tobytes() for arr in (res.t, res.z, res.zp)]
+    for arr in (res.t, res.z, res.zp):
+        arr[:] = -1.0
+    res.contraction_ratios.clear()
+    again = picard_solve_degenerate(a)
+    assert [arr.tobytes() for arr in (again.t, again.z, again.zp)] == before
+    assert again.contraction_ratios == unit.contraction_ratios
 
 
 class TestContinuity:

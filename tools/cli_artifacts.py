@@ -113,6 +113,9 @@ COMMANDS = [
     ("catenary_shifted_log_separate", ["catenary", "--alpha", "1", "--c", "1.3", "--d", "-2e-1",
                                        "--lambda", "0.2", "--range", "0.5:2", "--n", "40",
                                        "--out", "curve.csv"]),
+    # the degenerate solve away from a = 1, scaled from the a = 1 solution
+    ("ivp_small", ["ivp", "--a", "1e-6", "--out", "profile.csv", "--json", "sidecar.json"]),
+    ("ivp_large", ["ivp", "--a", "1000", "--out", "profile.csv", "--json", "sidecar.json"]),
 ]
 
 
