@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import curves, odes, singular, surfaces, variational
-from .core import write_csv, write_json
+from .core import write_json
 from .errors import IsoKitError
 
 
@@ -157,7 +157,7 @@ def _cmd_catenary(args) -> int:
     )
     t_lo, t_hi = args.trange
     ts = np.linspace(t_lo, t_hi, args.n)
-    write_csv(args.out, "t,x,z", (ts, ts, [family(float(t))[0] for t in ts]))
+    curves.write_curve_csv(args.out, ts, ts, [family(float(t))[0] for t in ts])
     return 0
 
 
@@ -165,7 +165,7 @@ def _cmd_minimize(args) -> int:
     ta, za, tb, zb = (float(v) for v in args.endpoints.split(","))
     spec = variational.WeightFunctionalSpec(args.ref, args.alpha, args.lam)
     curve = variational.minimize(spec, (ta, za, tb, zb), args.n)
-    write_csv(args.out, "t,x,z", (curve.grid, curve.grid, curve.values))
+    curves.write_curve_csv(args.out, curve.grid, curve.grid, curve.values)
     grad = variational.functional_gradient(spec, curve)
     summary = {
         "functional_value": variational.evaluate_functional(spec, curve),
@@ -183,8 +183,8 @@ def _cmd_catenoid(args) -> int:
     if args.mesh and sol.status == "unique":
         form = curves.ProfileForm("log", {"c": sol.c, "d": sol.d})
         t_lo, t_hi = sorted((args.r1, args.r2))
-        spec = surfaces.RevolutionSpec(form.plane_curve(t_lo, t_hi))
-        surfaces.write_obj_mesh(args.mesh, surfaces.make_revolution(spec), *args.grid)
+        surf = surfaces.make_revolution(surfaces.RevolutionSpec(form.plane_curve(t_lo, t_hi)))
+        surfaces.write_obj_mesh(args.mesh, surfaces.mesh_grid(surf, *args.grid))
     return 0
 
 
@@ -193,15 +193,15 @@ def _make_surface(args):
     curve = args.profile.plane_curve(*args.trange)
     if args.kind == "parabolic":
         spec = surfaces.ParabolicRevolutionSpec(args.a, args.b, args.c, args.c1, args.c2, curve)
-        return surfaces.make_parabolic_revolution(spec, *(args.thetarange or (-1.0, 1.0)))
+        return surfaces.make_parabolic_revolution(spec, *(args.thetarange or ()))
     spec = surfaces.HelicoidalSpec(curve, args.pitch if args.kind == "helicoidal" else 0.0)
-    return surfaces.make_helicoidal(spec, *(args.thetarange or (0.0, surfaces.TWO_PI)))
+    return surfaces.make_helicoidal(spec, *(args.thetarange or ()))
 
 
 def _cmd_surface(args) -> int:
-    mesh = surfaces._mesh(_make_surface(args), *args.grid)
-    surfaces._write_obj(args.mesh, mesh)
-    surfaces._write_curvature_csv(args.curvature_csv or args.mesh + ".curvature.csv", mesh)
+    mesh = surfaces.mesh_grid(_make_surface(args), *args.grid)
+    surfaces.write_obj_mesh(args.mesh, mesh)
+    surfaces.write_vertex_curvature_csv(args.curvature_csv or args.mesh + ".curvature.csv", mesh)
     return 0
 
 

@@ -38,6 +38,14 @@ from .quadrature import cumulative_simpson
 DENOM_FLOOR = 1e-12
 PICARD_NODES = 513  # odd, as nested Simpson needs
 PICARD_MAX_ITER = 200
+# Radius of the Picard domain at a = 1, eps = 1/2 (0.9 safety factor): with
+# s = 1 + eps^2 and L = 0.5/(a - eps)^2 * 2 (a + eps) = 6 the Lipschitz constant
+# of the integrand on [a - eps, a + eps],
+# R = 0.9 min(sqrt(4 eps (a - eps)/s), 2 eps (a - eps)/s, sqrt(2/L), 1/L) = 0.15.
+PICARD_UNIT_RADIUS = 0.9 * min(
+    math.sqrt(4.0 * 0.5 * 0.5 / 1.25), 2.0 * 0.5 * 0.5 / 1.25,  # self-map
+    math.sqrt(2.0 / 6.0), 1.0 / 6.0,  # contraction
+)
 
 
 @dataclass(frozen=True)
@@ -206,21 +214,6 @@ def operator_T_apply(a: float, profile: SampledProfile) -> SampledProfile:
     return SampledProfile(t, new_z, outer.copy())
 
 
-def picard_radius(a: float, epsilon: float) -> float:
-    """Domain radius keeping the operator a contractive self-map (0.9 safety)."""
-    if not 0.0 < epsilon < a:
-        raise ValueError("need 0 < epsilon < a")
-    self_map = min(
-        math.sqrt(4.0 * epsilon * (a - epsilon) / (1.0 + epsilon**2)),
-        2.0 * epsilon * (a - epsilon) / (1.0 + epsilon**2),
-    )
-    l1 = 0.5 / (a - epsilon) ** 2  # sup |(0.5/x)'| on [a - epsilon, a + epsilon]
-    l2 = 2.0 * (a + epsilon)  # sup |(1 - x^2)'| on the same interval
-    lip = l1 * l2
-    contraction = min(math.sqrt(2.0 / lip), 1.0 / lip)
-    return 0.9 * min(self_map, contraction)
-
-
 def picard_solve_degenerate(a: float, tol: float = 1e-12) -> IVPResult:
     """Axis-crossing revolution profile with z(0) = a > 0 and z'(0) = 0.
 
@@ -247,8 +240,7 @@ def _unit_picard(tol: float) -> IVPResult:
     """The a = 1 profile, iterated from the constant until the C^1 correction
     max|dz| + max|dz'| is below tol; z''(0) is a least-squares fit of z - 1
     against t^2 and t^4 on the inner half.  Callers copy its arrays."""
-    radius = picard_radius(1.0, 0.5)
-    t = np.linspace(0.0, radius, PICARD_NODES)
+    t = np.linspace(0.0, PICARD_UNIT_RADIUS, PICARD_NODES)
     profile = SampledProfile(t, np.full(t.size, 1.0), np.zeros(t.size))
     ratios: list[float] = []
     prev_diff = None
@@ -265,7 +257,7 @@ def _unit_picard(tol: float) -> IVPResult:
                 )
         if diff < tol:
             return IVPResult(*profile, iterations=it, contraction_ratios=ratios,
-                             zpp_origin=_origin_curvature_fit(profile), radius=radius)
+                             zpp_origin=_origin_curvature_fit(profile), radius=PICARD_UNIT_RADIUS)
         prev_diff = diff
     raise MaxIterExceededError(f"no convergence to {tol} within {PICARD_MAX_ITER} iterations")
 

@@ -182,11 +182,12 @@ def classify_helicoidal(
             constraints=[(name, value)],
         )
     if reference == PI_XY:
+        ode = ProfileODE.revolution_nonisotropic()
         return ClassificationReport(
             case="NonIsotropicODE",
-            parameters={"pitch": 0.0, "reference": reference, "ode_kind": "revolution_nonisotropic"},
+            parameters={"pitch": 0.0, "reference": reference, "ode_kind": ode.kind},
             constraints=[("theta_coefficient", 0.0)],
-            ode=ProfileODE.revolution_nonisotropic(),
+            ode=ode,
         )
     form = ProfileForm("inverse_radius", {"z1": z1, "z2": z2})
     spec = SingularSpec(reference=PI_YZ, alpha=1.0, lam=0.0)
@@ -235,11 +236,12 @@ def classify_parabolic_revolution(
             violated.append(("c1", c1))
         if violated:
             return ClassificationReport("NoSolution", params, violated)
+        ode = ProfileODE.parabolic_nonisotropic(a, b, c2)
         return ClassificationReport(
             case="ParabolicNonIsotropic",
-            parameters={**params, "ode_kind": "parabolic_nonisotropic"},
+            parameters={**params, "ode_kind": ode.kind},
             constraints=[("c", 0.0), ("c1", 0.0)],
-            ode=ProfileODE.parabolic_nonisotropic(a, b, c2),
+            ode=ode,
         )
 
     spec = SingularSpec(reference=PI_YZ, alpha=1.0, lam=0.0)

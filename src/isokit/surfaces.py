@@ -307,11 +307,21 @@ def parabolic_revolution_F(spec: ParabolicRevolutionSpec, t: float) -> float:
     )
 
 
-def _mesh(surface: ParamSurface, nu: int, nv: int):
-    """(params, jet, faces) of the mesh; a full turn in v drops the seam column.
+class Mesh(NamedTuple):
+    """Row-major (N, 2) parameters, the jet at those nodes and (nu*nv, 4) 1-based quad faces."""
 
-    The writers below format one such triple, so a mesh and its curvature
-    sidecar share one grid."""
+    params: np.ndarray
+    jet: SurfaceJet
+    faces: np.ndarray
+
+
+def mesh_grid(surface: ParamSurface, nu: int, nv: int) -> Mesh:
+    """The nu x nv quad mesh, gridded once; its vertices are ``jet.r.reshape(-1, 3)``.
+
+    A v-range spanning a full turn closes the seam by identifying the last
+    column with the first instead of duplicating it.  The writers below format
+    one mesh, so a mesh and its curvature sidecar share one grid.
+    """
     wrap_v = abs((surface.v_hi - surface.v_lo) - TWO_PI) < 1e-9
     us = np.linspace(surface.u_lo, surface.u_hi, nu + 1)
     vs = np.linspace(surface.v_lo, surface.v_hi, nv + 1)[: nv if wrap_v else nv + 1]
@@ -320,36 +330,17 @@ def _mesh(surface: ParamSurface, nu: int, nv: int):
     base, jn = i * ncols + 1, (j + 1) % ncols  # only a wrapped grid reaches the modulo
     faces = np.stack([base + j, base + ncols + j, base + ncols + jn, base + jn], axis=-1)
     params = np.stack(np.meshgrid(us, vs, indexing="ij"), axis=-1).reshape(-1, 2)
-    return params, surface.grid(us, vs), faces.reshape(-1, 4)
+    return Mesh(params, surface.grid(us, vs), faces.reshape(-1, 4))
 
 
-def mesh_grid(surface: ParamSurface, nu: int, nv: int):
-    """Row-major (N, 2) parameters and (N, 3) vertices plus (nu*nv, 4) 1-based quad faces.
-
-    A v-range spanning a full turn closes the seam by identifying the last
-    column with the first instead of duplicating it.
-    """
-    params, jet, faces = _mesh(surface, nu, nv)
-    return params, jet.r.reshape(-1, 3), faces
-
-
-def write_obj_mesh(path, surface: ParamSurface, nu: int, nv: int) -> None:
+def write_obj_mesh(path, mesh: Mesh) -> None:
     """Wavefront-style text mesh: `v x y z` lines then quad `f` lines."""
-    _write_obj(path, _mesh(surface, nu, nv))
-
-
-def write_vertex_curvature_csv(path, surface: ParamSurface, nu: int, nv: int) -> None:
-    """Per-vertex mean curvature in mesh vertex order, as `u,v,H` rows."""
-    _write_curvature_csv(path, _mesh(surface, nu, nv))
-
-
-def _write_obj(path, mesh) -> None:
-    _, jet, faces = mesh
-    verts = jet.r.reshape(-1, 3).tolist()
+    verts = mesh.jet.r.reshape(-1, 3).tolist()
     v_lines = "".join(f"v {x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in verts)
-    write_text(path, v_lines + "".join(f"f {a} {b} {c} {d}\n" for a, b, c, d in faces.tolist()))
+    f_lines = "".join(f"f {a} {b} {c} {d}\n" for a, b, c, d in mesh.faces.tolist())
+    write_text(path, v_lines + f_lines)
 
 
-def _write_curvature_csv(path, mesh) -> None:
-    params, jet, _ = mesh
-    write_csv(path, "u,v,H", (*params.T, jet_mean_curvature(jet).ravel()))
+def write_vertex_curvature_csv(path, mesh: Mesh) -> None:
+    """Per-vertex mean curvature in mesh vertex order, as `u,v,H` rows."""
+    write_csv(path, "u,v,H", (*mesh.params.T, jet_mean_curvature(mesh.jet).ravel()))

@@ -13,6 +13,7 @@ from isokit.errors import (
     StepFailureError,
 )
 from isokit.odes import (
+    PICARD_UNIT_RADIUS,
     IVPResult,
     ProfileODE,
     SampledProfile,
@@ -20,7 +21,6 @@ from isokit.odes import (
     integrate,
     ivp_residual,
     operator_T_apply,
-    picard_radius,
     picard_solve_degenerate,
 )
 
@@ -260,7 +260,7 @@ class TestPicard:
 
     def test_radius_honours_both_bounds(self):
         a, eps = 1.0, 0.5
-        r = picard_radius(a, eps)
+        r = PICARD_UNIT_RADIUS
         self_map = min(
             math.sqrt(4 * eps * (a - eps) / (1 + eps**2)),
             2 * eps * (a - eps) / (1 + eps**2),

@@ -354,21 +354,22 @@ class TestMeshExport:
             )
         )
         path = tmp_path / "patch.obj"
-        write_obj_mesh(path, surf, 4, 6)
+        write_obj_mesh(path, mesh_grid(surf, 4, 6))
         lines = path.read_text().splitlines()
         assert sum(1 for ln in lines if ln.startswith("v ")) == 5 * 7
         assert sum(1 for ln in lines if ln.startswith("f ")) == 4 * 6
 
     def test_wrapped_revolution_seam(self, tmp_path):
         surf = make_revolution(RevolutionSpec(log_profile(1.0).plane_curve(1.0, 2.0)))
-        params, verts, faces = mesh_grid(surf, 3, 8)
+        params, jet, faces = mesh_grid(surf, 3, 8)
+        verts = jet.r.reshape(-1, 3)
         assert len(verts) == 4 * 8  # seam column not duplicated
         assert len(faces) == 3 * 8
         assert all(1 <= idx <= len(verts) for f in faces for idx in f)
         path = tmp_path / "ring.obj"
-        write_obj_mesh(path, surf, 3, 8)
+        write_obj_mesh(path, mesh_grid(surf, 3, 8))
         sidecar = tmp_path / "ring.csv"
-        write_vertex_curvature_csv(sidecar, surf, 3, 8)
+        write_vertex_curvature_csv(sidecar, mesh_grid(surf, 3, 8))
         rows = sidecar.read_text().splitlines()
         assert rows[0] == "u,v,H"
         assert len(rows) == 1 + len(verts)
@@ -409,10 +410,11 @@ class TestGridPath:
             )
         )
         for surf, wrapped in ((revolution, True), (parabolic, False)):
-            params, verts, _ = mesh_grid(surf, 3, 6)
+            params, jet, _ = mesh_grid(surf, 3, 6)
+            verts = jet.r.reshape(-1, 3)
             assert len(verts) == 4 * (6 if wrapped else 7)
             path = tmp_path / "h.csv"
-            write_vertex_curvature_csv(path, surf, 3, 6)
+            write_vertex_curvature_csv(path, mesh_grid(surf, 3, 6))
             rows = path.read_text().splitlines()[1:]
             expected = [
                 f"{u:.17g},{v:.17g},{mean_curvature(surf, u, v):.17g}" for u, v in params
@@ -421,8 +423,8 @@ class TestGridPath:
 
     def test_surface_command_grids_its_mesh_once(self, tmp_path, monkeypatch):
         calls = []
-        mesh = surfaces._mesh
-        monkeypatch.setattr(surfaces, "_mesh", lambda *a: calls.append(a[1:]) or mesh(*a))
+        mesh = surfaces.mesh_grid
+        monkeypatch.setattr(surfaces, "mesh_grid", lambda *a: calls.append(a[1:]) or mesh(*a))
         obj, csv = tmp_path / "m.obj", tmp_path / "m.csv"
         assert cli.run(["surface", "helicoidal", "--pitch=0.7", "--profile=log:1.5,0.25",
                         "--trange=0.8:2.4", "--grid=3x5", f"--mesh={obj}",
@@ -430,16 +432,16 @@ class TestGridPath:
         assert calls == [(3, 5)]
         curve = ProfileForm("log", {"c": 1.5, "d": 0.25}).plane_curve(0.8, 2.4)
         surf = make_helicoidal(HelicoidalSpec(curve, 0.7))
-        write_obj_mesh(tmp_path / "w.obj", surf, 3, 5)
-        write_vertex_curvature_csv(tmp_path / "w.csv", surf, 3, 5)
+        write_obj_mesh(tmp_path / "w.obj", mesh_grid(surf, 3, 5))
+        write_vertex_curvature_csv(tmp_path / "w.csv", mesh_grid(surf, 3, 5))
         assert (tmp_path / "w.obj").read_bytes() == obj.read_bytes()
         assert (tmp_path / "w.csv").read_bytes() == csv.read_bytes()
 
     def test_revolution_mesh_is_helicoidal_at_pitch_zero(self, tmp_path):
         curve = ProfileForm("inverse_radius", {"z1": 0.3, "z2": 1.1}).plane_curve(0.6, 2.4)
         rev, hel = tmp_path / "rev.obj", tmp_path / "hel.obj"
-        write_obj_mesh(rev, make_revolution(RevolutionSpec(curve), 0.0, 2.0), 4, 8)
-        write_obj_mesh(hel, make_helicoidal(HelicoidalSpec(curve, 0.0), 0.0, 2.0), 4, 8)
+        write_obj_mesh(rev, mesh_grid(make_revolution(RevolutionSpec(curve), 0.0, 2.0), 4, 8))
+        write_obj_mesh(hel, mesh_grid(make_helicoidal(HelicoidalSpec(curve, 0.0), 0.0, 2.0), 4, 8))
         assert rev.read_bytes() == hel.read_bytes()
 
 
@@ -481,7 +483,7 @@ class TestGraphProfiles:
             for surf in (make_revolution(rev), make_helicoidal(hel),
                          make_parabolic_revolution(par, -0.8, 0.8)):
                 mesh_grid(surf, 3, 5)
-                write_vertex_curvature_csv(tmp_path / "h.csv", surf, 3, 5)
+                write_vertex_curvature_csv(tmp_path / "h.csv", mesh_grid(surf, 3, 5))
                 assert math.isfinite(relative_area(surf, panels_u=6, panels_v=6))
 
     def test_negative_b_sweeps_with_swapped_parameters(self):

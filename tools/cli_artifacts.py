@@ -116,6 +116,10 @@ COMMANDS = [
     # the degenerate solve away from a = 1, scaled from the a = 1 solution
     ("ivp_small", ["ivp", "--a", "1e-6", "--out", "profile.csv", "--json", "sidecar.json"]),
     ("ivp_large", ["ivp", "--a", "1000", "--out", "profile.csv", "--json", "sidecar.json"]),
+    # the mesh written to stdout, its curvature sidecar to a file
+    ("surface_mesh_stdout", ["surface", "helicoidal", "--pitch", "0.7", "--profile", "log:1.5,0.25",
+                             "--trange", "0.8:2.4", "--mesh", "-", "--curvature-csv", "c.csv",
+                             "--grid", "4x8"]),
 ]
 
 
