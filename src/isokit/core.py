@@ -83,8 +83,18 @@ def write_json(dest, obj) -> None:
     write_text(dest, json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
+def finite_array(values, what: str) -> np.ndarray:
+    """``values`` as a float array; ValueError naming ``what`` if it holds a NaN or an infinity."""
+    arr = np.asarray(values, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} holds the non-finite value {arr[~np.isfinite(arr)].flat[0]}")
+    return arr
+
+
 def write_csv(dest, header: str, columns) -> None:
-    """Header row, then one row per index of ``columns``, 17 significant digits."""
+    """Header row, then one row per index of ``columns``, 17 significant digits; like
+    write_json, a NaN or an infinity raises ValueError and writes nothing."""
     row = ",".join(["{:.17g}"] * len(columns)) + "\n"
-    floats = [np.asarray(c, dtype=float).tolist() for c in columns]  # formats faster than np.float64
+    named = zip(header.split(","), columns, strict=True)
+    floats = [finite_array(c, f"CSV column {n}").tolist() for n, c in named]  # floats format faster
     write_text(dest, header + "\n" + "".join(row.format(*r) for r in zip(*floats)))

@@ -47,12 +47,12 @@ class CurveJet(NamedTuple):
     zdd: float
 
 
-def _check_domain(ts, lo: float, hi: float) -> None:
-    """DomainError unless every t lies in [lo, hi] up to 1e-12 (NaN never does)."""
+def check_domain(ts, lo: float, hi: float) -> None:
+    """DomainError unless every parameter in ts lies in [lo, hi] up to 1e-12 (NaN never does)."""
     ts = np.asarray(ts, dtype=float)
     ok = (ts >= lo - 1e-12) & (ts <= hi + 1e-12)
     if not ok.all():
-        raise DomainError(f"t={ts[~ok].flat[0]} outside [{lo}, {hi}]")
+        raise DomainError(f"parameter {ts[~ok].flat[0]} outside [{lo}, {hi}]")
 
 
 class PlaneCurve:
@@ -127,7 +127,7 @@ class PlaneCurve:
 
         A node outside the domain (or NaN) raises DomainError."""
         ts = np.asarray(ts, dtype=float)
-        _check_domain(ts, self.t_lo, self.t_hi)
+        check_domain(ts, self.t_lo, self.t_hi)
         nodes = self.t_lo + self.t_hi - ts if self._reversed else ts
         out = np.fromiter(chain.from_iterable(map(self._eval, nodes)), float, 6 * ts.size)
         x, z, xd, zd, xdd, zdd = out.reshape(-1, 6).T
@@ -164,7 +164,7 @@ class GraphCurve(PlaneCurve):
         super().__init__(t_lo, t_hi, jet)
 
     def __call__(self, t: float):
-        _check_domain(t, self.t_lo, self.t_hi)
+        check_domain(t, self.t_lo, self.t_hi)
         return self.profile(t)
 
 
@@ -231,10 +231,11 @@ class ProfileKind(NamedTuple):
 
 def _poly_jet(a, t):
     a = np.asarray(a, dtype=float)
-    z = a * t ** np.arange(a.size)
-    zd = a[1:] * np.arange(1, a.size) * t ** np.arange(a.size - 1)
-    zdd = a[2:] * np.arange(2, a.size) * np.arange(1, a.size - 1) * t ** np.arange(a.size - 2)
-    return (float(z.sum()), float(zd.sum()), float(zdd.sum()))
+    with np.errstate(over="raise"):  # an overflow raises, as float ** does, rather than warns
+        z = a * t ** np.arange(a.size)
+        zd = a[1:] * np.arange(1, a.size) * t ** np.arange(a.size - 1)
+        zdd = a[2:] * np.arange(2, a.size) * np.arange(1, a.size - 1) * t ** np.arange(a.size - 2)
+        return (float(z.sum()), float(zd.sum()), float(zdd.sum()))
 
 
 PROFILE_KINDS = {
@@ -272,7 +273,8 @@ class ProfileForm:
     z1 + z2/t; ``log_parabola`` quad*t^2 + z2*ln(t) + z1; ``quadratic``
     quad*t^2 + z1; ``poly`` sum of a[k]*t^k.  The coefficient names must be
     exactly the kind's; other names, an unknown kind and non-finite values
-    are ValueErrors, and a t where the formulas are undefined is a DomainError.
+    are ValueErrors, and a t where the formulas are undefined or overflow is a
+    DomainError.
     """
 
     kind: str
@@ -294,7 +296,10 @@ class ProfileForm:
     def __call__(self, t: float) -> tuple[float, float, float]:
         if self._gap is not None and self._gap(t):
             raise DomainError(f"{self.kind} profile is undefined at t={t}")
-        return self._jet(t)
+        try:  # a float t, not np.float64, so that a power overflow raises, not warns
+            return self._jet(float(t))
+        except (OverflowError, FloatingPointError):
+            raise DomainError(f"{self.kind} profile overflows at t={t}") from None
 
     def __reduce__(self):  # the bound gap and jet do not pickle; kind and coefficients do
         return ProfileForm, (self.kind, self.coefficients)
@@ -313,8 +318,10 @@ class CatenaryFamily:
     With respect to the isotropic axis (reference ``LZ``) the solutions are
     z = c*ln(t - lam) + d for alpha = 1 and z = c*t**(1-alpha) + d (lam = 0)
     for alpha not in {0, 1}, evaluated as ``form``, the ``log`` or ``power``
-    ProfileForm, at t - lam.  Profiles for the non-isotropic axis (``LX``)
-    have no elementary closed form and live in :mod:`isokit.odes`.
+    ProfileForm, at t - lam.  At alpha = 1 the exponent p = 1 - alpha vanishes and
+    the family turns to the log, since ln t is the limit of (t**p - 1)/p as p -> 0.
+    Profiles for the non-isotropic axis (``LX``) have no elementary closed form and
+    live in :mod:`isokit.odes`.
     """
 
     reference: str = LZ
@@ -356,11 +363,14 @@ class CatenaryFamily:
         return GraphCurve(t_lo, t_hi, self)
 
 
-def _check_weight_base(base: float, alpha: float, name: str) -> None:
-    """DomainError where base**alpha or base**(alpha - 1) is undefined."""
-    if base <= 0.0 and alpha != round(alpha):
+def check_weight_base(base, alpha: float, lowest: float, name: str) -> None:
+    """DomainError where a weight power base**e is undefined for an exponent e the
+    caller evaluates, alpha down to ``lowest``: a non-integer alpha at base <= 0, or
+    a negative e at base == 0.  ``base`` is a float or an array of weight bases."""
+    anywhere = np.ndarray.any if isinstance(base, np.ndarray) else bool
+    if alpha != round(alpha) and anywhere(base <= 0.0):
         raise DomainError(f"non-integer exponent needs {name} > 0")
-    if base == 0.0 and alpha < 1.0:
+    if lowest < 0.0 and anywhere(base == 0.0):
         raise DomainError("negative exponent with zero weight base")
 
 
@@ -383,7 +393,7 @@ def catenary_curvature_residual(
         base, pairing = j.z, npar_z
     else:
         raise ValueError(f"unknown reference line {reference!r}")
-    _check_weight_base(base, alpha, "x" if reference == LZ else "z")
+    check_weight_base(base, alpha, alpha - 1.0, "x" if reference == LZ else "z")
     denom = base**alpha - lam
     if abs(denom) < 1e-12:
         raise SingularDenominatorError(

@@ -52,7 +52,6 @@ PICARD_UNIT_RADIUS = 0.9 * min(
 class ProfileODE:
     kind: str
     rhs: Callable[[float, float, float], float]
-    params: dict = field(default_factory=dict)
 
     @classmethod
     def nonisotropic_alpha_catenary(cls, alpha: float, lam: float = 0.0) -> "ProfileODE":
@@ -65,7 +64,7 @@ class ProfileODE:
                 raise SingularityError(f"weight denominator {denom} vanished")
             return _a * z**_am1 * 0.5 * (1.0 - zp * zp) / denom
 
-        return cls("nonisotropic_alpha_catenary", rhs, {"alpha": alpha, "lam": lam})
+        return cls("nonisotropic_alpha_catenary", rhs)
 
     @classmethod
     def revolution_nonisotropic(cls) -> "ProfileODE":
@@ -95,7 +94,7 @@ class ProfileODE:
             num = bb_ab2 - zp * zp + drift * t * zp / ab2 - pull * (z + bc2 * t * t) / ab2
             return num / denom
 
-        return cls("parabolic_nonisotropic", rhs, {"a": a, "b": b, "c2": c2})
+        return cls("parabolic_nonisotropic", rhs)
 
 
 class SampledProfile(NamedTuple):
@@ -211,7 +210,7 @@ def operator_T_apply(a: float, profile: SampledProfile) -> SampledProfile:
     outer[0] = 0.0
     outer[1:] = inner[1:] / t[1:]
     new_z = a + cumulative_simpson(outer, h)
-    return SampledProfile(t, new_z, outer.copy())
+    return SampledProfile(t, new_z, outer)
 
 
 def picard_solve_degenerate(a: float, tol: float = 1e-12) -> IVPResult:

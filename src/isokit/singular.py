@@ -134,7 +134,7 @@ class ClassificationReport:
     def to_json_dict(self) -> dict:
         return {
             "case": self.case,
-            "parameters": {k: self.parameters[k] for k in sorted(self.parameters)},
+            "parameters": dict(self.parameters),
             "constraints": [
                 {"name": name, "residual": float(res)} for name, res in self.constraints
             ],
@@ -171,8 +171,7 @@ def classify_helicoidal(
     or the revolution profile ODE for the non-isotropic one.  ``z1``/``z2``
     instantiate the reported family for residual verification.
     """
-    if reference not in (PI_YZ, PI_XY):
-        raise ValueError(f"unknown reference plane {reference!r}")
+    spec = SingularSpec(reference)  # checks the reference
     if pitch != 0.0:
         name = "sin_theta_coefficient" if reference == PI_YZ else "theta_coefficient"
         value = -pitch if reference == PI_YZ else pitch
@@ -190,7 +189,6 @@ def classify_helicoidal(
             ode=ode,
         )
     form = ProfileForm("inverse_radius", {"z1": z1, "z2": z2})
-    spec = SingularSpec(reference=PI_YZ, alpha=1.0, lam=0.0)
     radial_ode = AlphaRevolutionLink(1.0).ode_residual  # 2 z' + t z''
     ode_res = max(abs(radial_ode(form, float(t))) for t in np.linspace(0.55, 2.95, 50))
     return ClassificationReport(
@@ -224,8 +222,7 @@ def classify_parabolic_revolution(
     """
     if b == 0.0:
         raise ValueError("parabolic revolution needs b != 0")
-    if reference not in (PI_YZ, PI_XY):
-        raise ValueError(f"unknown reference plane {reference!r}")
+    spec = SingularSpec(reference)  # checks the reference
     params = {"a": a, "b": b, "c": c, "c1": c1, "c2": c2, "reference": reference}
 
     if reference == PI_XY:
@@ -244,7 +241,6 @@ def classify_parabolic_revolution(
             ode=ode,
         )
 
-    spec = SingularSpec(reference=PI_YZ, alpha=1.0, lam=0.0)
     if a == 0.0:
         if abs(c1) > 1e-12:
             return ClassificationReport("NoSolution", params, [("c1", c1)])

@@ -22,8 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import IsoVec3, write_csv, write_text
-from .curves import GraphCurve
+from .core import IsoVec3, finite_array, write_csv, write_text
+from .curves import GraphCurve, check_domain
 from .errors import DomainError, NonAdmissibleError
 from .quadrature import simpson_2d
 
@@ -41,10 +41,6 @@ class SurfaceJet(NamedTuple):
     ruu: np.ndarray
     ruv: np.ndarray
     rvv: np.ndarray
-
-
-def _inside(x, lo, hi) -> bool:
-    return bool(((x >= lo - 1e-12) & (x <= hi + 1e-12)).all())  # False for NaN
 
 
 class ParamSurface:
@@ -92,10 +88,8 @@ class ParamSurface:
         One row evaluator call per u-row (per v-row of a swapped surface); a
         node outside the rectangle (or NaN) raises DomainError."""
         us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
-        if not (_inside(us, self.u_lo, self.u_hi) and _inside(vs, self.v_lo, self.v_hi)):
-            raise DomainError(
-                f"grid nodes outside [{self.u_lo}, {self.u_hi}] x [{self.v_lo}, {self.v_hi}]"
-            )
+        check_domain(us, self.u_lo, self.u_hi)
+        check_domain(vs, self.v_lo, self.v_hi)
         if self._swapped:
             us, vs = vs, us
         row = self._rows(vs)
@@ -335,7 +329,7 @@ def mesh_grid(surface: ParamSurface, nu: int, nv: int) -> Mesh:
 
 def write_obj_mesh(path, mesh: Mesh) -> None:
     """Wavefront-style text mesh: `v x y z` lines then quad `f` lines."""
-    verts = mesh.jet.r.reshape(-1, 3).tolist()
+    verts = finite_array(mesh.jet.r, "mesh vertex").reshape(-1, 3).tolist()
     v_lines = "".join(f"v {x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in verts)
     f_lines = "".join(f"f {a} {b} {c} {d}\n" for a, b, c, d in mesh.faces.tolist())
     write_text(path, v_lines + f_lines)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import LX, LZ, _check_weight_base
+from .curves import LX, LZ, check_weight_base
 from .errors import DomainError, NoConvergenceError, SingularDenominatorError
 
 MAX_ITER = 10_000  # Newton steps of minimize
@@ -64,19 +64,11 @@ class DiscreteCurve:
             raise ValueError("grid must be strictly increasing")
 
 
-def _weight_base(spec: WeightFunctionalSpec, t: np.ndarray, z: np.ndarray) -> np.ndarray:
-    base = t if spec.reference == LZ else z
-    if spec.alpha != round(spec.alpha) and np.any(base <= 0.0):
-        raise DomainError(
-            "non-integer exponent requires a positive weight base everywhere"
-        )
-    if spec.alpha < 0 and np.any(base == 0.0):
-        raise DomainError("negative exponent with zero weight base")
-    return base
-
-
 def _weights(spec, t, z):
-    base = _weight_base(spec, t, z)
+    base, name = (t, "t") if spec.reference == LZ else (z, "z")
+    # checking alpha covers LX's alpha - 1 and alpha - 2: for an integer alpha they are
+    # negative only where alpha is, or unused, and a fractional alpha needs base > 0
+    check_weight_base(base, spec.alpha, spec.alpha, name)
     w = base**spec.alpha - spec.lam
     wp = wpp = np.zeros_like(base)
     if spec.reference == LX and spec.alpha != 0.0:  # at alpha 0 the weight is constant
@@ -233,17 +225,15 @@ def el_residual(spec: WeightFunctionalSpec, profile, t: float) -> float:
     z, zd, zdd = profile(t)
     a, lam = spec.alpha, spec.lam
     if spec.reference == LZ:
-        _check_weight_base(t, a, "t")
+        check_weight_base(t, a, a - 1.0, "t")
         return a * t ** (a - 1.0) * zd + (t**a - lam) * zdd
-    _check_weight_base(z, a, "z")
+    check_weight_base(z, a, a - 1.0, "z")
     return (z**a - lam) * zdd - a * z ** (a - 1.0) * 0.5 * (1.0 - zd**2)
 
 
 def discrete_relative_length(curve: DiscreteCurve) -> float:
-    """Relative length of the discrete profile: sum of h*(1 + zdot^2)/2."""
-    h = np.diff(curve.grid)
-    zdot = np.diff(curve.values) / h
-    return float(np.sum(h * 0.5 * (1.0 + zdot**2)))
+    """Relative length sum of h*(1 + zdot^2)/2: the functional of the unit weight t**0."""
+    return evaluate_functional(WeightFunctionalSpec(LZ, 0.0, 0.0), curve)
 
 
 def lambda_sweep(

@@ -296,6 +296,43 @@ def test_profile_outside_its_domain_is_one_error_line(argv, message, tmp_path, c
     assert not mesh.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["catenary", "--range=1:1e300", "--n", "5"], "log profile overflows at t=2.5e+299"),
+        (["residual", "--check=el", "--ref=lz", "--alpha=0", "--lambda=-1e300",
+          "--profile=inverse:3,-1", "--range=3:1e300", "--n=3"],
+         "inverse_radius profile overflows at t=5e+299"),
+    ],
+    ids=["catenary", "residual_el"],
+)
+def test_profile_overflow_is_one_error_line(argv, message, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(*argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["surface", "revolution", "--profile=poly:0,1", "--trange=1:1e300"],
+         "CSV column H holds the non-finite value nan"),
+        (["surface", "helicoidal", "--pitch=1.7e308", "--profile=log:1,0", "--trange=1:2"],
+         "mesh vertex holds the non-finite value inf"),
+    ],
+    ids=["nan_sidecar", "inf_vertices"],
+)
+def test_non_finite_result_writes_no_non_finite_file(argv, message, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's own overflow warnings
+        assert run_cli(*argv, "--grid", "2x3", "--mesh", str(tmp_path / "m.obj")) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "m.obj.curvature.csv").exists()
+    for path in tmp_path.iterdir():  # the finite mesh of the first case may stay
+        assert not {"nan", "inf"} & set(path.read_text().replace("\n", " ").split())
+
+
 def test_non_finite_range_end_exits_one(tmp_path, capsys):
     out = tmp_path / "c.csv"
     assert run_cli("catenary", "--range=1:inf", "--n", "3", "--out", str(out)) == 1

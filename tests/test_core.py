@@ -102,6 +102,18 @@ def test_write_json_sorted_indented_with_newline(tmp_path):
     assert (tmp_path / "o.json").read_text() == expected
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_write_csv_refuses_a_non_finite_value_and_writes_nothing(bad, tmp_path):
+    for dest in (tmp_path / "c.csv", "-"):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), pytest.raises(
+            ValueError, match=f"^CSV column b holds the non-finite value {bad}$"
+        ):
+            write_csv(dest, "a,b", ([1.0, 2.0], np.array([0.5, bad])))
+        assert buf.getvalue() == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def _numpy_scalar_csv(header, columns):
     """The formatting write_csv replaced: numpy scalars straight into .17g."""
     row = ",".join(["{:.17g}"] * len(columns)) + "\n"

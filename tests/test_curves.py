@@ -3,6 +3,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isokit import curves as curves_module
 
@@ -16,6 +18,7 @@ from isokit.curves import (
     PlaneCurve,
     ProfileForm,
     catenary_curvature_residual,
+    check_weight_base,
     curvature,
     minimal_normal,
     parabolic_normal,
@@ -204,6 +207,24 @@ class TestCurvatureResidual:
         with pytest.raises(DomainError, match="negative exponent with zero weight base"):
             catenary_curvature_residual(curve, LZ, alpha, 0.0, 0.0)
 
+    @pytest.mark.parametrize("alpha, lowest", [(0.5, -0.5), (2.0, 1.0), (1.0, 0.0), (-1.0, -1.0),
+                                               (0.0, -1.0), (0.0, 0.0)])
+    def test_weight_base_rule_is_the_same_for_floats_and_arrays(self, alpha, lowest):
+        for base in (-1.0, 0.0, 2.0):
+            if alpha != round(alpha) and base <= 0.0:
+                expected = "non-integer exponent needs x > 0"
+            elif lowest < 0.0 and base == 0.0:
+                expected = "negative exponent with zero weight base"
+            else:
+                expected = None
+            for arg in (base, np.float64(base), np.array([3.0, base]), np.array([[base]])):
+                try:
+                    check_weight_base(arg, alpha, lowest, "x")
+                    got = None
+                except DomainError as exc:
+                    got = str(exc)
+                assert got == expected, (arg, alpha, lowest)
+
     def test_nonisotropic_reference_diagonal(self):
         diag = graph(0.2, 2.0, lambda t: t, lambda t: 1.0, lambda t: 0.0)
         # z'' = 0 and the pairing (1 - z'^2)/2 vanishes
@@ -383,6 +404,10 @@ class TestProfileForm:
         with pytest.raises(DomainError, match=f"{kind} profile is undefined at t={t}"):
             ProfileForm(kind, co)(t)
 
+    def test_overflowing_poly_sum_is_a_domain_error(self):
+        with pytest.raises(DomainError, match=r"^poly profile overflows at t=1.0$"):
+            ProfileForm("poly", {"a": (1e308, 1e308)})(1.0)
+
     def test_defined_edges_of_the_power_domain(self):
         assert ProfileForm("power", {"c": 1.0, "p": 2.0, "d": 0.0})(0.0) == (0.0, 0.0, 2.0)
         assert ProfileForm("power", {"c": 1.0, "p": 2.5, "d": 0.0})(0.0) == (0.0, 0.0, 0.0)
@@ -428,6 +453,13 @@ class TestProfileKinds:
         for bad in (missing, {**co, "lam": 0.0}):
             with pytest.raises(ValueError, match=f"^{kind} profile needs coefficients"):
                 ProfileForm(kind, bad)
+
+    @pytest.mark.parametrize("t", [1e300, np.float64(1e300)], ids=["float", "float64"])
+    def test_overflow_is_a_domain_error_naming_kind_and_t(self, kind, t):
+        # the sample power has p < 0, whose powers of a huge t underflow to 0
+        co = {"c": 0.8, "p": 1.5, "d": 0.1} if kind == "power" else KIND_SAMPLES[kind]
+        with pytest.raises(DomainError, match=rf"^{kind} profile overflows at t=1e\+300$"):
+            ProfileForm(kind, co)(t)
 
     def test_pickles_by_kind_and_coefficients(self, kind):
         form = ProfileForm(kind, KIND_SAMPLES[kind])
@@ -544,3 +576,31 @@ class TestGridPath:
         assert relative_arclength(curve, a, b, panels) == simpson(integrand, a, b, panels=panels)
         ts, _ = simpson_nodes(a, b, 256 if panels is None else panels)
         assert samples[0].tolist() == [integrand(t) for t in ts]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    e=st.floats(-0.9, 0.9),
+    c=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    a=st.floats(-3.0, 3.0),
+    width=st.floats(0.2, 3.0),
+    s=st.floats(0.0, 1.0),
+)
+def test_reversal_keeps_relative_length_and_curvature(e, c, a, width, s):
+    """x = t + e sin t (x' > 0) and z = c0 + c1 t + c2 sin 2t, traversed both ways."""
+    b = a + width
+    fns = (
+        lambda t: t + e * math.sin(t), lambda t: c[0] + c[1] * t + c[2] * math.sin(2 * t),
+        lambda t: 1.0 + e * math.cos(t), lambda t: c[1] + 2 * c[2] * math.cos(2 * t),
+        lambda t: -e * math.sin(t), lambda t: -4 * c[2] * math.sin(2 * t),
+    )
+    sign = (1.0, 1.0, -1.0, -1.0, 1.0, 1.0)  # d/dt of t -> a + b - t flips the first derivatives
+    back = [lambda t, f=f, k=k: k * f(a + b - t) for f, k in zip(fns, sign)]
+    fwd, rev = PlaneCurve.from_functions(a, b, *fns), PlaneCurve.from_functions(a, b, *back)
+    assert relative_arclength(rev, a, b, panels=64) == pytest.approx(
+        relative_arclength(fwd, a, b, panels=64), rel=1e-12
+    )
+    t = a + s * width  # the reversed curve reaches the same point at the same t
+    point = pytest.approx((fwd.at(t).x, fwd.at(t).z), rel=1e-12, abs=1e-12)
+    assert (rev.at(t).x, rev.at(t).z) == point
+    assert curvature(rev, t) == pytest.approx(curvature(fwd, t), rel=1e-12, abs=1e-12)

@@ -33,10 +33,13 @@ def _private_uses(source: str, modules: set) -> list:
     return sorted(hits)
 
 
-def test_cli_uses_no_private_name_of_another_module():
+def test_no_module_uses_a_private_name_of_another_module():
     modules = {m.name for m in pkgutil.iter_modules(isokit.__path__)}
     assert {"cli", "surfaces", "odes"} <= modules
-    assert _private_uses(Path(isokit.__path__[0], "cli.py").read_text(), modules) == []
+    sources = sorted(Path(isokit.__path__[0]).glob("*.py"))
+    assert {p.stem for p in sources} == modules | {"__init__"}
+    for path in sources:
+        assert _private_uses(path.read_text(), modules) == [], path.name
     # the check sees both spellings of a private reach
     probe = "from . import surfaces as s\nfrom .odes import _unit_picard\ns._mesh(x)\n"
     assert _private_uses(probe, modules) == ["odes._unit_picard", "surfaces._mesh"]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isokit import quadrature
 
@@ -10,6 +12,43 @@ def test_simpson_exact_on_cubics():
     # Simpson integrates cubics exactly
     val = quadrature.simpson(lambda t: t**3 - 2 * t + 1, 0.0, 2.0, panels=4)
     assert val == pytest.approx(4.0 - 4.0 + 2.0, abs=1e-13)
+
+
+def _polynomial_case(coeffs, a, width):
+    """(f, exact integral over [a, a + width], the scale a rounding error is relative to)."""
+    b = a + width
+
+    def antiderivative(t):
+        return sum(c * t ** (k + 1) / (k + 1) for k, c in enumerate(coeffs))
+
+    scale = width * sum(abs(c) * max(abs(a), abs(b)) ** k for k, c in enumerate(coeffs))
+    return (lambda t: sum(c * t**k for k, c in enumerate(coeffs)),
+            antiderivative(b) - antiderivative(a), scale)
+
+
+COEFFICIENT = st.floats(-10.0, 10.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[COEFFICIENT] * 4), st.floats(-5.0, 5.0), st.floats(0.01, 5.0),
+       st.integers(1, 100))
+def test_simpson_exact_on_random_cubics(coeffs, a, width, half_panels):
+    f, exact, scale = _polynomial_case(coeffs, a, width)
+    val = quadrature.simpson(f, a, a + width, panels=2 * half_panels)
+    assert abs(val - exact) <= 1e-12 * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[COEFFICIENT] * 4), st.floats(1.0, 10.0), st.sampled_from([-1.0, 1.0]),
+       st.floats(-1.0, 1.0), st.floats(1.0, 3.0), st.integers(1, 4))
+def test_simpson_error_on_quartics_is_the_remainder_term(coeffs, c4, sign, a, width, half_panels):
+    # exact - simpson = -(b - a) h^4 / 180 f^(4), and f^(4) = 24 c4 is constant
+    f, exact, scale = _polynomial_case((*coeffs, sign * c4), a, width)
+    n = 2 * half_panels
+    val = quadrature.simpson(f, a, a + width, panels=n)
+    remainder = -width * (width / n) ** 4 / 180.0 * 24.0 * sign * c4
+    assert abs((exact - val) - remainder) <= 1e-12 * scale
+    assert abs(remainder) > 1e4 * 1e-12 * scale  # the term is far above rounding
 
 
 def test_simpson_smooth_accuracy():

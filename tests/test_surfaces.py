@@ -376,6 +376,15 @@ class TestMeshExport:
         # logarithmoid vertices all carry zero mean curvature
         assert all(abs(float(r.split(",")[2])) < 1e-12 for r in rows[1:])
 
+    def test_obj_writer_refuses_non_finite_vertices(self, tmp_path):
+        surf = make_revolution(RevolutionSpec(log_profile(1.0).plane_curve(1.0, 2.0)))
+        mesh = mesh_grid(surf, 2, 4)
+        r = mesh.jet.r.copy()
+        r[1, 2, 0] = math.nan
+        with pytest.raises(ValueError, match="^mesh vertex holds the non-finite value nan$"):
+            write_obj_mesh(tmp_path / "m.obj", mesh._replace(jet=mesh.jet._replace(r=r)))
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestGridPath:
     def test_grid_matches_evaluator(self):
@@ -396,7 +405,7 @@ class TestGridPath:
         with pytest.raises(DomainError):
             WAVY.at(math.nan, 0.0)
         surf = make_revolution(RevolutionSpec(log_profile(1.0).plane_curve(1.0, math.e)))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=rf"^parameter 0.5 outside \[1.0, {math.e}\]$"):
             relative_area(surf, (0.5, math.e, 0.0, math.pi), panels_u=4, panels_v=4)
 
     def test_curvature_sidecar_rows_follow_mesh_vertices(self, tmp_path):

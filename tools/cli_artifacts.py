@@ -120,6 +120,15 @@ COMMANDS = [
     ("surface_mesh_stdout", ["surface", "helicoidal", "--pitch", "0.7", "--profile", "log:1.5,0.25",
                              "--trange", "0.8:2.4", "--mesh", "-", "--curvature-csv", "c.csv",
                              "--grid", "4x8"]),
+    # error exits at huge t and pitch: a profile whose z'' overflows, a NaN curvature
+    # sidecar and infinite mesh vertices; none may leave a non-finite number in a file
+    ("catenary_overflow", ["catenary", "--range=1:1e300", "--n", "5"]),
+    ("residual_el_overflow", ["residual", "--check=el", "--ref=lz", "--alpha=0", "--lambda=-1e300",
+                              "--profile=inverse:3,-1", "--range=3:1e300", "--n=3"]),
+    ("surface_nan_sidecar", ["surface", "revolution", "--profile=poly:0,1", "--trange=1:1e300",
+                             "--grid", "2x3", "--mesh", "m.obj"]),
+    ("surface_inf_vertices", ["surface", "helicoidal", "--pitch=1.7e308", "--profile=log:1,0",
+                              "--trange=1:2", "--grid", "2x3", "--mesh", "m.obj"]),
 ]
 
 
