@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import curves, odes, singular, surfaces, variational
-from .core import write_json
+from .core import finite_array, write_json
 from .errors import IsoKitError
 
 
@@ -200,8 +200,9 @@ def _make_surface(args):
 
 def _cmd_surface(args) -> int:
     mesh = surfaces.mesh_grid(_make_surface(args), *args.grid)
-    surfaces.write_obj_mesh(args.mesh, mesh)
+    finite_array(mesh.jet.r, "mesh vertex")  # the sidecar writer checks H: neither file on failure
     surfaces.write_vertex_curvature_csv(args.curvature_csv or args.mesh + ".curvature.csv", mesh)
+    surfaces.write_obj_mesh(args.mesh, mesh)
     return 0
 
 
@@ -226,8 +227,7 @@ def _cmd_ivp(args) -> int:
 def _cmd_residual(args) -> int:
     if args.check == "el":
         spec = variational.WeightFunctionalSpec(args.ref, args.alpha, args.lam)
-        t_lo, t_hi = args.trange
-        ts = np.linspace(t_lo, t_hi, args.n)
+        ts = np.linspace(*args.trange, args.n)
         worst = max(abs(variational.el_residual(spec, args.profile, float(t))) for t in ts)
     else:
         surf = _make_surface(args)

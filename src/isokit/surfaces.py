@@ -9,11 +9,11 @@ fundamental form coefficients use the degenerate metric, the second come
 from triple-product determinants, and the relative area integrates
 det(r_u, r_v, n_par).
 
-``ParamSurface.grid`` is the one caller of a surface's row evaluator
-``rows(vs) -> row(u)``, prepared once per grid call; ``row(u)`` gives the
-u-row's jet with entries that are floats or arrays over vs, so a swept surface
-calls its profile once per u-row.  The ``jet_*`` functions (minors, forms, H,
-parabolic normal) work on a jet of any shape; per-point functions are one-node grids.
+``ParamSurface.grid`` calls a surface's evaluator ``evaluate(us, vs)`` once per
+grid with a (nu, 1) column us and a row vs; the jet's entries broadcast to (nu, nv),
+so a swept surface calls its profile once per u-node.  The ``jet_*`` functions
+(minors, forms, H, parabolic normal) work on a jet of any shape; per-point
+functions are one-node grids.
 """
 
 import math
@@ -44,20 +44,21 @@ class SurfaceJet(NamedTuple):
 
 
 class ParamSurface:
-    """Surface from a row evaluator ``rows(vs) -> row(u)`` over a rectangle.
+    """Surface from an evaluator ``evaluate(us, vs)`` over a rectangle.
 
-    ``row(u)`` returns (r, r_u, r_v, r_uu, r_uv, r_vv) on the u-row, each
-    component a float or an array over vs.  The top-view Jacobian X12 is
-    checked on a 9 x 9 grid; where it is negative everywhere, u and v swap
-    roles so that X12 > 0.
+    ``evaluate`` gets a (nu, 1) column of u-nodes and a row of nv v-nodes and
+    returns (r, r_u, r_v, r_uu, r_uv, r_vv), each component a float or an
+    array that broadcasts to (nu, nv).  The top-view Jacobian X12 is checked
+    on a 9 x 9 grid; where it is negative everywhere, u and v swap roles so
+    that X12 > 0.
     """
 
-    def __init__(self, u_lo, u_hi, v_lo, v_hi, rows):
+    def __init__(self, u_lo, u_hi, v_lo, v_hi, evaluate):
         if not (u_lo < u_hi and v_lo < v_hi):
             raise ValueError("empty parameter rectangle")
         self.u_lo, self.u_hi = float(u_lo), float(u_hi)
         self.v_lo, self.v_hi = float(v_lo), float(v_hi)
-        self._rows, self._swapped = rows, False
+        self._evaluate, self._swapped = evaluate, False
         us = np.linspace(self.u_lo, self.u_hi, CHECK_SAMPLES)
         x12s = jet_minors(self.grid(us, np.linspace(self.v_lo, self.v_hi, CHECK_SAMPLES)))[2]
         if np.all(x12s < 0.0):
@@ -70,34 +71,30 @@ class ParamSurface:
     @classmethod
     def graph(cls, u_lo, u_hi, v_lo, v_hi, f, fu, fv, fuu, fuv, fvv) -> "ParamSurface":
         """Surface (u, v, f(u, v)) from a height function and its partials."""
-        heights = (f, fu, fv, fuu, fuv, fvv)
 
-        def rows(vs):
-            def row(u):
-                z, zu, zv, zuu, zuv, zvv = ([h(u, v) for v in vs] for h in heights)
-                return ((u, vs, z), (1.0, 0.0, zu), (0.0, 1.0, zv),
-                        (0.0, 0.0, zuu), (0.0, 0.0, zuv), (0.0, 0.0, zvv))
+        def evaluate(us, vs):
+            z, zu, zv, zuu, zuv, zvv = (
+                np.array([[h(u, v) for v in vs] for u in us[:, 0]]).reshape(us.size, vs.size)
+                for h in (f, fu, fv, fuu, fuv, fvv)
+            )
+            return ((us, vs, z), (1.0, 0.0, zu), (0.0, 1.0, zv),
+                    (0.0, 0.0, zuu), (0.0, 0.0, zuv), (0.0, 0.0, zvv))
 
-            return row
-
-        return cls(u_lo, u_hi, v_lo, v_hi, rows)
+        return cls(u_lo, u_hi, v_lo, v_hi, evaluate)
 
     def grid(self, us, vs) -> SurfaceJet:
         """Jets at the nodes us x vs, fields of shape (len(us), len(vs), 3).
 
-        One row evaluator call per u-row (per v-row of a swapped surface); a
-        node outside the rectangle (or NaN) raises DomainError."""
+        One evaluator call per grid, with u and v exchanged on a swapped
+        surface; a node outside the rectangle (or NaN) raises DomainError."""
         us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
         check_domain(us, self.u_lo, self.u_hi)
         check_domain(vs, self.v_lo, self.v_hi)
-        if self._swapped:
-            us, vs = vs, us
-        row = self._rows(vs)
+        us, vs = (vs, us) if self._swapped else (us, vs)
         out = np.empty((6, 3, us.size, vs.size))
-        for i, u in enumerate(us):
-            for dest, vec in zip(out, row(u)):
-                for comp, x in zip(dest, vec):
-                    comp[i] = x
+        for dest, vec in zip(out, self._evaluate(us[:, None], vs)):
+            for comp, x in zip(dest, vec):
+                comp[...] = x
         if self._swapped:  # back to the caller's (u, v): transpose, r_u <-> r_v, r_uu <-> r_vv
             out = out[[0, 2, 1, 5, 4, 3]].swapaxes(2, 3)
         return SurfaceJet(*np.moveaxis(out, 1, -1))
@@ -218,6 +215,11 @@ class ParabolicRevolutionSpec:
         return self.a * self.c1 + self.b * self.c2 == 0.0
 
 
+def _profile_columns(profile, ts):
+    """(z, z', z'') at the (nu, 1) column ts as (nu, 1) columns: one profile call per float t."""
+    return np.array([profile(t) for t in ts.ravel().tolist()], float).T.reshape(3, -1, 1)
+
+
 def make_helicoidal(
     spec: HelicoidalSpec, theta_lo: float = 0.0, theta_hi: float = TWO_PI
 ) -> ParamSurface:
@@ -225,19 +227,14 @@ def make_helicoidal(
     curve, c = spec.profile, spec.pitch
     profile = curve.profile  # ParamSurface.grid keeps t inside the curve domain
 
-    def rows(ths):
+    def evaluate(ts, ths):
         ct = np.array([math.cos(th) for th in ths])  # np.cos may differ from libm in the last bit
         st = np.array([math.sin(th) for th in ths])
-        cth = c * ths
+        z, zd, zdd = _profile_columns(profile, ts)
+        return ((ts * ct, ts * st, c * ths + z), (ct, st, zd), (-ts * st, ts * ct, c),
+                (0.0, 0.0, zdd), (-st, ct, 0.0), (-ts * ct, -ts * st, 0.0))
 
-        def row(t):
-            z, zd, zdd = profile(t)
-            return ((t * ct, t * st, cth + z), (ct, st, zd), (-t * st, t * ct, c),
-                    (0.0, 0.0, zdd), (-st, ct, 0.0), (-t * ct, -t * st, 0.0))
-
-        return row
-
-    return ParamSurface(curve.t_lo, curve.t_hi, theta_lo, theta_hi, rows)
+    return ParamSurface(curve.t_lo, curve.t_hi, theta_lo, theta_hi, evaluate)
 
 
 make_revolution = make_helicoidal
@@ -251,20 +248,16 @@ def make_parabolic_revolution(
     a, b, c, c1 = spec.a, spec.b, spec.c, spec.c1
     k = spec.a * spec.c1 + spec.b * spec.c2
 
-    def rows(ths):
+    def evaluate(ts, ths):
         th2 = np.float_power(ths, 2)  # pow like scalar **, unlike array **
+        z, zd, zdd = _profile_columns(profile, ts)
+        return (
+            (a * ths + ts, b * ths, c * ths + 0.5 * k * th2 + c1 * ts * ths + z),
+            (1.0, 0.0, c1 * ths + zd), (a, b, c + k * ths + c1 * ts),
+            (0.0, 0.0, zdd), (0.0, 0.0, c1), (0.0, 0.0, k),
+        )
 
-        def row(t):
-            z, zd, zdd = profile(t)
-            return (
-                (a * ths + t, b * ths, c * ths + 0.5 * k * th2 + c1 * t * ths + z),
-                (1.0, 0.0, c1 * ths + zd), (a, b, c + k * ths + c1 * t),
-                (0.0, 0.0, zdd), (0.0, 0.0, c1), (0.0, 0.0, k),
-            )
-
-        return row
-
-    return ParamSurface(curve.t_lo, curve.t_hi, theta_lo, theta_hi, rows)
+    return ParamSurface(curve.t_lo, curve.t_hi, theta_lo, theta_hi, evaluate)
 
 
 def revolution_mean_curvature(profile, t: float) -> float:
@@ -337,4 +330,5 @@ def write_obj_mesh(path, mesh: Mesh) -> None:
 
 def write_vertex_curvature_csv(path, mesh: Mesh) -> None:
     """Per-vertex mean curvature in mesh vertex order, as `u,v,H` rows."""
-    write_csv(path, "u,v,H", (*mesh.params.T, jet_mean_curvature(mesh.jet).ravel()))
+    with np.errstate(all="ignore"):  # write_csv refuses an H that overflowed: no numpy warning
+        write_csv(path, "u,v,H", (*mesh.params.T, jet_mean_curvature(mesh.jet).ravel()))

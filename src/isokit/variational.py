@@ -224,11 +224,16 @@ def el_residual(spec: WeightFunctionalSpec, profile, t: float) -> float:
     """
     z, zd, zdd = profile(t)
     a, lam = spec.alpha, spec.lam
+    base, name = (t, "t") if spec.reference == LZ else (z, "z")
+    check_weight_base(base, a, a - 1.0, name)
+    try:  # a float power that overflows raises, as in ProfileForm
+        w, wp = base**a - lam, a * base ** (a - 1.0)
+    except OverflowError:
+        where = f"t={t}" if spec.reference == LZ else f"z={z} (t={t})"
+        raise DomainError(f"weight power overflows at {where}") from None
     if spec.reference == LZ:
-        check_weight_base(t, a, a - 1.0, "t")
-        return a * t ** (a - 1.0) * zd + (t**a - lam) * zdd
-    check_weight_base(z, a, a - 1.0, "z")
-    return (z**a - lam) * zdd - a * z ** (a - 1.0) * 0.5 * (1.0 - zd**2)
+        return wp * zd + w * zdd
+    return w * zdd - wp * 0.5 * (1.0 - zd**2)
 
 
 def discrete_relative_length(curve: DiscreteCurve) -> float:

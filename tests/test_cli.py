@@ -328,9 +328,26 @@ def test_non_finite_result_writes_no_non_finite_file(argv, message, tmp_path, ca
         warnings.simplefilter("ignore", RuntimeWarning)  # numpy's own overflow warnings
         assert run_cli(*argv, "--grid", "2x3", "--mesh", str(tmp_path / "m.obj")) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert not (tmp_path / "m.obj.curvature.csv").exists()
-    for path in tmp_path.iterdir():  # the finite mesh of the first case may stay
-        assert not {"nan", "inf"} & set(path.read_text().replace("\n", " ").split())
+    assert list(tmp_path.iterdir()) == []  # both artifacts are checked before either is written
+
+
+def test_surface_with_a_failing_sidecar_writes_neither_file(tmp_path, monkeypatch, capsys):
+    # the vertices are finite but H overflows; no numpy warning may reach stderr either
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("surface", "revolution", "--profile=poly:0,1", "--trange=1:1e300",
+                   "--grid", "2x3", "--mesh", "m.obj") == 1
+    assert capsys.readouterr() == ("", "error: CSV column H holds the non-finite value nan\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "ref, message",
+    [("lz", "t=5e+299"), ("lx", "z=5e+299 (t=5e+299)")],
+)
+def test_el_weight_power_overflow_is_one_error_line(ref, message, capsys):
+    assert run_cli("residual", "--check=el", f"--ref={ref}", "--alpha=2", "--profile=poly:0,1",
+                   "--range=1:1e300", "--n=3") == 1
+    assert capsys.readouterr() == ("", f"error: weight power overflows at {message}\n")
 
 
 def test_non_finite_range_end_exits_one(tmp_path, capsys):

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from isokit import cli, surfaces
 from isokit.core import euclid_dot
 from isokit.curves import CatenaryFamily, GraphCurve, PlaneCurve, read_curve_csv, write_curve_csv
 from isokit.errors import DomainError, NonAdmissibleError
-from isokit.singular import ProfileForm, cmc_profile_coefficient
+from isokit.singular import ProfileForm, classify_helicoidal, cmc_profile_coefficient
 from isokit.surfaces import (
     TWO_PI,
     HelicoidalSpec,
@@ -316,8 +318,8 @@ class TestInvariantsAndOrientation:
         # parameters swapped relative to a graph: X12 = -1 before normalization
         surf = ParamSurface(
             0.0, 1.0, 0.0, 2.0,
-            lambda vs: lambda u: (
-                (vs, u, vs * vs),
+            lambda us, vs: (
+                (vs, us, vs * vs),
                 (0.0, 1.0, 0.0),
                 (1.0, 0.0, 2 * vs),
                 (0.0, 0.0, 0.0),
@@ -335,9 +337,9 @@ class TestInvariantsAndOrientation:
         with pytest.raises(NonAdmissibleError):
             ParamSurface(
                 -1.0, 1.0, 0.0, 1.0,
-                lambda vs: lambda u: (
-                    (u * u, vs, 0.0),
-                    (2 * u, 0.0, 0.0),
+                lambda us, vs: (
+                    (us * us, vs, 0.0),
+                    (2 * us, 0.0, 0.0),
                     (0.0, 1.0, 0.0),
                     (2.0, 0.0, 0.0),
                     (0.0, 0.0, 0.0),
@@ -510,8 +512,8 @@ class TestGraphProfiles:
         assert jet.rvv[2] == zdd
 
 
-# The per-node evaluators that preceded the row evaluators, kept as references:
-# each row must reproduce them bit for bit (math.cos/sin, scalar th**2).
+# The per-node evaluators that preceded the array evaluators, kept as references:
+# each grid must reproduce them bit for bit (math.cos/sin, scalar th**2).
 def _helicoidal_node(spec, t, th):
     z, zd, zdd = spec.profile.profile(t)
     c, ct, st = spec.pitch, math.cos(th), math.sin(th)
@@ -598,3 +600,102 @@ class TestRowEvaluator:
         calls.clear()
         relative_area(hel, panels_u=8, panels_v=16)
         assert len(calls) == 9
+        assert all(type(t) is float for t in calls)
+
+    @pytest.mark.parametrize("swapped", [False, True])
+    def test_grid_calls_the_evaluator_once_per_grid(self, swapped):
+        calls = []
+
+        def evaluate(us, vs):  # (u, v, u v), or (v, u, u v) with X12 = -1
+            calls.append((us.shape, vs.shape))
+            r, ru, rv = (us, vs, us * vs), (1.0, 0.0, vs), (0.0, 1.0, us)
+            if swapped:
+                r, ru, rv = (vs, us, us * vs), (0.0, 1.0, vs), (1.0, 0.0, us)
+            return r, ru, rv, (0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, 0.0)
+
+        surf = ParamSurface(0.0, 1.0, -1.0, 1.0, evaluate)
+        assert calls == [((9, 1), (9,))]  # the orientation check is one grid too
+        calls.clear()
+        ts, ss = np.linspace(0.0, 1.0, 7), np.linspace(-1.0, 1.0, 5)
+        us, vs = (ss, ts) if swapped else (ts, ss)  # a swapped surface's u runs over [-1, 1]
+        jet = surf.grid(us, vs)
+        assert calls == [((7, 1), (5,))]
+        assert jet.r.shape == (us.size, vs.size, 3)
+        assert np.array_equal(jet.r[..., 0], np.broadcast_to(us[:, None], jet.r.shape[:2]))
+        assert np.array_equal(jet.r[..., 1], np.broadcast_to(vs, jet.r.shape[:2]))
+        assert np.array_equal(jet.ru[..., 2], np.broadcast_to(vs, jet.r.shape[:2]))
+
+
+def _cubic_heights(a, b, c, d, e):
+    """f = a u^3 + b u^2 v + c u v^2 + d v^3 + e u v and its partials."""
+    return (
+        lambda u, v: a * u**3 + b * u * u * v + c * u * v * v + d * v**3 + e * u * v,
+        lambda u, v: 3 * a * u * u + 2 * b * u * v + c * v * v + e * v,
+        lambda u, v: b * u * u + 2 * c * u * v + 3 * d * v * v + e * u,
+        lambda u, v: 6 * a * u + 2 * b * v,
+        lambda u, v: 2 * b * u + 2 * c * v + e,
+        lambda u, v: 2 * c * u + 6 * d * v,
+    )
+
+
+coefficient = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+interval = st.tuples(
+    st.floats(min_value=-2.0, max_value=1.0), st.floats(min_value=0.1, max_value=2.0)
+).map(lambda lo_width: (lo_width[0], lo_width[0] + lo_width[1]))
+
+
+@given(st.tuples(*[coefficient] * 5), interval, interval)
+def test_transposed_graph_swaps_back_to_the_same_jets(coefficients, u_box, v_box):
+    heights = _cubic_heights(*coefficients)
+    direct = ParamSurface.graph(*u_box, *v_box, *heights)
+
+    def transposed(ss, ts):  # (t, s, f(t, s)): the graph with its parameters exchanged
+        z, zt, zs, ztt, zts, zss = (
+            np.array([[h(t, s) for t in ts] for s in ss[:, 0]]) for h in heights
+        )
+        return ((ts, ss, z), (0.0, 1.0, zs), (1.0, 0.0, zt),
+                (0.0, 0.0, zss), (0.0, 0.0, zts), (0.0, 0.0, ztt))
+
+    swapped = ParamSurface(*v_box, *u_box, transposed)  # X12 = -1: u and v swap on load
+    assert (swapped.u_lo, swapped.u_hi, swapped.v_lo, swapped.v_hi) == (*u_box, *v_box)
+    us, vs = np.linspace(*u_box, 5), np.linspace(*v_box, 4)
+    for got, want in zip(swapped.grid(us, vs), direct.grid(us, vs), strict=True):
+        assert np.array_equal(got, want)
+    area = relative_area(direct, panels_u=16, panels_v=16)
+    assert relative_area(swapped, panels_u=16, panels_v=16) == pytest.approx(area, rel=1e-12)
+
+
+_LOG = ProfileForm("log", {"c": 1.5, "d": 0.25}).plane_curve(0.8, 2.4)
+_POWER = ProfileForm("power", {"c": 0.75, "p": -1.5, "d": 0.5}).plane_curve(0.8, 2.4)
+# float.hex of relative_area at 16^2 and the default 128^2 panels, taken when grids were
+# still filled one u-row at a time: any change to the per-node arithmetic or to the
+# Simpson summation order moves these bits.
+AREA_PINS = {
+    "revolution_log": (
+        lambda: make_revolution(RevolutionSpec(_LOG)),
+        "0x1.f9dc7c25fe4c8p+3", "0x1.f9dc093b9a7dep+3",
+    ),
+    "helicoidal_power": (
+        lambda: make_helicoidal(HelicoidalSpec(_POWER, 0.7)),
+        "0x1.8747fdef3ba34p+3", "0x1.873e7e24a69dfp+3",
+    ),
+    "parabolic_swapped": (
+        lambda: make_parabolic_revolution(
+            ParabolicRevolutionSpec(0.3, -1.5, 0.4, -0.25, 0.6, _LOG), -0.8, 0.8
+        ),
+        "0x1.1b3d23b6f34a5p+2", "0x1.1b3b6561f7352p+2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", AREA_PINS)
+def test_relative_area_bits_are_pinned(name):
+    make, coarse, default = AREA_PINS[name]
+    surf = make()
+    assert relative_area(surf, panels_u=16, panels_v=16).hex() == coarse
+    assert relative_area(surf).hex() == default
+
+
+def test_classification_sms_residual_bits_are_pinned():
+    report = classify_helicoidal(0.0, "yz", 0.3, 1.4)
+    assert dict(report.constraints)["sms_residual_max_abs"].hex() == "0x1.2000000000000p-48"

@@ -243,6 +243,16 @@ class TestElResidual:
         profile = lambda t: (t, 1.0, 0.0)  # noqa: E731
         assert el_residual(spec, profile, 1.3) == 0.0
 
+    def test_weight_power_overflow_names_t(self):
+        spec = WeightFunctionalSpec(LZ, 2.0, 0.0)
+        with pytest.raises(DomainError, match=r"^weight power overflows at t=1e\+300$"):
+            el_residual(spec, lambda t: (t, 1.0, 0.0), 1e300)
+
+    def test_weight_power_overflow_names_z_and_t(self):
+        spec = WeightFunctionalSpec(LX, 2.0, 0.0)
+        with pytest.raises(DomainError, match=r"^weight power overflows at z=1e\+300 \(t=2.0\)$"):
+            el_residual(spec, lambda t: (1e300, 0.0, 0.0), 2.0)
+
 
 def test_triviality_with_plain_length():
     # measured with dt instead of the relative element, the isotropic-weight

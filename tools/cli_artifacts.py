@@ -129,6 +129,9 @@ COMMANDS = [
                              "--grid", "2x3", "--mesh", "m.obj"]),
     ("surface_inf_vertices", ["surface", "helicoidal", "--pitch=1.7e308", "--profile=log:1,0",
                               "--trange=1:2", "--grid", "2x3", "--mesh", "m.obj"]),
+    # the weight power t**alpha of the Euler-Lagrange residual overflows: an error exit
+    ("residual_el_weight_overflow", ["residual", "--check=el", "--ref=lz", "--alpha=2",
+                                     "--profile=poly:0,1", "--range=1:1e300", "--n=3"]),
 ]
 
 
