@@ -47,7 +47,6 @@ from .errors import (
 from .odes import (
     IVPResult,
     ProfileODE,
-    SampledProfile,
     integrate,
     ivp_residual,
     operator_T_apply,

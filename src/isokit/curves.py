@@ -297,9 +297,12 @@ class ProfileForm:
         if self._gap is not None and self._gap(t):
             raise DomainError(f"{self.kind} profile is undefined at t={t}")
         try:  # a float t, not np.float64, so that a power overflow raises, not warns
-            return self._jet(float(t))
+            z, zd, zdd = self._jet(float(t))
         except (OverflowError, FloatingPointError):
-            raise DomainError(f"{self.kind} profile overflows at t={t}") from None
+            z = zd = zdd = math.inf  # what * and / give on overflow, without raising
+        if not (math.isfinite(z) and math.isfinite(zd) and math.isfinite(zdd)):
+            raise DomainError(f"{self.kind} profile overflows at t={t}")
+        return z, zd, zdd
 
     def __reduce__(self):  # the bound gap and jet do not pickle; kind and coefficients do
         return ProfileForm, (self.kind, self.coefficients)
@@ -374,6 +377,17 @@ def check_weight_base(base, alpha: float, lowest: float, name: str) -> None:
         raise DomainError("negative exponent with zero weight base")
 
 
+def weight_powers(base: float, alpha: float, lam: float, name: str, t: float):
+    """(base**alpha - lam, alpha * base**(alpha - 1)) at the float weight base ``name``
+    of parameter t, after ``check_weight_base``; a power that overflows is a DomainError."""
+    check_weight_base(base, alpha, alpha - 1.0, name)
+    try:  # a float power that overflows raises, as in ProfileForm
+        return base**alpha - lam, alpha * base ** (alpha - 1.0)
+    except OverflowError:
+        where = f"t={t}" if name == "t" else f"{name}={base} (t={t})"
+        raise DomainError(f"weight power overflows at {where}") from None
+
+
 def catenary_curvature_residual(
     curve: PlaneCurve, reference: str, alpha: float, lam: float, t: float
 ) -> float:
@@ -388,19 +402,17 @@ def catenary_curvature_residual(
     j = _admissible(curve.at(t))
     npar_x, npar_z = _parabolic_normal(j)
     if reference == LZ:
-        base, pairing = j.x, npar_x
+        base, pairing, name = j.x, npar_x, "x"
     elif reference == LX:
-        base, pairing = j.z, npar_z
+        base, pairing, name = j.z, npar_z, "z"
     else:
         raise ValueError(f"unknown reference line {reference!r}")
-    check_weight_base(base, alpha, alpha - 1.0, "x" if reference == LZ else "z")
-    denom = base**alpha - lam
+    denom, wp = weight_powers(base, alpha, lam, name, t)
     if abs(denom) < 1e-12:
         raise SingularDenominatorError(
             f"weight denominator {denom} at t={t} is numerically zero"
         )
-    rhs = alpha * base ** (alpha - 1.0) * pairing / denom
-    return _curvature(j) - rhs
+    return _curvature(j) - wp * pairing / denom
 
 
 def write_curve_csv(path, t: np.ndarray, x: np.ndarray, z: np.ndarray) -> None:

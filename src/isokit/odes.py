@@ -20,12 +20,13 @@ a is a Z(t/a) on [0, 0.15 a].  Its curvature at the origin is 1/(4a).
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
 from .core import write_csv
+from .curves import check_domain
 from .errors import (
     DomainError,
     MaxIterExceededError,
@@ -97,12 +98,6 @@ class ProfileODE:
         return cls("parabolic_nonisotropic", rhs)
 
 
-class SampledProfile(NamedTuple):
-    t: np.ndarray
-    z: np.ndarray
-    zp: np.ndarray
-
-
 @dataclass
 class IVPResult:
     t: np.ndarray
@@ -115,11 +110,29 @@ class IVPResult:
     radius: float | None = None
     epsilon: float | None = None
 
+    def __call__(self, s):
+        """(z, z', z'') at s of the cubic Hermite interpolant through (t, z, zp): O(h^4) in
+        z between nodes, the samples (z, z') at a node.  A float s gives floats and an array
+        s arrays; an s outside the samples' range is a DomainError."""
+        t, z, p = self.t, self.z, self.zp
+        if t[0] > t[-1]:  # a backward run stores a decreasing grid: read it increasing
+            t, z, p = t[::-1], z[::-1], p[::-1]
+        check_domain(s, t[0], t[-1])
+        s = np.asarray(s, dtype=float)
+        i = np.clip(np.searchsorted(t, s, side="right") - 1, 0, t.size - 2)
+        h, z0, z1, p0, p1 = t[i + 1] - t[i], z[i], z[i + 1], p[i], p[i + 1]
+        th = (s - t[i]) / h
+        u, slope = 1.0 - th, (z1 - z0) / h
+        jet = (  # basis form: at th = 0 and th = 1 every other term is an exact zero
+            u * u * (1.0 + 2.0 * th) * z0 + th * th * (1.0 + 2.0 * u) * z1
+            + h * th * u * (u * p0 - th * p1),
+            6.0 * th * u * slope + u * (u - 2.0 * th) * p0 + th * (th - 2.0 * u) * p1,
+            (p1 - p0 + 6.0 * (u - th) * (slope - 0.5 * (p0 + p1))) / h,
+        )
+        return tuple(map(float, jet)) if s.ndim == 0 else jet
+
     def state_at(self, t: float) -> tuple[float, float]:
-        ts, zs, ps = self.t, self.z, self.zp
-        if ts[0] > ts[-1]:  # backward integration stores a decreasing grid
-            ts, zs, ps = ts[::-1], zs[::-1], ps[::-1]
-        return (float(np.interp(t, ts, zs)), float(np.interp(t, ts, ps)))
+        return self(t)[:2]
 
     def write_csv(self, path) -> None:
         write_csv(path, "t,z,zp", (self.t, self.z, self.zp))
@@ -174,33 +187,21 @@ def integrate(
 
 
 def ivp_residual(result: IVPResult, ode: ProfileODE) -> float:
-    """Max |z'' - rhs| at cell midpoints, reconstructed from the samples.
-
-    The midpoint state comes from the two-point cubic Hermite interpolant and
-    z'' from the difference quotient of z', so the bound reflects the
-    fourth-order accuracy of the stored solution.
-    """
-    t, z, zp = result.t, result.z, result.zp
-    h = t[1:] - t[:-1]
-    tm = 0.5 * (t[:-1] + t[1:])
-    zm = 0.5 * (z[:-1] + z[1:]) + h * (zp[:-1] - zp[1:]) / 8.0
-    pm = 1.5 * (z[1:] - z[:-1]) / h - 0.25 * (zp[:-1] + zp[1:])
-    zppm = (zp[1:] - zp[:-1]) / h
-    res = [
-        abs(zppm[i] - ode.rhs(float(tm[i]), float(zm[i]), float(pm[i])))
-        for i in range(tm.size)
-    ]
-    return max(res)
+    """Max |z'' - rhs| of the result's Hermite profile at the cell midpoints, where z''
+    is the difference quotient of z': the bound reflects the samples' O(h^4) accuracy."""
+    tm = 0.5 * (result.t[:-1] + result.t[1:])
+    cols = map(memoryview, (tm, *result(tm)))  # iterated as Python floats, with no list
+    return max(abs(q - ode.rhs(t, z, p)) for t, z, p, q in zip(*cols))
 
 
-def operator_T_apply(a: float, profile: SampledProfile) -> SampledProfile:
+def operator_T_apply(a: float, profile: IVPResult) -> IVPResult:
     """One application of the degenerate-problem integral operator.
 
     Inner and outer integrals use the cumulative Simpson rule on the profile's
     own uniform grid; the outer integrand (1/r times the inner integral)
     extends continuously by 0 at the origin.
     """
-    t, z, zp = profile
+    t, z, zp = profile.t, profile.z, profile.zp
     if np.any(z <= DENOM_FLOOR):
         raise SingularityError("profile height fell below the division floor")
     h = float(t[1] - t[0])
@@ -210,7 +211,7 @@ def operator_T_apply(a: float, profile: SampledProfile) -> SampledProfile:
     outer[0] = 0.0
     outer[1:] = inner[1:] / t[1:]
     new_z = a + cumulative_simpson(outer, h)
-    return SampledProfile(t, new_z, outer)
+    return IVPResult(t, new_z, outer)
 
 
 def picard_solve_degenerate(a: float, tol: float = 1e-12) -> IVPResult:
@@ -240,7 +241,7 @@ def _unit_picard(tol: float) -> IVPResult:
     max|dz| + max|dz'| is below tol; z''(0) is a least-squares fit of z - 1
     against t^2 and t^4 on the inner half.  Callers copy its arrays."""
     t = np.linspace(0.0, PICARD_UNIT_RADIUS, PICARD_NODES)
-    profile = SampledProfile(t, np.full(t.size, 1.0), np.zeros(t.size))
+    profile = IVPResult(t, np.full(t.size, 1.0), np.zeros(t.size))
     ratios: list[float] = []
     prev_diff = None
     for it in range(1, PICARD_MAX_ITER + 1):
@@ -255,15 +256,15 @@ def _unit_picard(tol: float) -> IVPResult:
                     f"correction ratio {ratio:.3f} >= 1 at iteration {it}"
                 )
         if diff < tol:
-            return IVPResult(*profile, iterations=it, contraction_ratios=ratios,
-                             zpp_origin=_origin_curvature_fit(profile), radius=PICARD_UNIT_RADIUS)
+            return replace(profile, iterations=it, contraction_ratios=ratios,
+                           zpp_origin=_origin_curvature_fit(profile), radius=PICARD_UNIT_RADIUS)
         prev_diff = diff
     raise MaxIterExceededError(f"no convergence to {tol} within {PICARD_MAX_ITER} iterations")
 
 
-def _origin_curvature_fit(profile: SampledProfile) -> float:
+def _origin_curvature_fit(profile: IVPResult) -> float:
     """z''(0) from a least-squares even-polynomial fit near the origin."""
-    t, z, _ = profile
+    t, z = profile.t, profile.z
     cut = t <= 0.5 * t[-1]
     w = float(t[cut][-1])
     s = (t[cut] / w) ** 2

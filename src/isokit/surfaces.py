@@ -223,8 +223,12 @@ def _profile_columns(profile, ts):
 def make_helicoidal(
     spec: HelicoidalSpec, theta_lo: float = 0.0, theta_hi: float = TWO_PI
 ) -> ParamSurface:
-    """(t cos v, t sin v, pitch*v + z(t)); at pitch 0 the surface of revolution."""
-    curve, c = spec.profile, spec.pitch
+    """(t cos v, t sin v, pitch*v + z(t)); at pitch 0 the surface of revolution.
+
+    A pitch*v that is not finite at either end of [theta_lo, theta_hi] is a DomainError."""
+    curve, c = spec.profile, float(spec.pitch)
+    if not all(math.isfinite(c * float(th)) for th in (theta_lo, theta_hi)):
+        raise DomainError(f"pitch {c} times theta is not finite on [{theta_lo}, {theta_hi}]")
     profile = curve.profile  # ParamSurface.grid keeps t inside the curve domain
 
     def evaluate(ts, ths):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import LX, LZ, check_weight_base
+from .curves import LX, LZ, check_weight_base, weight_powers
 from .errors import DomainError, NoConvergenceError, SingularDenominatorError
 
 MAX_ITER = 10_000  # Newton steps of minimize
@@ -223,17 +223,14 @@ def el_residual(spec: WeightFunctionalSpec, profile, t: float) -> float:
     axis it is (z**alpha - lam)*z'' - alpha*z**(alpha-1)*(1 - z'^2)/2 = 0.
     """
     z, zd, zdd = profile(t)
-    a, lam = spec.alpha, spec.lam
     base, name = (t, "t") if spec.reference == LZ else (z, "z")
-    check_weight_base(base, a, a - 1.0, name)
-    try:  # a float power that overflows raises, as in ProfileForm
-        w, wp = base**a - lam, a * base ** (a - 1.0)
-    except OverflowError:
-        where = f"t={t}" if spec.reference == LZ else f"z={z} (t={t})"
-        raise DomainError(f"weight power overflows at {where}") from None
+    w, wp = weight_powers(base, spec.alpha, spec.lam, name, t)
     if spec.reference == LZ:
         return wp * zd + w * zdd
-    return w * zdd - wp * 0.5 * (1.0 - zd**2)
+    try:  # the slope square overflows like the weight powers
+        return w * zdd - wp * 0.5 * (1.0 - zd**2)
+    except OverflowError:
+        raise DomainError(f"slope square overflows at t={t}") from None
 
 
 def discrete_relative_length(curve: DiscreteCurve) -> float:

@@ -1,9 +1,11 @@
 import argparse
 import contextlib
+import importlib.util
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -318,7 +320,8 @@ def test_profile_overflow_is_one_error_line(argv, message, capsys):
     [
         (["surface", "revolution", "--profile=poly:0,1", "--trange=1:1e300"],
          "CSV column H holds the non-finite value nan"),
-        (["surface", "helicoidal", "--pitch=1.7e308", "--profile=log:1,0", "--trange=1:2"],
+        (["surface", "helicoidal", "--pitch=1e308", "--thetarange=0:1.5", "--profile=poly:1e308",
+          "--trange=1:2"],
          "mesh vertex holds the non-finite value inf"),
     ],
     ids=["nan_sidecar", "inf_vertices"],
@@ -329,6 +332,34 @@ def test_non_finite_result_writes_no_non_finite_file(argv, message, tmp_path, ca
         assert run_cli(*argv, "--grid", "2x3", "--mesh", str(tmp_path / "m.obj")) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == []  # both artifacts are checked before either is written
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["surface", "helicoidal", "--pitch=1.7e308", "--profile=log:1,0", "--trange=1:2",
+          "--grid", "2x3", "--mesh", "m.obj"],
+         "pitch 1.7e+308 times theta is not finite on [0.0, 6.283185307179586]"),
+        (["residual", "--check=el", "--ref=lx", "--alpha=1", "--profile=poly:0,1e200",
+          "--range=1:2", "--n=3"],
+         "slope square overflows at t=1.0"),
+        (["surface", "parabolic", "--profile", "log:1e300,0.5", "--trange", "1e-13:2.5",
+          "--mesh", "m.obj", "--grid", "3x4", "--c1", "1", "--c2", "0.5"],
+         "log profile overflows at t=1e-13"),
+        (["catenoid", "--r1", "1", "--z1", "-1e300", "--r2", "1e-13", "--z2", "-1",
+          "--mesh", "m.obj", "--grid", "3x4"],
+         "log profile overflows at t=1e-13"),
+    ],
+    ids=["helicoidal_pitch", "el_slope_square", "parabolic_log", "catenoid_log"],
+)
+def test_pitch_slope_and_jet_overflow_is_one_error_line(argv, message, tmp_path, monkeypatch,
+                                                        capsys):
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_surface_with_a_failing_sidecar_writes_neither_file(tmp_path, monkeypatch, capsys):
@@ -542,3 +573,33 @@ def test_minimize_lx_at_alpha_zero_is_the_straight_line(capsys):
     rows = [[float(v) for v in r.split(",")] for r in lines[1:lines.index("{")]]
     assert len(rows) == 11
     assert all(z == pytest.approx(t, abs=1e-12) for t, _, z in rows)
+
+
+def _artifact_commands():
+    path = Path(__file__).resolve().parents[1] / "tools" / "cli_artifacts.py"
+    spec = importlib.util.spec_from_file_location("cli_artifacts", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.COMMANDS
+
+
+ARTIFACT_COMMANDS = _artifact_commands()
+# what a documented exit may print: an error line of its own or argparse's usage and error lines
+STDERR_LINE = re.compile(r"error: |usage: | |isokit( \w+)?: error: ")
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in ARTIFACT_COMMANDS],
+                         ids=[name for name, _ in ARTIFACT_COMMANDS])
+def test_artifact_command_exits_cleanly_without_warnings(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        try:
+            code = cli.run(list(argv))
+        except SystemExit as exc:  # argparse flag errors
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert [f"{w.category.__name__}: {w.message}" for w in caught] == []
+    assert [ln for ln in err.getvalue().splitlines() if not STDERR_LINE.match(ln)] == []

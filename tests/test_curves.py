@@ -200,6 +200,11 @@ class TestCurvatureResidual:
             )
             assert worst < 1e-9
 
+    def test_weight_power_overflow_is_a_domain_error(self):
+        curve = ProfileForm("poly", {"a": (1.0, 1e200)}).plane_curve(1.0, 2.0)
+        with pytest.raises(DomainError, match=r"^weight power overflows at z=1.5e\+200 \(t=1.5\)$"):
+            catenary_curvature_residual(curve, LX, 2.0, 0.0, 1.5)
+
     @pytest.mark.parametrize("alpha", [-1.0, 0.0])
     def test_negative_exponent_at_zero_distance(self, alpha):
         # x**(alpha - 1) at x = 0 was a ZeroDivisionError
@@ -407,6 +412,14 @@ class TestProfileForm:
     def test_overflowing_poly_sum_is_a_domain_error(self):
         with pytest.raises(DomainError, match=r"^poly profile overflows at t=1.0$"):
             ProfileForm("poly", {"a": (1e308, 1e308)})(1.0)
+
+    @pytest.mark.parametrize("kind, co, t", [
+        ("log", {"c": 1e300, "d": 0.5}, 1e-13),  # c / t overflows: no ** raises
+        ("inverse_radius", {"z1": 0.0, "z2": 1e300}, 1e-10),
+    ])
+    def test_non_finite_jet_is_a_domain_error(self, kind, co, t):
+        with pytest.raises(DomainError, match=rf"^{kind} profile overflows at t={t}$"):
+            ProfileForm(kind, co)(t)
 
     def test_defined_edges_of_the_power_domain(self):
         assert ProfileForm("power", {"c": 1.0, "p": 2.0, "d": 0.0})(0.0) == (0.0, 0.0, 2.0)

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isokit.curves import GraphCurve
 from isokit.errors import (
+    DomainError,
     MaxIterExceededError,
     NonContractionError,
     SingularityError,
@@ -16,13 +18,14 @@ from isokit.odes import (
     PICARD_UNIT_RADIUS,
     IVPResult,
     ProfileODE,
-    SampledProfile,
     _unit_picard,
     integrate,
     ivp_residual,
     operator_T_apply,
     picard_solve_degenerate,
 )
+from isokit.singular import PI_XY, SingularSpec, max_sms_residual
+from isokit.surfaces import RevolutionSpec, make_revolution
 
 E_SMS = ProfileODE.revolution_nonisotropic()
 
@@ -214,20 +217,20 @@ class TestIntegrateReference:
 class TestOperator:
     def test_constant_profile_maps_to_quadratic(self):
         t = np.linspace(0.0, 0.5, 129)
-        prof = SampledProfile(t, np.full(t.size, 2.0), np.zeros(t.size))
+        prof = IVPResult(t, np.full(t.size, 2.0), np.zeros(t.size))
         out = operator_T_apply(2.0, prof)
         np.testing.assert_allclose(out.z, 2.0 + t**2 / 16.0, atol=1e-13)
         assert out.zp[0] == 0.0
 
     def test_division_floor(self):
         t = np.linspace(0.0, 0.5, 65)
-        prof = SampledProfile(t, np.zeros(t.size), np.zeros(t.size))
+        prof = IVPResult(t, np.zeros(t.size), np.zeros(t.size))
         with pytest.raises(SingularityError):
             operator_T_apply(1.0, prof)
 
     def test_fixed_point_is_stationary(self):
         res = picard_solve_degenerate(1.0, tol=1e-13)
-        prof = SampledProfile(res.t, res.z, res.zp)
+        prof = IVPResult(res.t, res.z, res.zp)
         again = operator_T_apply(1.0, prof)
         drift = np.max(np.abs(again.z - res.z)) + np.max(np.abs(again.zp - res.zp))
         assert drift < 1e-12
@@ -305,7 +308,7 @@ class TestPicard:
         def expanding(a, profile):
             # corrections double every call, so the second ratio is 2 >= 1
             state["step"] *= 2.0
-            return SampledProfile(profile.t, profile.z + state["step"], profile.zp)
+            return IVPResult(profile.t, profile.z + state["step"], profile.zp)
 
         monkeypatch.setattr(odes_module, "operator_T_apply", expanding)
         with pytest.raises(NonContractionError):
@@ -364,3 +367,55 @@ def test_result_serialization(tmp_path):
     json.dumps(sidecar)  # must be serializable as-is
     plain = IVPResult(np.array([0.0, 1.0]), np.array([1.0, 2.0]), np.array([1.0, 1.0]))
     assert plain.sidecar_dict()["a"] is None
+
+
+class TestSampledProfile:
+    """An IVPResult is the cubic Hermite profile through its (t, z, z') samples."""
+
+    @staticmethod
+    def _cubic(s):
+        return 2.0 * s**3 - s**2 + 0.5 * s + 5.0, 6.0 * s**2 - 2.0 * s + 0.5, 12.0 * s - 2.0
+
+    def test_nodes_give_the_samples_bit_for_bit(self):
+        forward = integrate(E_SMS, 1.0, 1.0, 0.0, 3.0, 64)
+        backward = integrate(E_SMS, 3.0, *forward.state_at(3.0), 1.0, 64)
+        for res in (forward, backward, picard_solve_degenerate(0.7)):
+            for t, z, zp in zip(res.t.tolist(), res.z.tolist(), res.zp.tolist()):
+                assert tuple(map(float.hex, res.state_at(t))) == (z.hex(), zp.hex())
+            z, zp, _ = res(res.t)
+            assert (z.tobytes(), zp.tobytes()) == (res.z.tobytes(), res.zp.tobytes())
+
+    def test_cubic_samples_are_reproduced_between_nodes(self):
+        t = np.linspace(-1.0, 2.0, 7)
+        res = IVPResult(t, *self._cubic(t)[:2])
+        s = np.linspace(-1.0, 2.0, 101)
+        for got, want in zip(res(s), self._cubic(s)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_backward_result_equals_its_reversed_forward_twin(self):
+        forward = integrate(E_SMS, 1.0, 1.0, 0.0, 3.0, 16)
+        backward = IVPResult(forward.t[::-1], forward.z[::-1], forward.zp[::-1])
+        s = np.linspace(1.0, 3.0, 37)
+        for got, want in zip(backward(s), forward(s)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("s", [0.5, 3.5, math.nan, [2.0, 3.5]])
+    def test_outside_the_samples_is_a_domain_error(self, s):
+        with pytest.raises(DomainError, match="outside"):
+            integrate(E_SMS, 1.0, 1.0, 0.0, 3.0, 8)(s)
+
+    def test_float_in_gives_floats_out(self):
+        res = integrate(E_SMS, 1.0, 1.0, 0.0, 3.0, 8)
+        for s in (2.2, np.float64(2.2)):
+            assert [type(v) for v in res(s)] == [float, float, float]
+        assert [v.shape for v in res(np.array([1.5, 2.2]))] == [(2,), (2,), (2,)]
+
+    def test_integrated_profile_sweeps_into_a_hanging_surface(self):
+        # the revolution against z = 0 has no closed form; its O(h^2) residual falls x16 per x4
+        ts, ths = np.linspace(1.0, 3.0, 200), np.linspace(-1.3, 1.3, 16)
+        residuals = []
+        for steps in (64, 256, 1024, 4096):
+            curve = GraphCurve(1.0, 3.0, integrate(E_SMS, 1.0, 1.0, 0.0, 3.0, steps))
+            surface = make_revolution(RevolutionSpec(curve), -1.3, 1.3)
+            residuals.append(max_sms_residual(surface, SingularSpec(PI_XY), ts, ths))
+        assert all(coarse > 10.0 * fine for coarse, fine in zip(residuals, residuals[1:]))

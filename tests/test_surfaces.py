@@ -188,6 +188,12 @@ class TestGenerators:
         # closed-form radial formula agrees: flat profile, zero numerator
         assert revolution_mean_curvature(curve, 1.0) == 0.0
 
+    def test_pitch_times_theta_must_be_finite(self):
+        spec = HelicoidalSpec(quadratic_profile(0.0).plane_curve(0.5, 2.5), pitch=1.7e308)
+        with pytest.raises(DomainError, match=r"^pitch 1.7e\+308 times theta is not finite on"):
+            make_helicoidal(spec)
+        assert make_helicoidal(spec, -1.0, 1.0).at(1.0, 1.0).r[2] == 1.7e308
+
     def test_parabolic_identity_reduces_to_translation(self):
         prof = quadratic_profile(0.3, 0.1)
         spec = ParabolicRevolutionSpec(0.0, 1.0, 0.0, 0.0, 0.0, prof.plane_curve(0.5, 2.0))

@@ -253,6 +253,11 @@ class TestElResidual:
         with pytest.raises(DomainError, match=r"^weight power overflows at z=1e\+300 \(t=2.0\)$"):
             el_residual(spec, lambda t: (1e300, 0.0, 0.0), 2.0)
 
+    def test_slope_square_overflow_names_t(self):
+        spec = WeightFunctionalSpec(LX, 1.0, 0.0)
+        with pytest.raises(DomainError, match=r"^slope square overflows at t=1.5$"):
+            el_residual(spec, lambda t: (1e200 * t, 1e200, 0.0), 1.5)
+
 
 def test_triviality_with_plain_length():
     # measured with dt instead of the relative element, the isotropic-weight

@@ -132,6 +132,15 @@ COMMANDS = [
     # the weight power t**alpha of the Euler-Lagrange residual overflows: an error exit
     ("residual_el_weight_overflow", ["residual", "--check=el", "--ref=lz", "--alpha=2",
                                      "--profile=poly:0,1", "--range=1:1e300", "--n=3"]),
+    # overflows that no guard caught: the slope square of the LX Euler-Lagrange residual and
+    # a log profile's c/t at a tiny t (a / gives inf); each is one error line, no numpy warning
+    ("residual_el_slope_overflow", ["residual", "--check=el", "--ref=lx", "--alpha=1",
+                                    "--profile=poly:0,1e200", "--range=1:2", "--n=3"]),
+    ("surface_parabolic_log_overflow", ["surface", "parabolic", "--profile", "log:1e300,0.5",
+                                        "--trange", "1e-13:2.5", "--mesh", "m.obj",
+                                        "--grid", "3x4", "--c1", "1", "--c2", "0.5"]),
+    ("catenoid_log_overflow", ["catenoid", "--r1", "1", "--z1", "-1e300", "--r2", "1e-13",
+                               "--z2", "-1", "--mesh", "m.obj", "--grid", "3x4"]),
 ]
 
 
