@@ -298,11 +298,11 @@ class ProfileForm:
             raise DomainError(f"{self.kind} profile is undefined at t={t}")
         try:  # a float t, not np.float64, so that a power overflow raises, not warns
             z, zd, zdd = self._jet(float(t))
+            if math.isfinite(z) and math.isfinite(zd) and math.isfinite(zdd):
+                return z, zd, zdd
         except (OverflowError, FloatingPointError):
-            z = zd = zdd = math.inf  # what * and / give on overflow, without raising
-        if not (math.isfinite(z) and math.isfinite(zd) and math.isfinite(zdd)):
-            raise DomainError(f"{self.kind} profile overflows at t={t}")
-        return z, zd, zdd
+            pass  # ** raises on overflow where * and / give an infinity
+        raise DomainError(f"{self.kind} profile overflows at t={t}")
 
     def __reduce__(self):  # the bound gap and jet do not pickle; kind and coefficients do
         return ProfileForm, (self.kind, self.coefficients)
@@ -377,14 +377,13 @@ def check_weight_base(base, alpha: float, lowest: float, name: str) -> None:
         raise DomainError("negative exponent with zero weight base")
 
 
-def weight_powers(base: float, alpha: float, lam: float, name: str, t: float):
-    """(base**alpha - lam, alpha * base**(alpha - 1)) at the float weight base ``name``
-    of parameter t, after ``check_weight_base``; a power that overflows is a DomainError."""
+def weight_powers(base: float, alpha: float, lam: float, name: str, where: str):
+    """(base**alpha - lam, alpha * base**(alpha - 1)) at the float weight base ``name``,
+    after ``check_weight_base``; a power that overflows is a DomainError at ``where``."""
     check_weight_base(base, alpha, alpha - 1.0, name)
     try:  # a float power that overflows raises, as in ProfileForm
         return base**alpha - lam, alpha * base ** (alpha - 1.0)
     except OverflowError:
-        where = f"t={t}" if name == "t" else f"{name}={base} (t={t})"
         raise DomainError(f"weight power overflows at {where}") from None
 
 
@@ -407,7 +406,7 @@ def catenary_curvature_residual(
         base, pairing, name = j.z, npar_z, "z"
     else:
         raise ValueError(f"unknown reference line {reference!r}")
-    denom, wp = weight_powers(base, alpha, lam, name, t)
+    denom, wp = weight_powers(base, alpha, lam, name, f"{name}={base} (t={t})")
     if abs(denom) < 1e-12:
         raise SingularDenominatorError(
             f"weight denominator {denom} at t={t} is numerically zero"

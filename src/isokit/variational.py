@@ -223,10 +223,10 @@ def el_residual(spec: WeightFunctionalSpec, profile, t: float) -> float:
     axis it is (z**alpha - lam)*z'' - alpha*z**(alpha-1)*(1 - z'^2)/2 = 0.
     """
     z, zd, zdd = profile(t)
-    base, name = (t, "t") if spec.reference == LZ else (z, "z")
-    w, wp = weight_powers(base, spec.alpha, spec.lam, name, t)
     if spec.reference == LZ:
+        w, wp = weight_powers(t, spec.alpha, spec.lam, "t", f"t={t}")
         return wp * zd + w * zdd
+    w, wp = weight_powers(z, spec.alpha, spec.lam, "z", f"z={z} (t={t})")
     try:  # the slope square overflows like the weight powers
         return w * zdd - wp * 0.5 * (1.0 - zd**2)
     except OverflowError:

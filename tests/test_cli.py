@@ -584,8 +584,18 @@ def _artifact_commands():
 
 
 ARTIFACT_COMMANDS = _artifact_commands()
-# what a documented exit may print: an error line of its own or argparse's usage and error lines
-STDERR_LINE = re.compile(r"error: |usage: | |isokit( \w+)?: error: ")
+ERROR_LINE = re.compile(r"(isokit( \w+)?: )?error: ")
+
+
+def _undocumented_stderr(text):
+    """The lines of stderr that are neither an error line nor in argparse's usage block."""
+    undocumented, in_usage = [], False
+    for ln in text.splitlines():
+        # a usage block is its "usage:" line and the indented lines that continue it
+        in_usage = ln.startswith("usage: ") or (in_usage and ln.startswith(" "))
+        if not (in_usage or ERROR_LINE.match(ln)):
+            undocumented.append(ln)
+    return undocumented
 
 
 @pytest.mark.parametrize("argv", [argv for _, argv in ARTIFACT_COMMANDS],
@@ -602,4 +612,4 @@ def test_artifact_command_exits_cleanly_without_warnings(argv, tmp_path, monkeyp
             code = exc.code
     assert code in (0, 1, 2)
     assert [f"{w.category.__name__}: {w.message}" for w in caught] == []
-    assert [ln for ln in err.getvalue().splitlines() if not STDERR_LINE.match(ln)] == []
+    assert _undocumented_stderr(err.getvalue()) == []

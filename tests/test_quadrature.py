@@ -26,9 +26,11 @@ def _polynomial_case(coeffs, a, width):
             antiderivative(b) - antiderivative(a), scale)
 
 
-# Zero or a magnitude far from underflow: below it rounding is absolute (one
-# subnormal unit), so no bound relative to `scale` can hold, for any rule.
-COEFFICIENT = st.one_of(st.just(0.0), st.floats(1e-100, 10.0), st.floats(-10.0, -1e-100))
+COEFFICIENT = st.floats(-10.0, 10.0)
+# Below the underflow threshold rounding is absolute: each of the few dozen
+# roundings in f, the rule and the antiderivative may be off by half a subnormal
+# unit, however small `scale` is.
+SUBNORMAL_FLOOR = 64 * math.ulp(0.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -37,7 +39,7 @@ COEFFICIENT = st.one_of(st.just(0.0), st.floats(1e-100, 10.0), st.floats(-10.0, 
 def test_simpson_exact_on_random_cubics(coeffs, a, width, half_panels):
     f, exact, scale = _polynomial_case(coeffs, a, width)
     val = quadrature.simpson(f, a, a + width, panels=2 * half_panels)
-    assert abs(val - exact) <= 1e-12 * scale
+    assert abs(val - exact) <= 1e-12 * scale + SUBNORMAL_FLOOR
 
 
 @settings(max_examples=200, deadline=None)
