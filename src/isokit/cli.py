@@ -165,13 +165,13 @@ def _cmd_minimize(args) -> int:
     ta, za, tb, zb = (float(v) for v in args.endpoints.split(","))
     spec = variational.WeightFunctionalSpec(args.ref, args.alpha, args.lam)
     curve = variational.minimize(spec, (ta, za, tb, zb), args.n)
-    curves.write_curve_csv(args.out, curve.grid, curve.grid, curve.values)
     grad = variational.functional_gradient(spec, curve)
-    summary = {
+    summary = {  # both raise on a value that is not finite, before anything is written
         "functional_value": variational.evaluate_functional(spec, curve),
         "gradient_max_abs": float(np.max(np.abs(grad))),
         "n": args.n,
     }
+    curves.write_curve_csv(args.out, curve.grid, curve.grid, curve.values)
     write_json(args.json_out or "-", summary)
     return 0
 
@@ -179,12 +179,16 @@ def _cmd_minimize(args) -> int:
 def _cmd_catenoid(args) -> int:
     boundary = singular.CatenoidBoundary(args.r1, args.z1, args.r2, args.z2)
     sol = singular.solve_catenoid_boundary(boundary)
-    write_json("-", {"c": sol.c, "d": sol.d, "status": sol.status})
-    if args.mesh and sol.status == "unique":
+    mesh = None
+    if args.mesh and sol.status == "unique":  # meshed and checked before the JSON is printed
         form = curves.ProfileForm("log", {"c": sol.c, "d": sol.d})
         t_lo, t_hi = sorted((args.r1, args.r2))
         surf = surfaces.make_revolution(surfaces.RevolutionSpec(form.plane_curve(t_lo, t_hi)))
-        surfaces.write_obj_mesh(args.mesh, surfaces.mesh_grid(surf, *args.grid))
+        mesh = surfaces.mesh_grid(surf, *args.grid)
+        finite_array(mesh.jet.r, "mesh vertex")
+    write_json("-", {"c": sol.c, "d": sol.d, "status": sol.status})
+    if mesh is not None:
+        surfaces.write_obj_mesh(args.mesh, mesh)
     return 0
 
 

@@ -85,6 +85,8 @@ class ProfileODE:
         if b == 0.0:
             raise ValueError("parabolic profile ODE needs b != 0")
         ab2 = a * a + b * b
+        if ab2 == 0.0:
+            raise ValueError(f"parabolic profile ODE: a^2 + b^2 underflows to 0 at b={b}")
         # constant left-to-right prefixes, so each term rounds as when written out in full
         bc2, bb_ab2, drift, pull = b * c2, b * b / ab2, 2.0 * a * b * c2, 2.0 * b * c2
 

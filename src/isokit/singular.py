@@ -143,8 +143,11 @@ class ClassificationReport:
 
 
 def max_sms_residual(surface, spec, t_vals, theta_vals) -> float:
-    """Max |sms_residual| over the grid t_vals x theta_vals; NaN if any is NaN."""
-    return float(np.max(np.abs(jet_sms_residual(surface.grid(t_vals, theta_vals), spec))))
+    """Max |sms_residual| over the grid t_vals x theta_vals; NaN if any is NaN.
+
+    A jet or residual that overflows gives an infinite or NaN maximum, with no numpy warning."""
+    with np.errstate(all="ignore"):
+        return float(np.max(np.abs(jet_sms_residual(surface.grid(t_vals, theta_vals), spec))))
 
 
 def _verify_revolution(profile_form: ProfileForm, spec: SingularSpec) -> float:

@@ -60,7 +60,8 @@ class ParamSurface:
         self.v_lo, self.v_hi = float(v_lo), float(v_hi)
         self._evaluate, self._swapped = evaluate, False
         us = np.linspace(self.u_lo, self.u_hi, CHECK_SAMPLES)
-        x12s = jet_minors(self.grid(us, np.linspace(self.v_lo, self.v_hi, CHECK_SAMPLES)))[2]
+        with np.errstate(all="ignore"):  # a jet that overflows fails where it is used, not here
+            x12s = jet_minors(self.grid(us, np.linspace(self.v_lo, self.v_hi, CHECK_SAMPLES)))[2]
         if np.all(x12s < 0.0):
             self._swapped = True
             self.u_lo, self.v_lo = self.v_lo, self.u_lo
@@ -92,12 +93,11 @@ class ParamSurface:
         check_domain(vs, self.v_lo, self.v_hi)
         us, vs = (vs, us) if self._swapped else (us, vs)
         out = np.empty((6, 3, us.size, vs.size))
-        for dest, vec in zip(out, self._evaluate(us[:, None], vs)):
-            for comp, x in zip(dest, vec):
-                comp[...] = x
+        for i, vec in enumerate(self._evaluate(us[:, None], vs)):
+            out[i, 0], out[i, 1], out[i, 2] = vec  # indexed stores: no view per component
         if self._swapped:  # back to the caller's (u, v): transpose, r_u <-> r_v, r_uu <-> r_vv
             out = out[[0, 2, 1, 5, 4, 3]].swapaxes(2, 3)
-        return SurfaceJet(*np.moveaxis(out, 1, -1))
+        return SurfaceJet(*out.transpose(0, 2, 3, 1))  # the view np.moveaxis builds, cheaper
 
     def at(self, u: float, v: float) -> SurfaceJet:
         """Jet at one point: the one-node grid, fields of shape (3,)."""
@@ -109,7 +109,7 @@ def jet_minors(jet: SurfaceJet):
     ru, rv = jet.ru, jet.rv
     pairs = ((1, 2), (2, 0), (0, 1))
     x23, x31, x12 = (ru[..., i] * rv[..., j] - ru[..., j] * rv[..., i] for i, j in pairs)
-    if np.any(np.abs(x12) < ADMISSIBLE_MIN_JACOBIAN):
+    if np.count_nonzero(np.abs(x12) < ADMISSIBLE_MIN_JACOBIAN):  # cheaper than np.any
         raise NonAdmissibleError(f"top-view Jacobian {np.min(np.abs(x12))} below threshold")
     return x23, x31, x12
 
@@ -164,9 +164,9 @@ def relative_area(
     box = subrectangle or (surface.u_lo, surface.u_hi, surface.v_lo, surface.v_hi)
 
     def row(u, vs):
-        x23, x31, x12 = (m[0] for m in jet_minors(surface.grid([u], vs)))
-        sq = np.float_power((x23, x31, x12), 2)  # pow like scalar **, unlike array **
-        return 0.5 * (sq[0] + sq[1] + sq[2]) / x12
+        minors = jet_minors(surface.grid([u], vs))  # (1, len(vs)) each
+        sq = np.float_power(minors, 2)  # pow like scalar **, unlike array **
+        return (0.5 * (sq[0] + sq[1] + sq[2]) / minors[2])[0]
 
     return simpson_2d(row, *box, panels_u, panels_v)
 
@@ -232,11 +232,13 @@ def make_helicoidal(
     profile = curve.profile  # ParamSurface.grid keeps t inside the curve domain
 
     def evaluate(ts, ths):
-        ct = np.array([math.cos(th) for th in ths])  # np.cos may differ from libm in the last bit
-        st = np.array([math.sin(th) for th in ths])
+        nodes = ths.tolist()  # libm over Python floats: np.cos may differ in the last bit
+        ct = np.fromiter(map(math.cos, nodes), float, ths.size)
+        st = np.fromiter(map(math.sin, nodes), float, ths.size)
         z, zd, zdd = _profile_columns(profile, ts)
-        return ((ts * ct, ts * st, c * ths + z), (ct, st, zd), (-ts * st, ts * ct, c),
-                (0.0, 0.0, zdd), (-st, ct, 0.0), (-ts * ct, -ts * st, 0.0))
+        tc, nts = ts * ct, -ts * st
+        return ((tc, ts * st, c * ths + z), (ct, st, zd), (nts, tc, c),
+                (0.0, 0.0, zdd), (-st, ct, 0.0), (-ts * ct, nts, 0.0))
 
     return ParamSurface(curve.t_lo, curve.t_hi, theta_lo, theta_hi, evaluate)
 
@@ -321,7 +323,8 @@ def mesh_grid(surface: ParamSurface, nu: int, nv: int) -> Mesh:
     base, jn = i * ncols + 1, (j + 1) % ncols  # only a wrapped grid reaches the modulo
     faces = np.stack([base + j, base + ncols + j, base + ncols + jn, base + jn], axis=-1)
     params = np.stack(np.meshgrid(us, vs, indexing="ij"), axis=-1).reshape(-1, 2)
-    return Mesh(params, surface.grid(us, vs), faces.reshape(-1, 4))
+    with np.errstate(all="ignore"):  # the writers refuse a jet that overflowed
+        return Mesh(params, surface.grid(us, vs), faces.reshape(-1, 4))
 
 
 def write_obj_mesh(path, mesh: Mesh) -> None:

@@ -78,6 +78,7 @@ def _weights(spec, t, z):
     return w, wp, wpp
 
 
+@np.errstate(all="ignore")  # a value that overflows is named below, not warned
 def evaluate_functional(
     spec: WeightFunctionalSpec, curve: DiscreteCurve, relative: bool = True
 ) -> float:
@@ -90,15 +91,37 @@ def evaluate_functional(
     h = np.diff(t)
     w, _, _ = _weights(spec, t, z)
     cell_w = 0.5 * (w[:-1] + w[1:])
-    if not relative:
-        return float(np.sum(h * cell_w))
-    zdot = np.diff(z) / h
-    return float(np.sum(h * cell_w * 0.5 * (1.0 + zdot**2)))
+    if relative:
+        zdot = np.diff(z) / h
+        value = float(np.sum(h * cell_w * 0.5 * (1.0 + zdot**2)))
+    else:
+        value = float(np.sum(h * cell_w))
+    if not math.isfinite(value):
+        raise DomainError(f"functional value overflows to {value}")
+    return value
 
 
+@np.errstate(all="ignore")  # a gradient that overflows is named below, not warned
 def functional_gradient(spec: WeightFunctionalSpec, curve: DiscreteCurve) -> np.ndarray:
     """Exact gradient of the discrete functional at the interior nodes."""
-    return _gradient_hessian(spec, curve.grid, curve.values)[0]
+    grad = _gradient_hessian(spec, curve.grid, curve.values)[0]
+    if not np.isfinite(grad).all():
+        raise _overflow_error(spec, curve.grid, curve.values)
+    return grad
+
+
+def _overflow_error(spec, t, z) -> DomainError:
+    """The DomainError naming the first term of the discrete functional at (t, z) that is
+    not finite: a weight power, a slope square, or else the gradient itself.  Its callers
+    silence numpy's warnings."""
+    base, name = (t, "t") if spec.reference == LZ else (z, "z")
+    bad = np.flatnonzero(~np.isfinite(_weights(spec, t, z)).all(axis=0))
+    if bad.size:
+        return DomainError(f"weight power overflows at {name}={base[bad[0]]}")
+    bad = np.flatnonzero(~np.isfinite((np.diff(z) / np.diff(t)) ** 2))
+    if bad.size:
+        return DomainError(f"slope square overflows at t={t[bad[0]]}")
+    return DomainError("gradient of the discrete functional overflows")
 
 
 def _gradient_hessian(spec, t, z):
@@ -168,6 +191,7 @@ def _check_weight_sign(t, w):
         )
 
 
+@np.errstate(all="ignore")  # an overflow is a named DomainError below, not a warning
 def minimize(
     spec: WeightFunctionalSpec, endpoints: tuple[float, float, float, float], n: int
 ) -> DiscreteCurve:
@@ -194,6 +218,8 @@ def minimize(
         gn = float(np.max(np.abs(grad)))
         if gn < tol:
             return DiscreteCurve(t, z)
+        if not math.isfinite(gn):  # only the start can be: a step is taken only if gn falls
+            raise _overflow_error(spec, t, z)
         try:
             step = _solve_tridiagonal(diag, off, -grad)
         except ZeroDivisionError:

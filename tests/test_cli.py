@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -328,7 +329,7 @@ def test_profile_overflow_is_one_error_line(argv, message, capsys):
 )
 def test_non_finite_result_writes_no_non_finite_file(argv, message, tmp_path, capsys):
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's own overflow warnings
+        warnings.simplefilter("error")
         assert run_cli(*argv, "--grid", "2x3", "--mesh", str(tmp_path / "m.obj")) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == []  # both artifacts are checked before either is written
@@ -349,17 +350,51 @@ def test_non_finite_result_writes_no_non_finite_file(argv, message, tmp_path, ca
         (["catenoid", "--r1", "1", "--z1", "-1e300", "--r2", "1e-13", "--z2", "-1",
           "--mesh", "m.obj", "--grid", "3x4"],
          "log profile overflows at t=1e-13"),
+        (["catenoid", "--r1", "1e-300", "--z1", "0", "--r2", "1e300", "--z2", "1e300",
+          "--mesh", "c.obj", "--grid", "2x3"],
+         "log profile overflows at t=1e-300"),
+        (["minimize", "--ref", "lz", "--alpha", "3", "--lambda", "-0.0",
+          "--endpoints", "3,1e-13,1e300,-1", "--n", "2"],
+         "weight power overflows at t=5e+299"),
+        (["minimize", "--ref", "lx", "--alpha", "-0.0", "--lambda", "1e300",
+          "--endpoints", "-1e300,3,-1,0.5", "--n", "2"],
+         "functional value overflows to -inf"),
+        (["minimize", "--ref", "lz", "--alpha", "0", "--lambda", "1e-13",
+          "--endpoints", "0,-1e300,2.5,0.5", "--n", "2", "--out", "p.csv", "--json", "p.json"],
+         "slope square overflows at t=0.0"),
     ],
-    ids=["helicoidal_pitch", "el_slope_square", "parabolic_log", "catenoid_log"],
+    ids=["helicoidal_pitch", "el_slope_square", "parabolic_log", "catenoid_log",
+         "catenoid_underflow", "minimize_weight", "minimize_value", "minimize_slope"],
 )
 def test_pitch_slope_and_jet_overflow_is_one_error_line(argv, message, tmp_path, monkeypatch,
                                                         capsys):
+    # every artifact is built before the first is written: no file, and nothing on stdout
     monkeypatch.chdir(tmp_path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run_cli(*argv) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, code, out",
+    [
+        (["residual", "--check", "sms", "--profile=poly:0,1e300", "--range=1:2"], 1,
+         "9.9999999999998845e+299\n"),
+        (["classify", "helicoidal", "--c", "0", "--ref", "yz", "--z1", "1e300", "--z2", "1e300"],
+         0, None),
+    ],
+    ids=["residual_sms", "classify_helicoidal"],
+)
+def test_overflowing_parabolic_normal_is_silent(argv, code, out, capsys):
+    # p * p of the parabolic normal overflows, but the residual pairs with p alone
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(*argv) == code
+    got = capsys.readouterr()
+    assert got.err == ""
+    assert out is None or got.out == out
 
 
 def test_surface_with_a_failing_sidecar_writes_neither_file(tmp_path, monkeypatch, capsys):
@@ -613,3 +648,143 @@ def test_artifact_command_exits_cleanly_without_warnings(argv, tmp_path, monkeyp
     assert code in (0, 1, 2)
     assert [f"{w.category.__name__}: {w.message}" for w in caught] == []
     assert _undocumented_stderr(err.getvalue()) == []
+
+
+# A seeded fuzz of the CLI over every subcommand: whatever the numbers, a run exits 0, 1 or
+# 2, prints only error lines or argparse usage to stderr, raises no exception and no numpy
+# warning, and writes strict JSON and finite CSV and OBJ files.
+FUZZ_SEED = 2718
+FUZZ_RUNS = 300
+FUZZ_POOL = ("0", "1", "-1", "2.5", "nan", "inf", "-inf", "1e-13", "1e-300", "1e300", "-0.0")
+FUZZ_RANGES = ("1:2", "0.5:3", "-1.25:1.25", "1e-13:2.5", "1:1e300", "-1e300:1")
+FUZZ_GRIDS = ("1x1", "2x3", "3x2", "4x4")
+FUZZ_PROFILE_SIZES = {"log": (2,), "power": (3,), "inverse": (2,), "poly": (1, 2, 3, 4)}
+SWEEP_FLOATS = ("--pitch", "--a", "--b", "--c", "--c1", "--c2")
+# subcommand -> (positional choices, required options, optional options); an option maps
+# to the kind of value drawn for it
+FUZZ_COMMANDS = {
+    "catenary": ((), {"--range": "range"},
+                 {"--alpha": "x", "--c": "x", "--d": "x", "--lambda": "x", "--n": "n",
+                  "--out": "csv"}),
+    "minimize": ((), {"--endpoints": "endpoints"},
+                 {"--ref": ("lz", "lx"), "--alpha": "x", "--lambda": "x", "--n": "n",
+                  "--out": "csv", "--json": "json"}),
+    "catenoid": ((), {"--r1": "x", "--z1": "x", "--r2": "x", "--z2": "x"},
+                 {"--mesh": "obj", "--grid": "grid"}),
+    "surface": (("revolution", "helicoidal", "parabolic"),
+                {"--profile": "profile", "--trange": "range", "--mesh": "obj"},
+                {"--thetarange": "range", "--grid": "grid", "--curvature-csv": "csv",
+                 **dict.fromkeys(SWEEP_FLOATS, "x")}),
+    "classify": (("helicoidal", "parabolic"), {"--ref": ("yz", "xy")},
+                 {"--out": "json", **dict.fromkeys(("--c", "--a", "--b", "--c1", "--c2",
+                                                    "--z1", "--z2"), "x")}),
+    "ivp": ((), {"--a": "x"}, {"--tol": "x", "--out": "csv", "--json": "json"}),
+    "residual": ((), {"--check": ("el", "sms"), "--profile": "profile", "--range": "range"},
+                 {"--threshold": "x", "--ref": ("lz", "lx"), "--sref": ("yz", "xy"),
+                  "--alpha": "x", "--lambda": "x", "--thetarange": "range", "--n": "n",
+                  "--surface": ("revolution", "helicoidal", "parabolic"), "--grid": "grid",
+                  **dict.fromkeys(SWEEP_FLOATS, "x")}),
+}
+
+
+def _fuzz_value(rng, kind, k):
+    if isinstance(kind, tuple):
+        return rng.choice(kind)
+    if kind == "x":
+        return rng.choice(FUZZ_POOL)
+    if kind == "n":
+        return rng.choice(("1", "2", "3", "9"))
+    if kind == "range":
+        if rng.random() < 0.5:
+            return rng.choice(FUZZ_RANGES)
+        return f"{rng.choice(FUZZ_POOL)}:{rng.choice(FUZZ_POOL)}"
+    if kind == "grid":
+        return rng.choice(FUZZ_GRIDS)
+    if kind == "endpoints":
+        return ",".join(rng.choice(FUZZ_POOL) for _ in range(4))
+    if kind == "profile":
+        name = rng.choice(sorted(FUZZ_PROFILE_SIZES))
+        size = rng.choice(FUZZ_PROFILE_SIZES[name])
+        return f"{name}:" + ",".join(rng.choice(FUZZ_POOL) for _ in range(size))
+    # a file name, or stdout for a CSV or JSON; an OBJ goes to a file, so that stdout is
+    # at most a CSV followed by a JSON object
+    return "-" if rng.random() < 0.3 and kind != "obj" else f"a{k}.{kind}"
+
+
+def _fuzz_argv(rng):
+    command = rng.choice(sorted(FUZZ_COMMANDS))
+    positional, required, optional = FUZZ_COMMANDS[command]
+    argv = [command, *([rng.choice(positional)] if positional else [])]
+    extra = rng.randint(0, min(4, len(optional)))
+    options = [*required.items(), *rng.sample(sorted(optional.items()), extra)]
+    for k, (flag, kind) in enumerate(options):
+        value = _fuzz_value(rng, kind, k)
+        argv += [f"{flag}={value}"] if rng.random() < 0.5 else [flag, value]
+    return argv
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def _finite_csv(text):
+    header, *rows = text.splitlines()
+    assert re.fullmatch(r"[a-zA-Z]+(,[a-zA-Z]+)*", header), header
+    assert all(math.isfinite(float(x)) for row in rows for x in row.split(","))
+
+
+def _finite_obj(text):
+    for line in text.splitlines():
+        kind, *values = line.split()
+        assert kind in ("v", "f"), line
+        assert kind == "f" or all(math.isfinite(float(x)) for x in values), line
+
+
+def _check_fuzz_artifacts(argv, stdout, workdir):
+    for path in workdir.iterdir():
+        {".json": _strict_json, ".csv": _finite_csv, ".obj": _finite_obj}[path.suffix](
+            path.read_text())
+    if not stdout:
+        return
+    if argv[0] == "residual":
+        float(stdout)  # the worst residual, one number
+        return
+    head, brace, tail = stdout.partition("{\n")  # a CSV may precede a JSON summary
+    if head:
+        _finite_csv(head)
+    if brace:
+        _strict_json(brace + tail)
+
+
+def _fuzz_run(argv, workdir):
+    """Run argv in workdir and check it; an exception escaping cli.run propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(out):
+        warnings.simplefilter("always")
+        try:
+            code = cli.run(list(argv))
+        except SystemExit as exc:  # argparse flag errors
+            code = exc.code
+    assert code in (0, 1, 2), code
+    assert [f"{w.category.__name__}: {w.message}" for w in caught] == []
+    assert _undocumented_stderr(err.getvalue()) == []
+    _check_fuzz_artifacts(argv, out.getvalue(), workdir)
+
+
+def test_cli_fuzz_exits_cleanly_with_finite_artifacts(tmp_path, monkeypatch):
+    rng = random.Random(FUZZ_SEED)
+    failures = []
+    for k in range(FUZZ_RUNS):
+        argv = _fuzz_argv(rng)
+        workdir = tmp_path / str(k)
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        try:
+            _fuzz_run(argv, workdir)
+        except Exception as exc:  # collect every failing argv, not just the first
+            failures.append(f"{' '.join(argv)}: {type(exc).__name__}: {exc}")
+    assert failures == []

@@ -421,6 +421,15 @@ class TestProfileForm:
         with pytest.raises(DomainError, match=rf"^{kind} profile overflows at t={t}$"):
             ProfileForm(kind, co)(t)
 
+    @pytest.mark.parametrize("kind, co, t", [
+        ("log", {"c": 0.0, "d": 0.0}, 1e-300),  # t**2 underflows to 0: -c / t**2 divides by 0
+        ("inverse_radius", {"z1": 0.0, "z2": 1.0}, 1e-200),
+        ("log_parabola", {"quad": 0.0, "z1": 0.0, "z2": 1.0}, 1e-200),
+    ])
+    def test_underflowed_power_is_a_domain_error(self, kind, co, t):
+        with pytest.raises(DomainError, match=rf"^{kind} profile overflows at t={t}$"):
+            ProfileForm(kind, co)(t)
+
     def test_defined_edges_of_the_power_domain(self):
         assert ProfileForm("power", {"c": 1.0, "p": 2.0, "d": 0.0})(0.0) == (0.0, 0.0, 2.0)
         assert ProfileForm("power", {"c": 1.0, "p": 2.5, "d": 0.0})(0.0) == (0.0, 0.0, 0.0)

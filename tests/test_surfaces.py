@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -691,15 +693,72 @@ AREA_PINS = {
         ),
         "0x1.1b3d23b6f34a5p+2", "0x1.1b3b6561f7352p+2",
     ),
+    # the entries below also pass their relative_area arguments to both calls
+    "revolution_partial_turn": (
+        lambda: make_revolution(RevolutionSpec(_LOG), 0.4, 3.9),
+        "0x1.19c93f8343f3bp+3", "0x1.19c8ff7ffa54cp+3",
+    ),
+    "helicoidal_subrectangle": (
+        lambda: make_helicoidal(HelicoidalSpec(_POWER, -0.4)),
+        "0x1.8afbbdeb7526bp+0", "0x1.8afb91ca8b018p+0", {"subrectangle": (1.1, 1.9, 0.5, 2.5)},
+    ),
+    "helicoidal_odd_panels": (  # 9 v-panels are bumped to 10
+        lambda: make_helicoidal(HelicoidalSpec(_LOG, 0.7), 0.3, 2.9),
+        "0x1.cf7134edf2758p+2", "0x1.cf70c11cec01fp+2", {"panels_v": 9},
+    ),
 }
 
 
 @pytest.mark.parametrize("name", AREA_PINS)
 def test_relative_area_bits_are_pinned(name):
-    make, coarse, default = AREA_PINS[name]
+    make, coarse, default, *extra = AREA_PINS[name]
+    kwargs = extra[0] if extra else {}
     surf = make()
-    assert relative_area(surf, panels_u=16, panels_v=16).hex() == coarse
-    assert relative_area(surf).hex() == default
+    assert relative_area(surf, **{"panels_u": 16, "panels_v": 16, **kwargs}).hex() == coarse
+    assert relative_area(surf, **kwargs).hex() == default
+
+
+def _swept_area_draw(rng, k):
+    """The k-th seeded swept surface and panel count, drawn like the benchmark's area ops:
+    the four profile kinds x the three sweeps, at 16^2 to the default 128^2 panels."""
+    kind = ("log", "power", "inverse_radius", "log_parabola")[k % 4]
+    sweep = ("revolution", "helicoidal", "parabolic")[k // 4 % 3]
+    t_lo = rng.uniform(0.5, 1.5)
+    t_hi = t_lo + rng.uniform(0.5, 2.5)
+    c, d = rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0)
+    if kind == "log":
+        curve = CatenaryFamily(alpha=1.0, c=c, d=d, lam=rng.uniform(-0.4, 0.25))
+    elif kind == "power":
+        curve = CatenaryFamily(alpha=rng.uniform(0.25, 3.0), c=c, d=d)
+    elif kind == "inverse_radius":
+        curve = ProfileForm(kind, {"z1": d, "z2": c})
+    else:
+        curve = ProfileForm(kind, {"quad": rng.uniform(-0.5, 0.5), "z1": d, "z2": c})
+    curve = curve.plane_curve(t_lo, t_hi)
+    panels = (16, 32, 64, None)[k // 12 % 4]
+    if sweep == "parabolic":
+        w = rng.uniform(0.5, 1.5)
+        spec = ParabolicRevolutionSpec(rng.uniform(-1.0, 1.0), rng.uniform(0.5, 2.0),
+                                       rng.uniform(-1.0, 1.0), rng.uniform(-0.5, 0.5),
+                                       rng.uniform(-0.5, 0.5), curve)
+        return make_parabolic_revolution(spec, -w, w), panels
+    lo = rng.uniform(0.0, math.pi)
+    theta = (0.0, TWO_PI) if rng.random() < 0.5 else (lo, lo + rng.uniform(0.5, 1.5) * math.pi)
+    if sweep == "revolution":
+        return make_revolution(RevolutionSpec(curve), *theta), panels
+    return make_helicoidal(HelicoidalSpec(curve, rng.uniform(-1.0, 1.0)), *theta), panels
+
+
+def test_swept_relative_area_digest_is_pinned():
+    # sha256 of the float.hex of 60 seeded areas, taken when the swept evaluators still
+    # built their cos/sin rows with list comprehensions over numpy scalars
+    rng = random.Random(1729)
+    hexes = []
+    for k in range(60):
+        surface, panels = _swept_area_draw(rng, k)
+        hexes.append(relative_area(surface, panels_u=panels, panels_v=panels).hex())
+    digest = hashlib.sha256("\n".join(hexes).encode()).hexdigest()
+    assert digest == "f8fca7f9330f9a95ec253cc20b30e8386012f5c02b80788f6e3594d97a63b785"
 
 
 def test_classification_sms_residual_bits_are_pinned():

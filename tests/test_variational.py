@@ -259,6 +259,33 @@ class TestElResidual:
             el_residual(spec, lambda t: (1e200 * t, 1e200, 0.0), 1.5)
 
 
+@pytest.mark.parametrize(
+    "spec, endpoints, n, message",
+    [
+        (WeightFunctionalSpec(LZ, 3.0, -0.0), (3.0, 1e-13, 1e300, -1.0), 2,
+         r"weight power overflows at t=5e\+299"),
+        (WeightFunctionalSpec(LZ, 0.0, 1e-13), (0.0, -1e300, 2.5, 0.5), 2,
+         r"slope square overflows at t=0.0"),
+        (WeightFunctionalSpec(LX, 2.5, 0.0), (1e-300, 1e300, 2.5, 1e300), 200,
+         r"weight power overflows at z=1e\+300"),
+    ],
+    ids=["lz_weight", "lz_slope", "lx_weight"],
+)
+def test_overflowing_minimize_start_is_named(spec, endpoints, n, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):  # pytest makes a warning an error
+        minimize(spec, endpoints, n)
+
+
+def test_overflowing_functional_value_and_gradient_are_named():
+    spec = WeightFunctionalSpec(LX, -0.0, 1e300)
+    curve = minimize(spec, (-1e300, 3.0, -1.0, 0.5), 2)  # converges; its value does not fit
+    with pytest.raises(DomainError, match=r"^functional value overflows to -inf$"):
+        evaluate_functional(spec, curve)
+    steep = DiscreteCurve([0.0, 1e-300, 2e-300], [0.0, 1.0, 2.0])
+    with pytest.raises(DomainError, match=r"^slope square overflows at t=0.0$"):
+        functional_gradient(LZ1, steep)
+
+
 def test_triviality_with_plain_length():
     # measured with dt instead of the relative element, the isotropic-weight
     # value is endpoint-determined

@@ -141,6 +141,27 @@ COMMANDS = [
                                         "--grid", "3x4", "--c1", "1", "--c2", "0.5"]),
     ("catenoid_log_overflow", ["catenoid", "--r1", "1", "--z1", "-1e300", "--r2", "1e-13",
                                "--z2", "-1", "--mesh", "m.obj", "--grid", "3x4"]),
+    # failures that printed numpy warnings or a traceback: t**2 underflows under the log
+    # jet's -c / t**2, three minimize overflows (weight power, functional value, slope
+    # square), a pitch*theta + z that overflows, a parabolic normal whose p * p overflows,
+    # and a^2 + b^2 of the parabolic profile ODE that underflows
+    ("catenoid_log_underflow", ["catenoid", "--r1", "1e-300", "--z1", "0", "--r2", "1e300",
+                                "--z2", "1e300", "--mesh", "c.obj", "--grid", "2x3"]),
+    ("minimize_weight_overflow", ["minimize", "--ref", "lz", "--alpha", "3", "--lambda", "-0.0",
+                                  "--endpoints", "3,1e-13,1e300,-1", "--n", "2"]),
+    ("minimize_value_overflow", ["minimize", "--ref", "lx", "--alpha", "-0.0", "--lambda", "1e300",
+                                 "--endpoints", "-1e300,3,-1,0.5", "--n", "2"]),
+    ("minimize_slope_overflow", ["minimize", "--ref", "lz", "--alpha", "0", "--lambda", "1e-13",
+                                 "--endpoints", "0,-1e300,2.5,0.5", "--n", "2"]),
+    ("surface_helicoidal_height_overflow", ["surface", "helicoidal", "--pitch=1e308",
+                                            "--thetarange=0:1.5", "--profile=poly:1e308",
+                                            "--trange=1:2", "--grid", "2x3", "--mesh", "m.obj"]),
+    ("residual_sms_normal_overflow", ["residual", "--check", "sms", "--profile=poly:0,1e300",
+                                      "--range=1:2"]),
+    ("classify_helicoidal_normal_overflow", ["classify", "helicoidal", "--c", "0", "--ref", "yz",
+                                             "--z1", "1e300", "--z2", "1e300"]),
+    ("classify_parabolic_ode_underflow", ["classify", "parabolic", "--ref", "xy",
+                                          "--b=1e-300"]),
 ]
 
 
