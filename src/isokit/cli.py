@@ -87,6 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("catenary", help="sample a closed-form catenary family")
+    p.set_defaults(func=_cmd_catenary)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--d", type=float, default=0.0)
@@ -96,6 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
 
     p = sub.add_parser("minimize", help="minimize a discrete weight functional")
+    p.set_defaults(func=_cmd_minimize)
     p.add_argument("--ref", choices=[curves.LZ, curves.LX], default=curves.LZ)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
@@ -105,6 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", dest="json_out", default=None, help="summary destination")
 
     p = sub.add_parser("catenoid", help="solve the two-circle boundary problem")
+    p.set_defaults(func=_cmd_catenoid)
     p.add_argument("--r1", type=float, required=True)
     p.add_argument("--z1", type=float, required=True)
     p.add_argument("--r2", type=float, required=True)
@@ -113,6 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_parse_grid, default=(32, 64))
 
     p = sub.add_parser("surface", help="generate a surface mesh with curvature sidecar")
+    p.set_defaults(func=_cmd_surface)
     p.add_argument("kind", choices=_SURFACES)
     _add_sweep_options(p, "--trange", None)
     p.add_argument("--mesh", required=True)
@@ -120,6 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curvature-csv", default=None)
 
     p = sub.add_parser("classify", help="classify invariant hanging surfaces")
+    p.set_defaults(func=_cmd_classify)
     p.add_argument("kind", choices=["helicoidal", "parabolic"])
     p.add_argument("--ref", choices=[singular.PI_YZ, singular.PI_XY], required=True)
     p.add_argument("--c", type=float, default=0.0, help="pitch (helicoidal) or c")
@@ -132,12 +137,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
 
     p = sub.add_parser("ivp", help="solve the degenerate axis-crossing problem")
+    p.set_defaults(func=_cmd_ivp)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-12, help="C^1 correction bound, relative to a")
     p.add_argument("--out", default="-", help="CSV destination")
     p.add_argument("--json", dest="json_out", default=None, help="sidecar destination")
 
     p = sub.add_parser("residual", help="max residual on a grid; exit 0 iff below threshold")
+    p.set_defaults(func=_cmd_residual)
     p.add_argument("--check", choices=["el", "sms"], required=True)
     p.add_argument("--threshold", type=float, default=1e-9)
     p.add_argument("--ref", choices=[curves.LZ, curves.LX], default=curves.LZ)
@@ -244,17 +251,6 @@ def _cmd_residual(args) -> int:
     return 0 if worst < args.threshold else 1
 
 
-_COMMANDS = {
-    "catenary": _cmd_catenary,
-    "minimize": _cmd_minimize,
-    "catenoid": _cmd_catenoid,
-    "surface": _cmd_surface,
-    "classify": _cmd_classify,
-    "ivp": _cmd_ivp,
-    "residual": _cmd_residual,
-}
-
-
 def _join_values(argv) -> list:
     """``--opt VALUE`` -> ``--opt=VALUE`` up to a bare ``--``, so that a value
     starting with '-' (-5e-1, -0.8:0.8) is not read as a flag.  Every option
@@ -277,7 +273,7 @@ def run(argv=None) -> int:
         parser.error("surface --mesh - needs --curvature-csv")
     try:
         _check_finite(args)
-        return _COMMANDS[args.command](args)
+        return args.func(args)
     except (IsoKitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -71,11 +71,7 @@ class PlaneCurve:
         self.t_hi = float(t_hi)
         self._eval = eval_fn
         self._reversed = False
-        xds = self.grid(np.linspace(self.t_lo, self.t_hi, CHECK_SAMPLES)).xd
-        if np.any(np.abs(xds) < ADMISSIBLE_MIN_SLOPE):
-            raise NonAdmissibleError(
-                f"|x'| < {ADMISSIBLE_MIN_SLOPE} on the sampling grid; tangent is isotropic"
-            )
+        xds = _admissible(self.grid(np.linspace(self.t_lo, self.t_hi, CHECK_SAMPLES))).xd
         if np.all(xds < 0.0):
             self._reversed = True  # traverse t -> t_lo + t_hi - t
         elif np.any(xds < 0.0):
@@ -362,7 +358,6 @@ class CatenaryFamily:
 
     def plane_curve(self, t_lo: float, t_hi: float) -> GraphCurve:
         """Graph curve (t, z(t)) of this family over [t_lo, t_hi]."""
-        self(min(t_lo, t_hi))  # domain check at the left end
         return GraphCurve(t_lo, t_hi, self)
 
 

@@ -98,7 +98,6 @@ class CatenoidSolution:
     status: str  # "unique" | "no_solution" | "degenerate"
     c: float | None = None
     d: float | None = None
-    residuals: tuple[float, float] | None = None
 
 
 def solve_catenoid_boundary(boundary: CatenoidBoundary) -> CatenoidSolution:
@@ -113,10 +112,10 @@ def solve_catenoid_boundary(boundary: CatenoidBoundary) -> CatenoidSolution:
         if z1 == z2:
             return CatenoidSolution("degenerate")
         return CatenoidSolution("no_solution")
-    c = (z2 - z1) / math.log(r2 / r1)
+    q = r2 / r1  # 0 or inf for far-apart radii; only there are the two logs subtracted
+    c = (z2 - z1) / (math.log(q) if 0.0 < q < math.inf else math.log(r2) - math.log(r1))
     d = z1 - c * math.log(r1)
-    res = (c * math.log(r1) + d - z1, c * math.log(r2) + d - z2)
-    return CatenoidSolution("unique", c, d, res)
+    return CatenoidSolution("unique", c, d)
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +357,6 @@ class AlphaRevolutionLink:
 
     def family(self, c: float, d: float) -> CatenaryFamily:
         return CatenaryFamily(reference=LZ, alpha=self.catenary_alpha, c=c, d=d, lam=0.0)
-
-    def profile_form(self, c: float, d: float) -> ProfileForm:
-        return self.family(c, d).form
 
     def ode_residual(self, profile, t: float) -> float:
         _, zd, zdd = profile(t)

@@ -154,13 +154,14 @@ def surface_parabolic_normal(surface: ParamSurface, u: float, v: float) -> IsoVe
     return IsoVec3(*(float(x) for x in jet_parabolic_normal(surface.at(u, v))))
 
 
+@np.errstate(all="ignore")  # once per call, not per row: an area that overflows is named below
 def relative_area(
     surface: ParamSurface,
     subrectangle: tuple[float, float, float, float] | None = None,
     panels_u: int | None = None,
     panels_v: int | None = None,
 ) -> float:
-    """Integral of det(r_u, r_v, n_par) over the (sub)rectangle."""
+    """Integral of det(r_u, r_v, n_par) over the (sub)rectangle; DomainError unless finite."""
     box = subrectangle or (surface.u_lo, surface.u_hi, surface.v_lo, surface.v_hi)
 
     def row(u, vs):
@@ -168,7 +169,10 @@ def relative_area(
         sq = np.float_power(minors, 2)  # pow like scalar **, unlike array **
         return (0.5 * (sq[0] + sq[1] + sq[2]) / minors[2])[0]
 
-    return simpson_2d(row, *box, panels_u, panels_v)
+    area = simpson_2d(row, *box, panels_u, panels_v)
+    if not math.isfinite(area):
+        raise DomainError(f"relative area is not finite: {area}")
+    return area
 
 
 @dataclass(frozen=True)

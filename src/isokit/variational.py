@@ -8,10 +8,9 @@ against the relative length element (1 + z'^2)/2 dt:
 
 with zdot_i the forward difference on cell i.  The gradient below is the
 exact derivative of this discrete functional with the endpoints eliminated,
-and the minimizer runs damped Newton on the resulting tridiagonal system
-(a plain gradient step where a Thomas pivot vanishes), raising
-NoConvergenceError when no damping reduces the gradient.  Critical profiles
-satisfy the continuum equations
+and the minimizer runs damped Newton on the resulting tridiagonal system,
+raising NoConvergenceError where a Thomas pivot vanishes or no damping
+reduces the gradient.  Critical profiles satisfy the continuum equations
 alpha*t**(alpha-1)*z' + (t**alpha - lam)*z'' = 0 and
 (z**alpha - lam)*z'' = alpha*z**(alpha-1)*(1 - z'^2)/2 respectively.
 """
@@ -149,7 +148,8 @@ def _solve_tridiagonal(diag, off, rhs):
 
     The sweep reads and writes through memoryviews, so it runs on Python
     floats: the same IEEE operations in the same order as on numpy scalars,
-    without a numpy scalar per element.
+    without a numpy scalar per element, and a zero pivot raises the float
+    division's ZeroDivisionError.
     """
     n = diag.size
     a = memoryview(np.ascontiguousarray(diag, dtype=float))
@@ -159,14 +159,10 @@ def _solve_tridiagonal(diag, off, rhs):
     d_arr = np.empty(n)
     c, d = memoryview(c_arr), memoryview(d_arr)
     cp = a[0]
-    if cp == 0.0:
-        raise ZeroDivisionError("zero pivot in tridiagonal solve")
     di = d[0] = r[0] / cp
     for i, o, ai, ri in zip(range(1, n), b, a[1:], r[1:]):
         ci = c[i - 1] = o / cp
         cp = ai - o * ci
-        if cp == 0.0:
-            raise ZeroDivisionError("zero pivot in tridiagonal solve")
         di = d[i] = (ri - o * di) / cp
     for i, ci, dd in zip(range(n - 2, -1, -1), c[::-1], d[-2::-1]):
         di = d[i] = dd - ci * di
@@ -223,7 +219,8 @@ def minimize(
         try:
             step = _solve_tridiagonal(diag, off, -grad)
         except ZeroDivisionError:
-            step = -grad
+            msg = f"zero pivot in the Newton system at gradient norm {gn:.3e}"
+            raise NoConvergenceError(msg) from None
         for damping in (1.0, 0.5, 0.25, 0.125, 0.0625):
             trial = z.copy()
             trial[1:-1] += damping * step
@@ -259,11 +256,6 @@ def el_residual(spec: WeightFunctionalSpec, profile, t: float) -> float:
         raise DomainError(f"slope square overflows at t={t}") from None
 
 
-def discrete_relative_length(curve: DiscreteCurve) -> float:
-    """Relative length sum of h*(1 + zdot^2)/2: the functional of the unit weight t**0."""
-    return evaluate_functional(WeightFunctionalSpec(LZ, 0.0, 0.0), curve)
-
-
 def lambda_sweep(
     reference: str,
     alpha: float,
@@ -276,6 +268,7 @@ def lambda_sweep(
     The multiplier enters the weight as a given constant, so constraining the
     relative length to a target reduces to scanning this table.
     """
+    unit_weight = WeightFunctionalSpec(LZ, 0.0, 0.0)  # t**0: sum of h*(1 + zdot^2)/2
     out = []
     for lam in lambdas:
         spec = WeightFunctionalSpec(reference=reference, alpha=alpha, lam=lam)
@@ -285,7 +278,7 @@ def lambda_sweep(
                 "lam": float(lam),
                 "curve": curve,
                 "value": evaluate_functional(spec, curve),
-                "relative_length": discrete_relative_length(curve),
+                "relative_length": evaluate_functional(unit_weight, curve),
             }
         )
     return out

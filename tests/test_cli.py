@@ -114,6 +114,24 @@ def test_catenoid_mesh(tmp_path, capsys):
     assert sum(1 for ln in lines if ln.startswith("f ")) == 8 * 16
 
 
+@pytest.mark.parametrize(
+    "radii, c, d",
+    [
+        (["--r1", "1e-300", "--z1", "0", "--r2", "1e300", "--z2", "1e300"],
+         1e300 / (600.0 * math.log(10.0)), 5e299),
+        (["--r1", "1e300", "--z1", "0", "--r2", "1e-300", "--z2", "1"],
+         -1.0 / (600.0 * math.log(10.0)), 0.5),
+    ],
+    ids=["quotient_overflows", "quotient_underflows"],
+)
+def test_catenoid_far_apart_radii(radii, c, d, capsys):
+    # r2 / r1 overflows to inf or underflows to 0; each problem has one solution
+    assert run_cli("catenoid", *radii) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == "unique"
+    assert (payload["c"], payload["d"]) == pytest.approx((c, d), rel=1e-12)
+
+
 def test_catenoid_invalid_radius_exit_code(capsys):
     code = run_cli("catenoid", "--r1", "-1", "--z1", "0", "--r2", "2", "--z2", "1")
     assert code == 1

@@ -159,6 +159,14 @@ class TestCatenaryFamily:
         with pytest.raises(DomainError):
             fam2(-1.0)
 
+    def test_plane_curve_domain_and_interval(self):
+        fam = CatenaryFamily(alpha=1.0, c=1.0, d=0.0, lam=2.0)
+        # the graph curve's construction scan evaluates t_lo first
+        with pytest.raises(DomainError, match=r"^t - lam = -1.0 <= 0$"):
+            fam.plane_curve(1.0, 3.0)
+        with pytest.raises(InvalidIntervalError):  # a reversed interval, checked first
+            fam.plane_curve(3.0, -1.0)
+
     def test_alpha_zero_rejected(self):
         with pytest.raises(ValueError):
             CatenaryFamily(alpha=0.0)
@@ -284,7 +292,7 @@ class TestInvariants:
 
 class TestAdmissibility:
     def test_isotropic_tangent_rejected(self):
-        with pytest.raises(NonAdmissibleError):
+        with pytest.raises(NonAdmissibleError, match=r"^\|x'\|=0.0 below admissibility threshold$"):
             PlaneCurve.from_functions(
                 -1.0, 1.0,
                 x=lambda t: t**3, z=lambda t: t,
@@ -299,6 +307,16 @@ class TestAdmissibility:
                 x=lambda t: math.cos(t), z=lambda t: t,
                 xd=lambda t: -math.sin(t), zd=lambda t: 1.0,
                 xdd=lambda t: -math.cos(t), zdd=lambda t: 0.0,
+            )
+
+    def test_sign_change_between_check_nodes_rejected(self):
+        # x' = t changes sign inside [-1, 2], and no node of the 129-node scan lands on 0
+        with pytest.raises(NonAdmissibleError, match="^x' changes sign on the domain$"):
+            PlaneCurve.from_functions(
+                -1.0, 2.0,
+                x=lambda t: 0.5 * t * t, z=lambda t: t,
+                xd=lambda t: t, zd=lambda t: 1.0,
+                xdd=lambda t: 1.0, zdd=lambda t: 0.0,
             )
 
     def test_decreasing_x_reparametrized(self):

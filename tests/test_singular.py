@@ -116,6 +116,20 @@ class TestCatenoidBoundary:
         with pytest.raises(InvalidRadiusError):
             CatenoidBoundary(0.0, 0.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "boundary, c, d",
+        [
+            ((1e-300, 0.0, 1e300, 1e300), 1e300 / (600.0 * math.log(10.0)), 5e299),
+            ((1e300, 0.0, 1e-300, 1.0), -1.0 / (600.0 * math.log(10.0)), 0.5),
+        ],
+        ids=["quotient_overflows", "quotient_underflows"],
+    )
+    def test_far_apart_radii(self, boundary, c, d):
+        # r2 / r1 overflows to inf or underflows to 0, while ln(r2/r1) = +-600 ln 10
+        sol = solve_catenoid_boundary(CatenoidBoundary(*boundary))
+        assert sol.status == "unique"
+        assert (sol.c, sol.d) == pytest.approx((c, d), rel=1e-12)
+
     @settings(max_examples=60)
     @given(
         st.floats(min_value=0.2, max_value=5.0),
@@ -295,7 +309,7 @@ class TestAlphaRevolutionLink:
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, 3.0])
     def test_weighted_residual_vanishes_on_linked_family(self, alpha):
         link = AlphaRevolutionLink(alpha)
-        form = link.profile_form(1.0, 0.5)
+        form = link.family(1.0, 0.5).form
         surf = make_revolution(RevolutionSpec(form.plane_curve(0.5, 3.0)), -1.3, 1.3)
         spec = SingularSpec(PI_YZ, alpha, 0.0)
         worst = max(

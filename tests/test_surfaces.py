@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -171,6 +172,15 @@ class TestRelativeArea:
         half = relative_area(surf, (1.0, math.e, 0.0, math.pi))
         assert half == pytest.approx(math.pi * (math.e**2 + 1) / 4, rel=1e-8)
 
+    def test_overflowing_jet_is_a_domain_error(self):
+        # pitch*theta + z overflows a float, so the jet and the area are not finite
+        curve = ProfileForm("poly", {"a": (1e308,)}).plane_curve(1.0, 2.0)
+        surf = make_helicoidal(HelicoidalSpec(curve, 1e308), 0.0, 1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^relative area is not finite: inf$"):
+                relative_area(surf, panels_u=2, panels_v=2)
+
 
 class TestGenerators:
     def test_constant_profile_gives_plane_annulus(self):
@@ -340,6 +350,21 @@ class TestInvariantsAndOrientation:
         jet = surf.at(1.0, 0.5)
         x12 = jet.ru[0] * jet.rv[1] - jet.ru[1] * jet.rv[0]
         assert x12 > 0
+
+    def test_top_view_jacobian_sign_change_rejected(self):
+        # r = (u, u*v, 0) has X12 = u, which changes sign inside [-1, 2]; no check node hits 0
+        with pytest.raises(NonAdmissibleError, match="^top-view Jacobian changes sign on the domain$"):
+            ParamSurface(
+                -1.0, 2.0, 0.0, 1.0,
+                lambda us, vs: (
+                    (us, us * vs, 0.0),
+                    (1.0, vs, 0.0),
+                    (0.0, us, 0.0),
+                    (0.0, 0.0, 0.0),
+                    (0.0, 1.0, 0.0),
+                    (0.0, 0.0, 0.0),
+                ),
+            )
 
     def test_isotropic_tangent_plane_rejected(self):
         with pytest.raises(NonAdmissibleError):

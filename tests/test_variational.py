@@ -11,7 +11,6 @@ from isokit.variational import (
     DiscreteCurve,
     _solve_tridiagonal,
     WeightFunctionalSpec,
-    discrete_relative_length,
     el_residual,
     evaluate_functional,
     functional_gradient,
@@ -226,6 +225,19 @@ class TestTridiagonal:
             _numpy_scalar_thomas(diag, off, np.ones(9))
 
 
+def test_zero_pivot_is_no_convergence(monkeypatch):
+    # a zero Hessian diagonal makes the first Thomas pivot 0
+    real = variational._gradient_hessian
+
+    def zero_diagonal(spec, t, z):
+        grad, diag, off = real(spec, t, z)
+        return grad, np.zeros_like(diag), off
+
+    monkeypatch.setattr(variational, "_gradient_hessian", zero_diagonal)
+    with pytest.raises(NoConvergenceError, match=r"^zero pivot in the Newton system at gradient norm "):
+        minimize(LZ1, (1.0, 0.0, math.e, 1.0), 20)
+
+
 class TestElResidual:
     @pytest.mark.parametrize("t", [1.0, 2.0, 10.0])
     def test_log_family(self, t):
@@ -303,9 +315,8 @@ def test_lambda_sweep_table():
     base = minimize(LZ1, (1.0, 0.0, math.e, 1.0), 80)
     np.testing.assert_allclose(rows[0]["curve"].values, base.values, atol=1e-12)
     for row in rows:
-        assert row["relative_length"] == pytest.approx(
-            discrete_relative_length(row["curve"])
-        )
+        h, dz = np.diff(row["curve"].grid), np.diff(row["curve"].values)
+        assert row["relative_length"] == pytest.approx(np.sum(h * 0.5 * (1.0 + (dz / h) ** 2)))
         assert math.isfinite(row["value"])
 
 

@@ -162,6 +162,12 @@ COMMANDS = [
                                              "--z1", "1e300", "--z2", "1e300"]),
     ("classify_parabolic_ode_underflow", ["classify", "parabolic", "--ref", "xy",
                                           "--b=1e-300"]),
+    # far-apart radii whose quotient r2/r1 overflows or underflows a float: both
+    # boundary problems still have a unique solution
+    ("catenoid_radii_quotient_overflow", ["catenoid", "--r1", "1e-300", "--z1", "0",
+                                          "--r2", "1e300", "--z2", "1e300"]),
+    ("catenoid_radii_quotient_underflow", ["catenoid", "--r1", "1e300", "--z1", "0",
+                                           "--r2", "1e-300", "--z2", "1"]),
 ]
 
 
