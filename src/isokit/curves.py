@@ -415,6 +415,6 @@ def write_curve_csv(path, t: np.ndarray, x: np.ndarray, z: np.ndarray) -> None:
 
 
 def read_curve_csv(path) -> GraphCurve:
-    """Re-import a `t,x,z` CSV as a sampled graph curve."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    return PlaneCurve.from_samples(data[:, 0], data[:, 2])
+    """Re-import a `t,x,z` CSV as a sampled graph curve; too few rows are a ValueError."""
+    t, z = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 2), ndmin=2).T
+    return PlaneCurve.from_samples(t, z)

@@ -156,8 +156,8 @@ def integrate(
     """Fixed-step classical Runge-Kutta for z'' = rhs(t, z, z').
 
     Backward integration (t1 < t0) is allowed.  Raises SingularityError when
-    a right-hand-side denominator collapses and StepFailureError on
-    non-finite state.
+    a right-hand-side denominator collapses or divides by zero, and
+    StepFailureError on non-finite state or a right-hand side that overflows.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
@@ -171,26 +171,31 @@ def integrate(
     rhs, isfinite = ode.rhs, math.isfinite
     t, z, p = float(t0), float(z0), float(zp0)
     tv[0], zv[0], pv[0] = t, z, p
-    for i in range(steps):
-        k1z, k1p = p, rhs(t, z, p)
-        k2z = p + hh * k1p
-        k2p = rhs(t + hh, z + hh * k1z, p + hh * k1p)
-        k3z = p + hh * k2p
-        k3p = rhs(t + hh, z + hh * k2z, p + hh * k2p)
-        k4z = p + h * k3p
-        k4p = rhs(t + h, z + h * k3z, p + h * k3p)
-        z += h * (k1z + 2.0 * k2z + 2.0 * k3z + k4z) / 6.0
-        p += h * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
-        t = t0 + (i + 1) * h
-        if not (isfinite(z) and isfinite(p)):
-            raise StepFailureError(f"non-finite state at t={t}")
-        tv[i + 1], zv[i + 1], pv[i + 1] = t, z, p
+    try:  # zero-cost until raised (CPython 3.11): the hot rhs needs no checks of its own
+        for i in range(steps):
+            k1z, k1p = p, rhs(t, z, p)
+            k2z = p + hh * k1p
+            k2p = rhs(t + hh, z + hh * k1z, p + hh * k1p)
+            k3z = p + hh * k2p
+            k3p = rhs(t + hh, z + hh * k2z, p + hh * k2p)
+            k4z = p + h * k3p
+            k4p = rhs(t + h, z + h * k3z, p + h * k3p)
+            z += h * (k1z + 2.0 * k2z + 2.0 * k3z + k4z) / 6.0
+            p += h * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
+            t = t0 + (i + 1) * h
+            if not (isfinite(z) and isfinite(p)):
+                raise StepFailureError(f"non-finite state at t={t}")
+            tv[i + 1], zv[i + 1], pv[i + 1] = t, z, p
+    except ZeroDivisionError as exc:  # e.g. 0.0 to a negative power
+        raise SingularityError(f"right-hand side singular in the step at t={t}: {exc}") from exc
+    except OverflowError as exc:  # e.g. a float ** that leaves the double range
+        raise StepFailureError(f"right-hand side overflowed in the step at t={t}: {exc}") from exc
     return IVPResult(ts, zs, ps, iterations=steps)
 
 
 def ivp_residual(result: IVPResult, ode: ProfileODE) -> float:
-    """Max |z'' - rhs| of the result's Hermite profile at the cell midpoints, where z''
-    is the difference quotient of z': the bound reflects the samples' O(h^4) accuracy."""
+    """Max |z'' - rhs| of the result's Hermite profile at the cell midpoints, where z'' is the
+    difference quotient of z': O(h^2), 16x smaller per 4x steps (the samples are O(h^4))."""
     tm = 0.5 * (result.t[:-1] + result.t[1:])
     cols = map(memoryview, (tm, *result(tm)))  # iterated as Python floats, with no list
     return max(abs(q - ode.rhs(t, z, p)) for t, z, p, q in zip(*cols))

@@ -21,6 +21,8 @@ def default_panels_2d() -> int:
 def simpson_nodes(a: float, b: float, panels: int) -> tuple[np.ndarray, float]:
     """Nodes and step of the composite rule over [a, b], panels rounded up to even."""
     n = int(panels)
+    if n < 1:
+        raise ValueError(f"Simpson needs a positive panel count, got {panels}")
     n += n % 2
     return np.linspace(a, b, n + 1), (b - a) / n
 

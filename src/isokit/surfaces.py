@@ -1,7 +1,7 @@
 """Admissible parametric surfaces in the isotropic space.
 
 A surface is admissible when the top-view Jacobian X12 of its tangent plane
-never vanishes; evaluators are normalized on load so X12 > 0.  With
+never vanishes; one with X12 < 0 is traversed backwards in v.  With
 X23, X31, X12 the pairwise minors of the top-view derivative matrix, the
 minimal normal is (X23/X12, X31/X12, 1) and the parabolic (relative) normal
 replaces the third component with 1/2 - (X23^2 + X31^2)/(2*X12^2).  First
@@ -49,8 +49,9 @@ class ParamSurface:
     ``evaluate`` gets a (nu, 1) column of u-nodes and a row of nv v-nodes and
     returns (r, r_u, r_v, r_uu, r_uv, r_vv), each component a float or an
     array that broadcasts to (nu, nv).  The top-view Jacobian X12 is checked
-    on a 9 x 9 grid; where it is negative everywhere, u and v swap roles so
-    that X12 > 0.
+    on a 9 x 9 grid; where it is negative everywhere, v runs backwards, as
+    ``PlaneCurve`` reverses t: a node (u, v) is the evaluator's
+    (u, v_lo + v_hi - v), and the bounds stay.
     """
 
     def __init__(self, u_lo, u_hi, v_lo, v_hi, evaluate):
@@ -58,14 +59,12 @@ class ParamSurface:
             raise ValueError("empty parameter rectangle")
         self.u_lo, self.u_hi = float(u_lo), float(u_hi)
         self.v_lo, self.v_hi = float(v_lo), float(v_hi)
-        self._evaluate, self._swapped = evaluate, False
+        self._evaluate, self._reversed = evaluate, False
         us = np.linspace(self.u_lo, self.u_hi, CHECK_SAMPLES)
         with np.errstate(all="ignore"):  # a jet that overflows fails where it is used, not here
             x12s = jet_minors(self.grid(us, np.linspace(self.v_lo, self.v_hi, CHECK_SAMPLES)))[2]
         if np.all(x12s < 0.0):
-            self._swapped = True
-            self.u_lo, self.v_lo = self.v_lo, self.u_lo
-            self.u_hi, self.v_hi = self.v_hi, self.u_hi
+            self._reversed = True  # traverse v -> v_lo + v_hi - v
         elif np.any(x12s < 0.0):
             raise NonAdmissibleError("top-view Jacobian changes sign on the domain")
 
@@ -86,17 +85,17 @@ class ParamSurface:
     def grid(self, us, vs) -> SurfaceJet:
         """Jets at the nodes us x vs, fields of shape (len(us), len(vs), 3).
 
-        One evaluator call per grid, with u and v exchanged on a swapped
-        surface; a node outside the rectangle (or NaN) raises DomainError."""
+        One evaluator call per grid, at v_lo + v_hi - v on a reversed surface;
+        a node outside the rectangle (or NaN) raises DomainError."""
         us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
         check_domain(us, self.u_lo, self.u_hi)
         check_domain(vs, self.v_lo, self.v_hi)
-        us, vs = (vs, us) if self._swapped else (us, vs)
+        nodes = self.v_lo + self.v_hi - vs if self._reversed else vs
         out = np.empty((6, 3, us.size, vs.size))
-        for i, vec in enumerate(self._evaluate(us[:, None], vs)):
+        for i, vec in enumerate(self._evaluate(us[:, None], nodes)):
             out[i, 0], out[i, 1], out[i, 2] = vec  # indexed stores: no view per component
-        if self._swapped:  # back to the caller's (u, v): transpose, r_u <-> r_v, r_uu <-> r_vv
-            out = out[[0, 2, 1, 5, 4, 3]].swapaxes(2, 3)
+        if self._reversed:  # one d/dv each: r_v and r_uv change sign, r_vv does not
+            out[[2, 4]] *= -1.0
         return SurfaceJet(*out.transpose(0, 2, 3, 1))  # the view np.moveaxis builds, cheaper
 
     def at(self, u: float, v: float) -> SurfaceJet:

@@ -169,6 +169,32 @@ def test_classify_parabolic_json(capsys):
     assert payload["profile"]["coefficients"]["quad"] == pytest.approx(-0.25)
 
 
+@pytest.mark.parametrize("args, case", [
+    (["--a", "0", "--b=-1", "--c2", "1"], "ParabolicCase1a"),
+    (["--a", "1", "--b=-1", "--c1", "0.5", "--c2", "1"], "ParabolicCase1b"),
+], ids=["1a", "1b"])
+def test_classify_parabolic_negative_b(args, case, capsys):
+    # X12 = b < 0: the verification grid is (t, theta) on a surface that runs theta backwards
+    code = run_cli("classify", "parabolic", *args, "--ref", "yz")
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["case"] == case
+    assert dict((c["name"], c["residual"]) for c in payload["constraints"])[
+        "sms_residual_max_abs"] < 1e-9
+
+
+def test_negative_b_mesh_keeps_its_t_range_open(tmp_path):
+    # a t-range of length 2 pi is no theta turn: no seam, 2 x 3 vertices and two quads
+    mesh = tmp_path / "m.obj"
+    code = run_cli("surface", "parabolic", "--a", "0.3", "--b=-1.5", "--profile", "log:1,0",
+                   "--trange", "1:7.283185307179586", "--thetarange=-0.5:0.5", "--grid", "1x2",
+                   "--mesh", str(mesh))
+    assert code == 0
+    lines = mesh.read_text().splitlines()
+    assert sum(ln.startswith("v ") for ln in lines) == 6
+    assert [ln for ln in lines if ln.startswith("f ")] == ["f 1 4 5 2", "f 2 5 6 3"]
+
+
 def test_ivp_outputs(tmp_path, capsys):
     out = tmp_path / "ivp.csv"
     code = run_cli("ivp", "--a", "1", "--out", str(out))

@@ -1,5 +1,6 @@
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -359,6 +360,17 @@ def test_csv_round_trip(tmp_path):
     assert worst < 1e-3
     j = back.at(1.5)
     assert j.z == pytest.approx(math.log(1.5), abs=1e-5)
+
+
+@pytest.mark.parametrize("rows", ["", "1,1,0\n", "1,1,0\n2,2,0.5\n3,3,1\n"],
+                         ids=["0", "1", "3"])
+def test_csv_with_too_few_rows_is_a_value_error(rows, tmp_path):
+    path = tmp_path / "curve.csv"
+    path.write_text("t,x,z\n" + rows)
+    with warnings.catch_warnings():  # numpy warns that an empty file holds no data
+        warnings.simplefilter("ignore", UserWarning)
+        with pytest.raises(ValueError, match="at least 4 samples"):
+            read_curve_csv(path)
 
 
 def _poly_closure(vals):

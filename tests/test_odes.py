@@ -151,6 +151,19 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(E_SMS, 1.0, 1.0, 0.0, 2.0, 0)
 
+    def test_overflowing_rhs_is_a_named_step_failure(self):
+        # z**3 of z0 = 1e120 leaves the double range inside the rhs: a Python OverflowError
+        ode = ProfileODE.nonisotropic_alpha_catenary(3.0)
+        with pytest.raises(StepFailureError, match=r"^right-hand side overflowed in the step "
+                                                   r"at t=0\.0: .*out of range"):
+            integrate(ode, 0.0, 1e120, 0.0, 1.0, 10)
+
+    def test_zero_to_a_negative_power_is_a_named_singularity(self):
+        ode = ProfileODE.nonisotropic_alpha_catenary(-1.0)
+        with pytest.raises(SingularityError, match=r"^right-hand side singular in the step "
+                                                   r"at t=0\.0: 0\.0 cannot be raised"):
+            integrate(ode, 0.0, 0.0, 0.0, 1.0, 10)
+
 
 def _numpy_store_integrate(ode, t0, z0, zp0, t1, steps):
     """Reference RK4 loop on numpy array stores, as the integrator first ran."""

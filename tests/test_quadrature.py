@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isokit import quadrature
+from isokit.curves import CatenaryFamily, relative_arclength
+from isokit.surfaces import RevolutionSpec, make_revolution, relative_area
 
 
 def test_simpson_exact_on_cubics():
@@ -63,6 +65,27 @@ def test_simpson_smooth_accuracy():
 def test_simpson_odd_panel_count_bumped():
     a = quadrature.simpson(lambda t: t**2, 0.0, 1.0, panels=5)
     assert a == pytest.approx(1.0 / 3.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("panels", [0, -1, -2])
+def test_non_positive_panel_count_is_one_value_error(panels):
+    curve = CatenaryFamily(alpha=1.0, c=1.0, d=0.0).plane_curve(1.0, 2.0)
+    surface = make_revolution(RevolutionSpec(curve))
+
+    def row(u, vs):
+        return vs
+
+    message = f"^Simpson needs a positive panel count, got {panels}$"
+    for call in (
+        lambda: quadrature.simpson(math.sin, 0.0, 1.0, panels=panels),
+        lambda: quadrature.simpson_2d(row, 0.0, 1.0, 0.0, 1.0, panels_u=panels),
+        lambda: quadrature.simpson_2d(row, 0.0, 1.0, 0.0, 1.0, panels_v=panels),
+        lambda: relative_arclength(curve, 1.0, 2.0, panels=panels),
+        lambda: relative_area(surface, panels_u=panels),
+        lambda: relative_area(surface, panels_v=panels),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_simpson_samples_validation():

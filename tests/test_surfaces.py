@@ -333,7 +333,7 @@ class TestInvariantsAndOrientation:
             assert det > 0.0
 
     def test_reversed_orientation_normalized_on_load(self):
-        # parameters swapped relative to a graph: X12 = -1 before normalization
+        # parameters exchanged relative to a graph: X12 = -1 before normalization
         surf = ParamSurface(
             0.0, 1.0, 0.0, 2.0,
             lambda us, vs: (
@@ -345,9 +345,13 @@ class TestInvariantsAndOrientation:
                 (0.0, 0.0, 2.0),
             ),
         )
-        # after the swap the u-range is the old v-range
-        assert (surf.u_lo, surf.u_hi) == (0.0, 2.0)
-        jet = surf.at(1.0, 0.5)
+        # the bounds stay; v runs backwards, v -> 2 - v, and r_v changes sign
+        assert (surf.u_lo, surf.u_hi, surf.v_lo, surf.v_hi) == (0.0, 1.0, 0.0, 2.0)
+        jet = surf.at(0.5, 1.5)
+        assert tuple(jet.r) == (0.5, 0.5, 0.25)
+        assert tuple(jet.ru) == (0.0, 1.0, 0.0)
+        assert tuple(jet.rv) == (-1.0, 0.0, -1.0)
+        assert tuple(jet.rvv) == (0.0, 0.0, 2.0)
         x12 = jet.ru[0] * jet.rv[1] - jet.ru[1] * jet.rv[0]
         assert x12 > 0
 
@@ -530,19 +534,21 @@ class TestGraphProfiles:
                 write_vertex_curvature_csv(tmp_path / "h.csv", mesh_grid(surf, 3, 5))
                 assert math.isfinite(relative_area(surf, panels_u=6, panels_v=6))
 
-    def test_negative_b_sweeps_with_swapped_parameters(self):
+    def test_negative_b_sweeps_with_reversed_theta(self):
         curve = log_profile(1.5, 0.25).plane_curve(0.8, 2.4)
         surf = make_parabolic_revolution(
             ParabolicRevolutionSpec(0.3, -1.5, 0.4, -0.25, 0.6, curve), -0.8, 0.8
         )
-        assert (surf.u_lo, surf.u_hi, surf.v_lo, surf.v_hi) == (-0.8, 0.8, 0.8, 2.4)
-        jet = surf.at(0.5, 1.3)  # (theta, t) after the swap
+        assert (surf.u_lo, surf.u_hi, surf.v_lo, surf.v_hi) == (0.8, 2.4, -0.8, 0.8)
+        jet = surf.at(1.3, 0.5)  # still (t, theta); evaluated at theta = -0.8 + 0.8 - 0.5
         z, zd, zdd = curve(1.3)
-        k = 0.3 * -0.25 + -1.5 * 0.6
-        height = 0.4 * 0.5 + 0.5 * k * 0.5**2 - 0.25 * 1.3 * 0.5 + z
-        assert tuple(jet.r) == (0.3 * 0.5 + 1.3, -1.5 * 0.5, height)
-        assert tuple(jet.rv) == (1.0, 0.0, -0.25 * 0.5 + zd)
-        assert jet.rvv[2] == zdd
+        k, th = 0.3 * -0.25 + -1.5 * 0.6, -0.5
+        height = 0.4 * th + 0.5 * k * th**2 + -0.25 * 1.3 * th + z
+        assert tuple(jet.r) == (0.3 * th + 1.3, -1.5 * th, height)
+        assert tuple(jet.ru) == (1.0, 0.0, -0.25 * th + zd)
+        assert tuple(jet.rv) == (-0.3, 1.5, -(0.4 + k * th + -0.25 * 1.3))
+        assert (jet.ruu[2], jet.ruv[2], jet.rvv[2]) == (zdd, 0.25, k)
+        assert jet.ru[0] * jet.rv[1] - jet.ru[1] * jet.rv[0] > 0.0
 
 
 # The per-node evaluators that preceded the array evaluators, kept as references:
@@ -577,14 +583,14 @@ def _parabolic_node(spec, t, th):
 class TestRowEvaluator:
     CURVE = ProfileForm("power", {"c": 0.8, "p": 2.5, "d": 0.1}).plane_curve(0.7, 2.3)
 
-    def _assert_grid_matches_nodes(self, surf, node, spec, us, vs, swapped=False):
+    def _assert_grid_matches_nodes(self, surf, node, spec, us, vs, reversed_v=False):
         jet = surf.grid(us, vs)
         assert jet.r.shape == (len(us), len(vs), 3)
         for i, u in enumerate(np.asarray(us, dtype=float)):
             for j, v in enumerate(np.asarray(vs, dtype=float)):
-                if swapped:  # (theta, t) parameters: r_u <-> r_v, r_uu <-> r_vv
-                    r, rv, ru, rvv, ruv, ruu = node(spec, v, u)
-                    expected = np.array((r, ru, rv, ruu, ruv, rvv), dtype=float)
+                if reversed_v:  # theta -> v_lo + v_hi - theta: r_v and r_uv change sign
+                    expected = np.array(node(spec, u, surf.v_lo + surf.v_hi - v), dtype=float)
+                    expected[[2, 4]] *= -1.0
                 else:
                     expected = np.array(node(spec, u, v), dtype=float)
                 assert np.array_equal(np.stack([f[i, j] for f in jet]), expected)
@@ -598,7 +604,7 @@ class TestRowEvaluator:
         self._assert_grid_matches_nodes(surf, _helicoidal_node, spec, us, vs)
         self._assert_grid_matches_nodes(surf, _helicoidal_node, spec, [1.1], [thetas[0]])
 
-    @pytest.mark.parametrize("b", [1.3, -1.5], ids=["direct", "swapped"])
+    @pytest.mark.parametrize("b", [1.3, -1.5], ids=["direct", "reversed"])
     def test_parabolic_rows_match_per_node_evaluator(self, b):
         # A flat profile and 42 thetas: at three nodes an array th**2 (x*x), unlike
         # the scalar th**2 (pow), changes the last bit of r.
@@ -606,11 +612,8 @@ class TestRowEvaluator:
         spec = ParabolicRevolutionSpec(0.4, b, 0.2, -0.3, 0.6, flat)
         surf = make_parabolic_revolution(spec, -0.9, 0.8)
         ts, ths = np.linspace(0.7, 2.3, 7), np.linspace(-0.9, 0.8, 42)
-        if b > 0:
-            self._assert_grid_matches_nodes(surf, _parabolic_node, spec, ts, ths)
-        else:
-            assert (surf.u_lo, surf.u_hi) == (-0.9, 0.8)
-            self._assert_grid_matches_nodes(surf, _parabolic_node, spec, ths, ts, swapped=True)
+        assert (surf.u_lo, surf.u_hi, surf.v_lo, surf.v_hi) == (0.7, 2.3, -0.9, 0.8)
+        self._assert_grid_matches_nodes(surf, _parabolic_node, spec, ts, ths, reversed_v=b < 0)
 
     def test_profile_called_once_per_u_row(self):
         form, calls = ProfileForm("log", {"c": 1.3, "d": 0.2}), []
@@ -628,30 +631,30 @@ class TestRowEvaluator:
         hel.grid(ts, ths)
         assert len(calls) == 5
         calls.clear()
-        par.grid(ths, ts)  # swapped: (theta, t); still one call per t-row
+        par.grid(ts, ths)  # theta reversed (b < 0); still one call per t-row
         assert len(calls) == 5
         calls.clear()
         relative_area(hel, panels_u=8, panels_v=16)
         assert len(calls) == 9
         assert all(type(t) is float for t in calls)
 
-    @pytest.mark.parametrize("swapped", [False, True])
-    def test_grid_calls_the_evaluator_once_per_grid(self, swapped):
+    @pytest.mark.parametrize("mirrored", [False, True])
+    def test_grid_calls_the_evaluator_once_per_grid(self, mirrored):
         calls = []
 
-        def evaluate(us, vs):  # (u, v, u v), or (v, u, u v) with X12 = -1
+        def evaluate(us, vs):  # (u, v, u v), or (u, -v, -u v) with X12 = -1
             calls.append((us.shape, vs.shape))
             r, ru, rv = (us, vs, us * vs), (1.0, 0.0, vs), (0.0, 1.0, us)
-            if swapped:
-                r, ru, rv = (vs, us, us * vs), (0.0, 1.0, vs), (1.0, 0.0, us)
+            if mirrored:
+                r, ru, rv = (us, -vs, -us * vs), (1.0, 0.0, -vs), (0.0, -1.0, -us)
             return r, ru, rv, (0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, 0.0)
 
         surf = ParamSurface(0.0, 1.0, -1.0, 1.0, evaluate)
         assert calls == [((9, 1), (9,))]  # the orientation check is one grid too
+        assert (surf.u_lo, surf.u_hi, surf.v_lo, surf.v_hi) == (0.0, 1.0, -1.0, 1.0)
         calls.clear()
-        ts, ss = np.linspace(0.0, 1.0, 7), np.linspace(-1.0, 1.0, 5)
-        us, vs = (ss, ts) if swapped else (ts, ss)  # a swapped surface's u runs over [-1, 1]
-        jet = surf.grid(us, vs)
+        us, vs = np.linspace(0.0, 1.0, 7), np.linspace(-1.0, 1.0, 5)
+        jet = surf.grid(us, vs)  # a mirrored surface runs v backwards: the same (u, v, u v)
         assert calls == [((7, 1), (5,))]
         assert jet.r.shape == (us.size, vs.size, 3)
         assert np.array_equal(jet.r[..., 0], np.broadcast_to(us[:, None], jet.r.shape[:2]))
@@ -678,24 +681,26 @@ interval = st.tuples(
 
 
 @given(st.tuples(*[coefficient] * 5), interval, interval)
-def test_transposed_graph_swaps_back_to_the_same_jets(coefficients, u_box, v_box):
+def test_mirrored_graph_reverses_back_to_the_same_jets(coefficients, u_box, v_box):
     heights = _cubic_heights(*coefficients)
     direct = ParamSurface.graph(*u_box, *v_box, *heights)
 
-    def transposed(ss, ts):  # (t, s, f(t, s)): the graph with its parameters exchanged
-        z, zt, zs, ztt, zts, zss = (
-            np.array([[h(t, s) for t in ts] for s in ss[:, 0]]) for h in heights
+    def mirrored(us, ws):  # (u, -w, f(u, -w)): the graph mirrored in v
+        z, zu, zv, zuu, zuv, zvv = (
+            np.array([[h(u, -w) for w in ws] for u in us[:, 0]]) for h in heights
         )
-        return ((ts, ss, z), (0.0, 1.0, zs), (1.0, 0.0, zt),
-                (0.0, 0.0, zss), (0.0, 0.0, zts), (0.0, 0.0, ztt))
+        return ((us, -ws, z), (1.0, 0.0, zu), (0.0, -1.0, -zv),
+                (0.0, 0.0, zuu), (0.0, 0.0, -zuv), (0.0, 0.0, zvv))
 
-    swapped = ParamSurface(*v_box, *u_box, transposed)  # X12 = -1: u and v swap on load
-    assert (swapped.u_lo, swapped.u_hi, swapped.v_lo, swapped.v_hi) == (*u_box, *v_box)
-    us, vs = np.linspace(*u_box, 5), np.linspace(*v_box, 4)
-    for got, want in zip(swapped.grid(us, vs), direct.grid(us, vs), strict=True):
+    w_box = (-v_box[1], -v_box[0])
+    mirror = ParamSurface(*u_box, *w_box, mirrored)  # X12 = -1: w runs backwards on load
+    assert (mirror.u_lo, mirror.u_hi, mirror.v_lo, mirror.v_hi) == (*u_box, *w_box)
+    us, ws = np.linspace(*u_box, 5), np.linspace(*w_box, 4)
+    vs = -(mirror.v_lo + mirror.v_hi - ws)  # the direct node that the reversed w reaches
+    for got, want in zip(mirror.grid(us, ws), direct.grid(us, vs), strict=True):
         assert np.array_equal(got, want)
     area = relative_area(direct, panels_u=16, panels_v=16)
-    assert relative_area(swapped, panels_u=16, panels_v=16) == pytest.approx(area, rel=1e-12)
+    assert relative_area(mirror, panels_u=16, panels_v=16) == pytest.approx(area, rel=1e-12)
 
 
 _LOG = ProfileForm("log", {"c": 1.5, "d": 0.25}).plane_curve(0.8, 2.4)

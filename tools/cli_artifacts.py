@@ -71,7 +71,7 @@ COMMANDS = [
                                 "--profile", "poly:0.3,0,0.25", "--range", "1:3",
                                 "--thetarange=-0.5:0.5", "--a", "1", "--b", "1",
                                 "--c1", "0.5", "--c2=-1"]),
-    # b < 0 makes the top-view Jacobian negative: ParamSurface swaps u and v
+    # b < 0 makes the top-view Jacobian negative: ParamSurface runs theta backwards
     ("surface_parabolic_swapped", ["surface", "parabolic", "--a", "0.3", "--b=-1.5", "--c", "0.4",
                                    "--c1=-0.25", "--c2", "0.6", "--thetarange=-0.8:0.8",
                                    "--profile", "log:1.5,0.25", "--trange", "0.8:2.4",
@@ -168,6 +168,9 @@ COMMANDS = [
                                           "--r2", "1e300", "--z2", "1e300"]),
     ("catenoid_radii_quotient_underflow", ["catenoid", "--r1", "1e300", "--z1", "0",
                                            "--r2", "1e-300", "--z2", "1"]),
+    # b < 0: the verification surface runs theta backwards and keeps its (t, theta) grid
+    ("classify_parabolic_negative_b", ["classify", "parabolic", "--a", "0", "--b=-1",
+                                       "--c2", "1", "--ref", "yz"]),
 ]
 
 
