@@ -162,9 +162,8 @@ def _cmd_catenary(args) -> int:
     family = curves.CatenaryFamily(
         reference=curves.LZ, alpha=args.alpha, c=args.c, d=args.d, lam=args.lam
     )
-    t_lo, t_hi = args.trange
-    ts = np.linspace(t_lo, t_hi, args.n)
-    curves.write_curve_csv(args.out, ts, ts, [family(float(t))[0] for t in ts])
+    ts = np.linspace(*args.trange, args.n)
+    curves.write_curve_csv(args.out, ts, ts, curves.sample_columns(family, ts)[0])
     return 0
 
 

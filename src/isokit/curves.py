@@ -12,9 +12,9 @@ coefficient names must match its kind's names exactly.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -47,6 +47,21 @@ class CurveJet(NamedTuple):
     zdd: float
 
 
+def sample_columns(fn, *nodes) -> np.ndarray:
+    """``fn`` called once per node with Python floats, one from each of the same-shape
+    arrays ``nodes``; its k-tuples stacked into an array of shape (k, *nodes[0].shape)."""
+    rows = map(fn, *(node.ravel().tolist() for node in nodes))
+    return np.array(list(rows), float).T.reshape(-1, *nodes[0].shape)
+
+
+def check_orientation(signs, name: str) -> bool:
+    """True if every value is negative (run backwards); mixed signs are a NonAdmissibleError."""
+    negative = np.count_nonzero(signs < 0.0)
+    if 0 < negative < signs.size:
+        raise NonAdmissibleError(f"{name} changes sign on the domain")
+    return negative == signs.size
+
+
 def check_domain(ts, lo: float, hi: float) -> None:
     """DomainError unless every parameter in ts lies in [lo, hi] up to 1e-12 (NaN never does)."""
     ts = np.asarray(ts, dtype=float)
@@ -67,15 +82,10 @@ class PlaneCurve:
     def __init__(self, t_lo: float, t_hi: float, eval_fn):
         if not (t_lo < t_hi):
             raise InvalidIntervalError(f"empty parameter interval [{t_lo}, {t_hi}]")
-        self.t_lo = float(t_lo)
-        self.t_hi = float(t_hi)
-        self._eval = eval_fn
-        self._reversed = False
+        self.t_lo, self.t_hi = float(t_lo), float(t_hi)
+        self._eval, self._reversed = eval_fn, False
         xds = _admissible(self.grid(np.linspace(self.t_lo, self.t_hi, CHECK_SAMPLES))).xd
-        if np.all(xds < 0.0):
-            self._reversed = True  # traverse t -> t_lo + t_hi - t
-        elif np.any(xds < 0.0):
-            raise NonAdmissibleError("x' changes sign on the domain")
+        self._reversed = check_orientation(xds, "x'")  # traverse t -> t_lo + t_hi - t
 
     @staticmethod
     def graph(t_lo, t_hi, z, zd, zdd) -> "GraphCurve":
@@ -119,21 +129,20 @@ class PlaneCurve:
         return GraphCurve(t[0], t[-1], profile)
 
     def grid(self, ts) -> CurveJet:
-        """Jets at the 1-d array of nodes ts, one evaluator call per node.
+        """Jets at the 1-d array of nodes ts, one evaluator call per node (``sample_columns``).
 
         A node outside the domain (or NaN) raises DomainError."""
         ts = np.asarray(ts, dtype=float)
         check_domain(ts, self.t_lo, self.t_hi)
         nodes = self.t_lo + self.t_hi - ts if self._reversed else ts
-        out = np.fromiter(chain.from_iterable(map(self._eval, nodes)), float, 6 * ts.size)
-        x, z, xd, zd, xdd, zdd = out.reshape(-1, 6).T
+        x, z, xd, zd, xdd, zdd = sample_columns(self._eval, nodes)
         if self._reversed:
             xd, zd = -xd, -zd
         return CurveJet(x, z, xd, zd, xdd, zdd)
 
     def at(self, t: float) -> CurveJet:
         """Jet at one point: the one-node grid, fields as floats."""
-        return CurveJet(*(float(f[0]) for f in self.grid([t])))
+        return CurveJet(*(f.item() for f in self.grid([t])))
 
     def sample(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """n uniformly spaced (t, x, z) samples over the domain."""
@@ -147,7 +156,7 @@ class GraphCurve(PlaneCurve):
 
     Calling the curve gives the profile jet (z, z', z'') at t, with
     DomainError outside [t_lo, t_hi]; ``profile`` is the unchecked callable,
-    which swept surfaces call once per u-row.
+    which swept surfaces call once per u-node, inside the domain that their grid checks.
     """
 
     def __init__(self, t_lo: float, t_hi: float, profile):
@@ -170,7 +179,7 @@ class GraphCurve(PlaneCurve):
 
 def _admissible(jet: CurveJet) -> CurveJet:
     """The jet itself, once |x'| >= 1e-9 holds at every node."""
-    slope = np.min(np.abs(jet.xd))
+    slope = np.abs(jet.xd).min()  # the method, not np.min: no Python dispatch per point
     if slope < ADMISSIBLE_MIN_SLOPE:
         raise NonAdmissibleError(f"|x'|={slope} below admissibility threshold")
     return jet
@@ -319,8 +328,8 @@ class CatenaryFamily:
     for alpha not in {0, 1}, evaluated as ``form``, the ``log`` or ``power``
     ProfileForm, at t - lam.  At alpha = 1 the exponent p = 1 - alpha vanishes and
     the family turns to the log, since ln t is the limit of (t**p - 1)/p as p -> 0.
-    Profiles for the non-isotropic axis (``LX``) have no elementary closed form and
-    live in :mod:`isokit.odes`.
+    Profiles for the non-isotropic axis (``LX``) have no elementary closed form, so
+    that reference is a ValueError here; they live in :mod:`isokit.odes`.
     """
 
     reference: str = LZ
@@ -330,7 +339,10 @@ class CatenaryFamily:
     lam: float = 0.0
 
     def __post_init__(self):
-        if self.reference not in (LZ, LX):
+        if self.reference == LX:
+            raise ValueError("no closed form for the non-isotropic reference; integrate the "
+                             "profile ODE from isokit.odes instead")
+        if self.reference != LZ:
             raise ValueError(f"unknown reference line {self.reference!r}")
         if self.alpha == 0.0:
             raise ValueError(
@@ -346,11 +358,6 @@ class CatenaryFamily:
 
     def __call__(self, t: float) -> tuple[float, float, float]:
         """(z, z', z'') at t; DomainError outside the family domain."""
-        if self.reference == LX:
-            raise ValueError(
-                "no closed form for the non-isotropic reference; integrate the "
-                "profile ODE from isokit.odes instead"
-            )
         s = t - self.lam
         if s <= 0.0:
             raise DomainError(f"t - lam = {s} <= 0")
@@ -416,5 +423,7 @@ def write_curve_csv(path, t: np.ndarray, x: np.ndarray, z: np.ndarray) -> None:
 
 def read_curve_csv(path) -> GraphCurve:
     """Re-import a `t,x,z` CSV as a sampled graph curve; too few rows are a ValueError."""
-    t, z = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 2), ndmin=2).T
+    with warnings.catch_warnings():  # no data rows is the ValueError below, not also a warning
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        t, z = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 2), ndmin=2).T
     return PlaneCurve.from_samples(t, z)

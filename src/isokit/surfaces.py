@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import IsoVec3, finite_array, write_csv, write_text
-from .curves import GraphCurve, check_domain
+from .curves import GraphCurve, check_domain, check_orientation, sample_columns
 from .errors import DomainError, NonAdmissibleError
 from .quadrature import simpson_2d
 
@@ -63,20 +63,17 @@ class ParamSurface:
         us = np.linspace(self.u_lo, self.u_hi, CHECK_SAMPLES)
         with np.errstate(all="ignore"):  # a jet that overflows fails where it is used, not here
             x12s = jet_minors(self.grid(us, np.linspace(self.v_lo, self.v_hi, CHECK_SAMPLES)))[2]
-        if np.all(x12s < 0.0):
-            self._reversed = True  # traverse v -> v_lo + v_hi - v
-        elif np.any(x12s < 0.0):
-            raise NonAdmissibleError("top-view Jacobian changes sign on the domain")
+        self._reversed = check_orientation(x12s, "top-view Jacobian")  # v -> v_lo + v_hi - v
 
     @classmethod
     def graph(cls, u_lo, u_hi, v_lo, v_hi, f, fu, fv, fuu, fuv, fvv) -> "ParamSurface":
         """Surface (u, v, f(u, v)) from a height function and its partials."""
 
+        def height(u, v):
+            return f(u, v), fu(u, v), fv(u, v), fuu(u, v), fuv(u, v), fvv(u, v)
+
         def evaluate(us, vs):
-            z, zu, zv, zuu, zuv, zvv = (
-                np.array([[h(u, v) for v in vs] for u in us[:, 0]]).reshape(us.size, vs.size)
-                for h in (f, fu, fv, fuu, fuv, fvv)
-            )
+            z, zu, zv, zuu, zuv, zvv = sample_columns(height, *np.broadcast_arrays(us, vs))
             return ((us, vs, z), (1.0, 0.0, zu), (0.0, 1.0, zv),
                     (0.0, 0.0, zuu), (0.0, 0.0, zuv), (0.0, 0.0, zvv))
 
@@ -218,11 +215,6 @@ class ParabolicRevolutionSpec:
         return self.a * self.c1 + self.b * self.c2 == 0.0
 
 
-def _profile_columns(profile, ts):
-    """(z, z', z'') at the (nu, 1) column ts as (nu, 1) columns: one profile call per float t."""
-    return np.array([profile(t) for t in ts.ravel().tolist()], float).T.reshape(3, -1, 1)
-
-
 def make_helicoidal(
     spec: HelicoidalSpec, theta_lo: float = 0.0, theta_hi: float = TWO_PI
 ) -> ParamSurface:
@@ -232,13 +224,12 @@ def make_helicoidal(
     curve, c = spec.profile, float(spec.pitch)
     if not all(math.isfinite(c * float(th)) for th in (theta_lo, theta_hi)):
         raise DomainError(f"pitch {c} times theta is not finite on [{theta_lo}, {theta_hi}]")
-    profile = curve.profile  # ParamSurface.grid keeps t inside the curve domain
 
     def evaluate(ts, ths):
         nodes = ths.tolist()  # libm over Python floats: np.cos may differ in the last bit
         ct = np.fromiter(map(math.cos, nodes), float, ths.size)
         st = np.fromiter(map(math.sin, nodes), float, ths.size)
-        z, zd, zdd = _profile_columns(profile, ts)
+        z, zd, zdd = sample_columns(curve.profile, ts)
         tc, nts = ts * ct, -ts * st
         return ((tc, ts * st, c * ths + z), (ct, st, zd), (nts, tc, c),
                 (0.0, 0.0, zdd), (-st, ct, 0.0), (-ts * ct, nts, 0.0))
@@ -253,13 +244,13 @@ def make_parabolic_revolution(
     spec: ParabolicRevolutionSpec, theta_lo: float = -1.0, theta_hi: float = 1.0
 ) -> ParamSurface:
     """(a v + t, b v, c v + (a c1 + b c2) v^2/2 + c1 t v + z(t))."""
-    curve, profile = spec.profile, spec.profile.profile
+    curve = spec.profile
     a, b, c, c1 = spec.a, spec.b, spec.c, spec.c1
     k = spec.a * spec.c1 + spec.b * spec.c2
 
     def evaluate(ts, ths):
         th2 = np.float_power(ths, 2)  # pow like scalar **, unlike array **
-        z, zd, zdd = _profile_columns(profile, ts)
+        z, zd, zdd = sample_columns(curve.profile, ts)
         return (
             (a * ths + ts, b * ths, c * ths + 0.5 * k * th2 + c1 * ts * ths + z),
             (1.0, 0.0, c1 * ths + zd), (a, b, c + k * ths + c1 * ts),
@@ -339,6 +330,7 @@ def write_obj_mesh(path, mesh: Mesh) -> None:
 
 
 def write_vertex_curvature_csv(path, mesh: Mesh) -> None:
-    """Per-vertex mean curvature in mesh vertex order, as `u,v,H` rows."""
+    """Per-vertex mean curvature in mesh vertex order, as `u,v,H` rows of the surface's
+    parameters: on a reversed surface, v runs opposite to the evaluator's theta."""
     with np.errstate(all="ignore"):  # write_csv refuses an H that overflowed: no numpy warning
         write_csv(path, "u,v,H", (*mesh.params.T, jet_mean_curvature(mesh.jet).ravel()))

@@ -1,6 +1,6 @@
+import hashlib
 import math
 import pickle
-import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +32,9 @@ from isokit.errors import (
     DomainError,
     InvalidIntervalError,
     NonAdmissibleError,
+    SingularDenominatorError,
 )
+from isokit.odes import ProfileODE, integrate
 from isokit.quadrature import simpson, simpson_nodes
 
 
@@ -177,9 +179,8 @@ class TestCatenaryFamily:
             CatenaryFamily(alpha=2.0, lam=1.0)
 
     def test_no_closed_form_for_nonisotropic_axis(self):
-        fam = CatenaryFamily(reference=LX, alpha=1.0)
-        with pytest.raises(ValueError):
-            fam(1.0)
+        with pytest.raises(ValueError, match="no closed form for the non-isotropic reference"):
+            CatenaryFamily(reference=LX, alpha=1.0)
 
 
 class TestCurvatureResidual:
@@ -208,6 +209,12 @@ class TestCurvatureResidual:
                 for t in np.linspace(lam + 0.55, lam + 3.95, 100)
             )
             assert worst < 1e-9
+
+    def test_vanishing_weight_denominator_is_named(self):
+        line = graph(1.0, 2.0, lambda t: t, lambda t: 1.0, lambda t: 0.0)  # x - lam = 0 at x = 1.5
+        with pytest.raises(SingularDenominatorError,
+                           match=r"^weight denominator 0\.0 at t=1\.5 is numerically zero$"):
+            catenary_curvature_residual(line, LZ, 1.0, 1.5, 1.5)
 
     def test_weight_power_overflow_is_a_domain_error(self):
         curve = ProfileForm("poly", {"a": (1.0, 1e200)}).plane_curve(1.0, 2.0)
@@ -364,13 +371,12 @@ def test_csv_round_trip(tmp_path):
 
 @pytest.mark.parametrize("rows", ["", "1,1,0\n", "1,1,0\n2,2,0.5\n3,3,1\n"],
                          ids=["0", "1", "3"])
+@pytest.mark.filterwarnings("error")  # the ValueError is the only signal: no numpy warning first
 def test_csv_with_too_few_rows_is_a_value_error(rows, tmp_path):
     path = tmp_path / "curve.csv"
     path.write_text("t,x,z\n" + rows)
-    with warnings.catch_warnings():  # numpy warns that an empty file holds no data
-        warnings.simplefilter("ignore", UserWarning)
-        with pytest.raises(ValueError, match="at least 4 samples"):
-            read_curve_csv(path)
+    with pytest.raises(ValueError, match="at least 4 samples"):
+        read_curve_csv(path)
 
 
 def _poly_closure(vals):
@@ -628,6 +634,20 @@ class TestGridPath:
         assert relative_arclength(curve, a, b, panels) == simpson(integrand, a, b, panels=panels)
         ts, _ = simpson_nodes(a, b, 256 if panels is None else panels)
         assert samples[0].tolist() == [integrand(t) for t in ts]
+
+
+def test_curve_jet_digest_is_pinned():
+    # sha256 of the float.hex of every grid field, taken when PlaneCurve.grid still
+    # flattened the evaluator's tuples through itertools.chain and np.fromiter
+    sampled = PlaneCurve.from_samples(np.linspace(0.5, 2.0, 13), np.linspace(0.5, 2.0, 13) ** 3)
+    ode = ProfileODE.nonisotropic_alpha_catenary(2.0)
+    swept = GraphCurve(1.0, 1.5, integrate(ode, 1.0, 1.0, 0.25, 1.5, 40))
+    hexes = []
+    for curve in (*ANALYTIC_CURVES, REVERSED, sampled, swept):
+        for field in curve.grid(np.linspace(curve.t_lo, curve.t_hi, 33)):
+            hexes.extend(float(v).hex() for v in field)
+    digest = hashlib.sha256("\n".join(hexes).encode()).hexdigest()
+    assert digest == "554affa41ef5102de82d8c00e854b4a4aa9f5ba3b5501816aa0e9d00f2848716"
 
 
 @settings(max_examples=40, deadline=None)

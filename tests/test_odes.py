@@ -142,6 +142,14 @@ class TestIntegrate:
         with pytest.raises(SingularityError):
             integrate(ode, 1.0, 1.0, 0.0, 2.0, 100)  # weight base equals the shift
 
+    @pytest.mark.parametrize(("ode", "message"), [
+        (ProfileODE.revolution_nonisotropic(), "profile height vanished"),
+        (ProfileODE.parabolic_nonisotropic(0.0, 1.0, 0.0), "denominator 0.0 vanished"),
+    ])
+    def test_vanishing_denominator_is_named(self, ode, message):
+        with pytest.raises(SingularityError, match=f"^{message}$"):
+            integrate(ode, 1.0, 0.0, 0.0, 2.0, 10)  # z0 = 0 zeroes 2z, and 2z + b c2 t^2 at c2 = 0
+
     def test_blowup_reported(self):
         quad = ProfileODE("quadratic_growth", lambda t, z, zp: z * z)
         with pytest.raises(StepFailureError):

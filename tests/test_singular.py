@@ -116,6 +116,11 @@ class TestCatenoidBoundary:
         with pytest.raises(InvalidRadiusError):
             CatenoidBoundary(0.0, 0.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("boundary", [(math.nan, 0.0, 1.0, 0.0), (1.0, 0.0, 1.0, math.inf)])
+    def test_non_finite_boundary(self, boundary):
+        with pytest.raises(ValueError, match="^boundary circle radii and heights must be finite$"):
+            CatenoidBoundary(*boundary)
+
     @pytest.mark.parametrize(
         "boundary, c, d",
         [

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from isokit import cli, surfaces
 from isokit.core import euclid_dot
-from isokit.curves import CatenaryFamily, GraphCurve, PlaneCurve, read_curve_csv, write_curve_csv
+from isokit.curves import (
+    CatenaryFamily,
+    GraphCurve,
+    PlaneCurve,
+    read_curve_csv,
+    relative_arclength,
+    write_curve_csv,
+)
 from isokit.errors import DomainError, NonAdmissibleError
 from isokit.singular import ProfileForm, classify_helicoidal, cmc_profile_coefficient
 from isokit.surfaces import (
@@ -355,6 +362,11 @@ class TestInvariantsAndOrientation:
         x12 = jet.ru[0] * jet.rv[1] - jet.ru[1] * jet.rv[0]
         assert x12 > 0
 
+    @pytest.mark.parametrize("box", [(1.0, 1.0, 0.0, 1.0), (0.0, 1.0, 1.0, 0.5)])
+    def test_empty_parameter_rectangle_rejected(self, box):
+        with pytest.raises(ValueError, match="^empty parameter rectangle$"):
+            ParamSurface(*box, lambda us, vs: pytest.fail("evaluated an empty rectangle"))
+
     def test_top_view_jacobian_sign_change_rejected(self):
         # r = (u, u*v, 0) has X12 = u, which changes sign inside [-1, 2]; no check node hits 0
         with pytest.raises(NonAdmissibleError, match="^top-view Jacobian changes sign on the domain$"):
@@ -533,6 +545,35 @@ class TestGraphProfiles:
                 mesh_grid(surf, 3, 5)
                 write_vertex_curvature_csv(tmp_path / "h.csv", mesh_grid(surf, 3, 5))
                 assert math.isfinite(relative_area(surf, panels_u=6, panels_v=6))
+
+    def test_a_plain_profile_gets_python_floats_on_curves_and_sweeps(self):
+        seen, power = set(), [3]
+
+        def profile(t):  # no float(t) of its own, unlike ProfileForm
+            seen.add(type(t))
+            p = power[0]
+            return t**p, p * t ** (p - 1), p * (p - 1) * t ** (p - 2)
+
+        def height(u, v):
+            seen.update((type(u), type(v)))
+            return 0.0
+
+        curve = GraphCurve(1.0, 2.0, profile)
+        curve.grid(np.linspace(1.0, 2.0, 5))
+        curve.at(1.5)
+        relative_arclength(curve, 1.0, 2.0, 4)
+        rev, hel, par = (make(curve) for make in SPEC_MAKERS)
+        sweeps = [make_revolution(rev), make_helicoidal(hel), make_parabolic_revolution(par)]
+        for surf in sweeps:
+            relative_area(surf, panels_u=2, panels_v=2)
+        graph_surface(*[height] * 6).at(0.5, 0.5)
+        assert seen == {float}
+        power[0] = 1100  # 2.0**1100 leaves the double range: float ** raises where numpy's warns
+        calls = [lambda: GraphCurve(1.0, 2.0, profile), lambda: curve.at(2.0),
+                 *(lambda surf=surf: surf.at(2.0, 0.5) for surf in sweeps)]
+        for call in calls:
+            with pytest.raises(OverflowError):
+                call()
 
     def test_negative_b_sweeps_with_reversed_theta(self):
         curve = log_profile(1.5, 0.25).plane_curve(0.8, 2.4)

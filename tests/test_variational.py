@@ -238,6 +238,12 @@ def test_zero_pivot_is_no_convergence(monkeypatch):
         minimize(LZ1, (1.0, 0.0, math.e, 1.0), 20)
 
 
+def test_no_descent_step_is_no_convergence():
+    no_descent = r"^no descent step found at gradient norm 4\.852e-01$"
+    with pytest.raises(NoConvergenceError, match=no_descent):
+        minimize(WeightFunctionalSpec(LX, 2.5, 0.0), (0.0, 0.01, 1.0, 2.0), 20)
+
+
 class TestElResidual:
     @pytest.mark.parametrize("t", [1.0, 2.0, 10.0])
     def test_log_family(self, t):
