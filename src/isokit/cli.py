@@ -8,13 +8,12 @@ formatting (17 significant digits), sorted JSON keys, no timestamps.
 
 import argparse
 import functools
-import math
 import sys
 
 import numpy as np
 
 from . import curves, odes, singular, surfaces, variational
-from .core import finite_array, write_json
+from .core import check_finite, finite_array, write_json
 from .errors import IsoKitError
 
 
@@ -23,14 +22,6 @@ def _parse_range(raw: str) -> tuple[float, float]:
     if not lo < hi:  # false for NaN too
         raise argparse.ArgumentTypeError(f"range {raw} needs lo < hi")
     return lo, hi
-
-
-def _check_finite(args) -> None:
-    """ValueError naming the first option that holds a NaN or an infinity."""
-    for name, value in vars(args).items():
-        numbers = value if isinstance(value, tuple) else (value,)
-        if any(isinstance(x, float) and not math.isfinite(x) for x in numbers):
-            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _count(lo: int):
@@ -185,16 +176,12 @@ def _cmd_minimize(args) -> int:
 def _cmd_catenoid(args) -> int:
     boundary = singular.CatenoidBoundary(args.r1, args.z1, args.r2, args.z2)
     sol = singular.solve_catenoid_boundary(boundary)
-    mesh = None
-    if args.mesh and sol.status == "unique":  # meshed and checked before the JSON is printed
+    if args.mesh and sol.status == "unique":  # ProfileForm checks c and d: the JSON cannot fail
         form = curves.ProfileForm("log", {"c": sol.c, "d": sol.d})
         t_lo, t_hi = sorted((args.r1, args.r2))
         surf = surfaces.make_revolution(surfaces.RevolutionSpec(form.plane_curve(t_lo, t_hi)))
-        mesh = surfaces.mesh_grid(surf, *args.grid)
-        finite_array(mesh.jet.r, "mesh vertex")
+        surfaces.write_obj_mesh(args.mesh, surfaces.mesh_grid(surf, *args.grid))
     write_json("-", {"c": sol.c, "d": sol.d, "status": sol.status})
-    if mesh is not None:
-        surfaces.write_obj_mesh(args.mesh, mesh)
     return 0
 
 
@@ -271,9 +258,9 @@ def run(argv=None) -> int:
     if args.command == "surface" and args.mesh == "-" and args.curvature_csv is None:
         parser.error("surface --mesh - needs --curvature-csv")
     try:
-        _check_finite(args)
+        check_finite(**vars(args))
         return args.func(args)
-    except (IsoKitError, ValueError) as exc:
+    except (IsoKitError, ValueError, OSError) as exc:  # OSError: a destination not writable
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

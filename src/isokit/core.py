@@ -10,6 +10,7 @@ place where artifacts are written.
 
 import json
 import math
+import numbers
 import sys
 from typing import NamedTuple
 
@@ -81,6 +82,15 @@ def write_json(dest, obj) -> None:
     """JSON with sorted keys, two-space indent and a trailing newline; NaN and
     infinities raise ValueError, since JSON has no spelling for them."""
     write_text(dest, json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n")
+
+
+def check_finite(**values) -> None:
+    """ValueError naming the first value that is, or whose tuple holds, a non-finite real."""
+    for name, value in values.items():
+        for x in value if isinstance(value, tuple) else (value,):
+            # float before the slow ABC check; a NaN fails, an int of any size is not converted
+            if isinstance(x, (float, numbers.Real)) and not -math.inf < x < math.inf:
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 def finite_array(values, what: str) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import IsoVec2, write_csv
+from .core import IsoVec2, check_finite, write_csv
 from .errors import (
     DomainError,
     InvalidIntervalError,
@@ -32,7 +32,8 @@ from .quadrature import default_panels_1d, simpson_nodes, simpson_samples
 LZ = "lz"  # the isotropic z-axis; distance to it is the x-coordinate
 LX = "lx"  # the non-isotropic x-axis; distance to it is the z-coordinate
 
-ADMISSIBLE_MIN_SLOPE = 1e-9
+ADMISSIBLE_MIN = 1e-9  # |x'| on a curve, |X12| on a surface: the tangent is not isotropic
+DENOM_FLOOR = 1e-12  # a weight or ODE denominator below it counts as zero
 CHECK_SAMPLES = 129  # nodes of a PlaneCurve's admissibility check
 
 
@@ -60,6 +61,12 @@ def check_orientation(signs, name: str) -> bool:
     if 0 < negative < signs.size:
         raise NonAdmissibleError(f"{name} changes sign on the domain")
     return negative == signs.size
+
+
+def check_admissible(values, name: str) -> None:
+    """NonAdmissibleError unless |value| >= ADMISSIBLE_MIN at every node (a NaN node passes)."""
+    if np.count_nonzero(abs(values) < ADMISSIBLE_MIN):  # counted: a NaN .min() would hide a zero
+        raise NonAdmissibleError(f"{name}={np.nanmin(abs(values))} below admissibility threshold")
 
 
 def check_domain(ts, lo: float, hi: float) -> None:
@@ -178,10 +185,8 @@ class GraphCurve(PlaneCurve):
 
 
 def _admissible(jet: CurveJet) -> CurveJet:
-    """The jet itself, once |x'| >= 1e-9 holds at every node."""
-    slope = np.abs(jet.xd).min()  # the method, not np.min: no Python dispatch per point
-    if slope < ADMISSIBLE_MIN_SLOPE:
-        raise NonAdmissibleError(f"|x'|={slope} below admissibility threshold")
+    """The jet itself, once ``check_admissible`` passes its x'."""
+    check_admissible(jet.xd, "|x'|")
     return jet
 
 
@@ -348,6 +353,7 @@ class CatenaryFamily:
             raise ValueError(
                 "alpha = 0 has a degenerate weight; use the variational module"
             )
+        check_finite(lam=self.lam)  # ProfileForm checks alpha, c and d
         if self.alpha != 1.0 and self.lam != 0.0:
             raise ValueError("lam must be 0 unless alpha = 1")
         if self.alpha == 1.0:
@@ -409,7 +415,7 @@ def catenary_curvature_residual(
     else:
         raise ValueError(f"unknown reference line {reference!r}")
     denom, wp = weight_powers(base, alpha, lam, name, f"{name}={base} (t={t})")
-    if abs(denom) < 1e-12:
+    if abs(denom) < DENOM_FLOOR:
         raise SingularDenominatorError(
             f"weight denominator {denom} at t={t} is numerically zero"
         )

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .core import write_csv
-from .curves import check_domain
+from .curves import DENOM_FLOOR, check_domain
 from .errors import (
     DomainError,
     MaxIterExceededError,
@@ -36,7 +36,6 @@ from .errors import (
 )
 from .quadrature import cumulative_simpson
 
-DENOM_FLOOR = 1e-12
 PICARD_NODES = 513  # odd, as nested Simpson needs
 PICARD_MAX_ITER = 200
 # Radius of the Picard domain at a = 1, eps = 1/2 (0.9 safety factor): with

@@ -28,9 +28,9 @@ def simpson_nodes(a: float, b: float, panels: int) -> tuple[np.ndarray, float]:
 
 
 def simpson(f, a: float, b: float, panels: int | None = None) -> float:
-    """Integrate f over [a, b] with composite Simpson on an even panel count."""
+    """Integrate f over [a, b] by composite Simpson, even panels; f gets Python float nodes."""
     t, h = simpson_nodes(a, b, default_panels_1d() if panels is None else panels)
-    return simpson_samples(np.array([f(ti) for ti in t], dtype=float), h)
+    return simpson_samples(np.array([f(ti) for ti in t.tolist()], dtype=float), h)
 
 
 def simpson_samples(y: np.ndarray, h: float) -> float:

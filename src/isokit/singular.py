@@ -24,7 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curves import LZ, CatenaryFamily, ProfileForm
+from .core import check_finite
+from .curves import DENOM_FLOOR, LZ, CatenaryFamily, ProfileForm
 from .errors import InvalidRadiusError, SingularDenominatorError
 from .odes import ProfileODE
 from .surfaces import (
@@ -51,6 +52,7 @@ class SingularSpec:
     def __post_init__(self):
         if self.reference not in (PI_YZ, PI_XY):
             raise ValueError(f"unknown reference plane {self.reference!r}")
+        check_finite(alpha=self.alpha, lam=self.lam)
 
 
 def jet_sms_residual(jet: SurfaceJet, spec: SingularSpec):
@@ -63,7 +65,7 @@ def jet_sms_residual(jet: SurfaceJet, spec: SingularSpec):
             f"point distance {np.nanmin(dist)} leaves the positive half-space"
         )
     denom = dist - spec.lam
-    if np.any(np.abs(denom) < 1e-12):
+    if np.any(np.abs(denom) < DENOM_FLOOR):
         raise SingularDenominatorError(f"weight denominator {np.nanmin(np.abs(denom))} vanished")
     return h - spec.alpha * pairing / (2.0 * denom)
 
@@ -174,6 +176,7 @@ def classify_helicoidal(
     instantiate the reported family for residual verification.
     """
     spec = SingularSpec(reference)  # checks the reference
+    check_finite(pitch=pitch, z1=z1, z2=z2)
     if pitch != 0.0:
         name = "sin_theta_coefficient" if reference == PI_YZ else "theta_coefficient"
         value = -pitch if reference == PI_YZ else pitch
@@ -222,6 +225,7 @@ def classify_parabolic_revolution(
     c = c1 = 0 with the profile tied to a second-order ODE.  Violated
     constraints are reported by name with their residual.
     """
+    check_finite(a=a, b=b, c=c, c1=c1, c2=c2, z1=z1, z2=z2)
     if b == 0.0:
         raise ValueError("parabolic revolution needs b != 0")
     spec = SingularSpec(reference)  # checks the reference
@@ -292,6 +296,7 @@ class QuadricClass(NamedTuple):
 
 def quadric_type(a: float, b: float, c1: float, c2: float, h0: float) -> QuadricClass:
     """Type of the CMC parabolic quadric by the sign of its discriminant."""
+    check_finite(a=a, b=b, c1=c1, c2=c2, h0=h0)
     if b == 0.0:
         raise ValueError("quadric typing needs b != 0")
     lam = 2.0 * (a * c1 + b * c2) * h0 - (c1**2 + c2**2)

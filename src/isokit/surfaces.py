@@ -22,12 +22,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import IsoVec3, finite_array, write_csv, write_text
-from .curves import GraphCurve, check_domain, check_orientation, sample_columns
-from .errors import DomainError, NonAdmissibleError
+from .core import IsoVec3, check_finite, finite_array, write_csv, write_text
+from .curves import GraphCurve, check_admissible, check_domain, check_orientation, sample_columns
+from .errors import DomainError
 from .quadrature import simpson_2d
 
-ADMISSIBLE_MIN_JACOBIAN = 1e-9
 CHECK_SAMPLES = 9  # per side of the orientation check grid
 TWO_PI = 2.0 * math.pi
 
@@ -105,8 +104,7 @@ def jet_minors(jet: SurfaceJet):
     ru, rv = jet.ru, jet.rv
     pairs = ((1, 2), (2, 0), (0, 1))
     x23, x31, x12 = (ru[..., i] * rv[..., j] - ru[..., j] * rv[..., i] for i, j in pairs)
-    if np.count_nonzero(np.abs(x12) < ADMISSIBLE_MIN_JACOBIAN):  # cheaper than np.any
-        raise NonAdmissibleError(f"top-view Jacobian {np.min(np.abs(x12))} below threshold")
+    check_admissible(x12, "top-view Jacobian")
     return x23, x31, x12
 
 
@@ -205,6 +203,7 @@ class ParabolicRevolutionSpec:
     profile: GraphCurve
 
     def __post_init__(self):
+        check_finite(a=self.a, b=self.b, c=self.c, c1=self.c1, c2=self.c2)
         if self.b == 0.0:
             raise ValueError("parabolic revolution needs b != 0")
         if not isinstance(self.profile, GraphCurve):

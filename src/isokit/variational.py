@@ -20,17 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import check_finite
 from .curves import LX, LZ, check_weight_base, weight_powers
 from .errors import DomainError, NoConvergenceError, SingularDenominatorError
 
 MAX_ITER = 10_000  # Newton steps of minimize
 TOL_SCALE = 1e-10  # minimize stops once max|gradient| < TOL_SCALE * n
-
-
-def _require_finite(**values) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -42,7 +37,7 @@ class WeightFunctionalSpec:
     def __post_init__(self):
         if self.reference not in (LZ, LX):
             raise ValueError(f"unknown reference line {self.reference!r}")
-        _require_finite(alpha=self.alpha, lam=self.lam)
+        check_finite(alpha=self.alpha, lam=self.lam)
 
 
 @dataclass
@@ -200,7 +195,7 @@ def minimize(
     before the first iteration.
     """
     t_a, z_a, t_b, z_b = endpoints
-    _require_finite(t_a=t_a, z_a=z_a, t_b=t_b, z_b=z_b)
+    check_finite(t_a=t_a, z_a=z_a, t_b=t_b, z_b=z_b)
     if not t_a < t_b:
         raise ValueError("need t_a < t_b")
     t = np.linspace(t_a, t_b, n + 1)

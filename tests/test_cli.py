@@ -460,6 +460,22 @@ def test_el_weight_power_overflow_is_one_error_line(ref, message, capsys):
     assert capsys.readouterr() == ("", f"error: weight power overflows at {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["catenary", "--range", "1:2", "--out"],
+        ["catenoid", "--r1", "1", "--z1", "0", "--r2", "2", "--z2", "1", "--mesh"],
+    ],
+    ids=["catenary_out", "catenoid_mesh"],
+)
+def test_unwritable_destination_is_one_error_line(argv, tmp_path, capsys):
+    assert run_cli(*argv, str(tmp_path / "missing" / "out")) == 1
+    out = capsys.readouterr()
+    assert out.out == ""  # catenoid writes its mesh before it prints its JSON
+    assert out.err.startswith("error: [Errno 2] No such file or directory")
+    assert out.err.count("\n") == 1
+
+
 def test_non_finite_range_end_exits_one(tmp_path, capsys):
     out = tmp_path / "c.csv"
     assert run_cli("catenary", "--range=1:inf", "--n", "3", "--out", str(out)) == 1

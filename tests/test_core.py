@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from isokit.core import (
     IsoVec2,
     IsoVec3,
+    check_finite,
     euclid_dot,
     iso_dot,
     iso_norm,
@@ -136,3 +137,11 @@ def test_write_csv_matches_numpy_scalar_formatting(columns):
     with contextlib.redirect_stdout(buf):
         write_csv("-", "a,b", columns)
     assert buf.getvalue() == _numpy_scalar_csv("a,b", columns)
+
+
+def test_check_finite_names_a_non_finite_real_and_skips_other_types():
+    check_finite(n=3, huge=10**400, pair=(1.0, -2.5), kind="nan", fn=print)
+    with pytest.raises(ValueError, match=r"^trange must be finite, got \(1.0, inf\)$"):
+        check_finite(n=3, trange=(1.0, math.inf))
+    with pytest.raises(ValueError, match="^alpha must be finite, got nan$"):
+        check_finite(alpha=np.float32("nan"), lam=math.inf)  # the first one is named

@@ -308,6 +308,16 @@ class TestAdmissibility:
                 xdd=lambda t: 6 * t, zdd=lambda t: 0.0,
             )
 
+    def test_zero_slope_beside_a_nan_slope_rejected(self):
+        # x' is NaN at the first check node and 0 at the last: a NaN minimum would hide the 0
+        def xd(t):
+            return math.nan if t == 0.0 else (0.0 if t == 1.0 else 1.0)
+
+        with pytest.raises(NonAdmissibleError, match=r"^\|x'\|=0.0 below admissibility threshold$"):
+            PlaneCurve.from_functions(
+                0.0, 1.0, lambda t: t, lambda t: 0.0, xd, lambda t: 0.0, lambda t: 0.0, lambda t: 0.0
+            )
+
     def test_sign_change_rejected(self):
         with pytest.raises(NonAdmissibleError):
             PlaneCurve.from_functions(
@@ -676,3 +686,8 @@ def test_reversal_keeps_relative_length_and_curvature(e, c, a, width, s):
     point = pytest.approx((fwd.at(t).x, fwd.at(t).z), rel=1e-12, abs=1e-12)
     assert (rev.at(t).x, rev.at(t).z) == point
     assert curvature(rev, t) == pytest.approx(curvature(fwd, t), rel=1e-12, abs=1e-12)
+
+
+def test_catenary_family_rejects_a_non_finite_lam():
+    with pytest.raises(ValueError, match="^lam must be finite, got nan$"):
+        CatenaryFamily(alpha=1.0, lam=math.nan)

@@ -62,6 +62,12 @@ def test_simpson_smooth_accuracy():
     assert val == pytest.approx(2.0, abs=1e-9)
 
 
+def test_simpson_passes_python_float_nodes():
+    kinds = set()
+    quadrature.simpson(lambda t: kinds.add(type(t)) or t, 0.0, 1.0, 4)
+    assert kinds == {float}  # not np.float64, as every other sampler
+
+
 def test_simpson_odd_panel_count_bumped():
     a = quadrature.simpson(lambda t: t**2, 0.0, 1.0, panels=5)
     assert a == pytest.approx(1.0 / 3.0, abs=1e-13)

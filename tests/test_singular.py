@@ -338,3 +338,19 @@ def test_report_json_schema():
     # reports without a closed form serialize a null profile
     ode_report = classify_helicoidal(0.0, PI_XY)
     assert ode_report.to_json_dict()["profile"] is None
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: classify_helicoidal(math.inf, PI_XY), "pitch must be finite, got inf"),
+        (lambda: quadric_type(0.0, 1.0, 0.0, 1.0, math.nan), "h0 must be finite, got nan"),
+        (lambda: classify_parabolic_revolution(math.nan, 1.0, 0.0, 0.0, 0.0, PI_YZ),
+         "a must be finite, got nan"),
+        (lambda: SingularSpec(PI_YZ, math.nan), "alpha must be finite, got nan"),
+    ],
+    ids=["classify_helicoidal", "quadric_type", "classify_parabolic_revolution", "SingularSpec"],
+)
+def test_non_finite_input_is_a_value_error_naming_it(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -382,6 +382,23 @@ class TestInvariantsAndOrientation:
                 ),
             )
 
+    def test_zero_top_view_jacobian_is_named(self):
+        # r = (u, u*v, 0) has X12 = u, which vanishes at the first check node
+        with pytest.raises(
+            NonAdmissibleError, match="^top-view Jacobian=0.0 below admissibility threshold$"
+        ):
+            ParamSurface(
+                0.0, 1.0, 0.0, 1.0,
+                lambda us, vs: (
+                    (us, us * vs, 0.0),
+                    (1.0, vs, 0.0),
+                    (0.0, us, 0.0),
+                    (0.0, 0.0, 0.0),
+                    (0.0, 1.0, 0.0),
+                    (0.0, 0.0, 0.0),
+                ),
+            )
+
     def test_isotropic_tangent_plane_rejected(self):
         with pytest.raises(NonAdmissibleError):
             ParamSurface(
@@ -835,3 +852,9 @@ def test_swept_relative_area_digest_is_pinned():
 def test_classification_sms_residual_bits_are_pinned():
     report = classify_helicoidal(0.0, "yz", 0.3, 1.4)
     assert dict(report.constraints)["sms_residual_max_abs"].hex() == "0x1.2000000000000p-48"
+
+
+def test_parabolic_revolution_spec_rejects_a_non_finite_parameter():
+    curve = ProfileForm("quadratic", {"quad": 1.0, "z1": 0.0}).plane_curve(0.5, 2.0)
+    with pytest.raises(ValueError, match="^a must be finite, got nan$"):
+        ParabolicRevolutionSpec(math.nan, 1.0, 0.0, 0.0, 0.0, curve)
