@@ -35,6 +35,14 @@ def _count(lo: int):
     return parse
 
 
+def _parse_endpoints(raw: str) -> list[float]:
+    try:
+        ta, za, tb, zb = (float(v) for v in raw.split(","))
+    except ValueError:  # a value that is no number, or not four of them
+        raise argparse.ArgumentTypeError(f"endpoints {raw} need four numbers ta,za,tb,zb") from None
+    return [ta, za, tb, zb]  # a list, which check_finite skips: minimize names a NaN endpoint
+
+
 def _parse_grid(raw: str) -> tuple[int, int]:
     nu, nv = raw.lower().split("x")
     return _count(1)(nu), _count(1)(nv)
@@ -92,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref", choices=[curves.LZ, curves.LX], default=curves.LZ)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    p.add_argument("--endpoints", required=True, help="ta,za,tb,zb")
+    p.add_argument("--endpoints", type=_parse_endpoints, required=True, help="ta,za,tb,zb")
     p.add_argument("--n", type=_count(2), default=200)
     p.add_argument("--out", default="-", help="CSV destination")
     p.add_argument("--json", dest="json_out", default=None, help="summary destination")
@@ -159,9 +167,8 @@ def _cmd_catenary(args) -> int:
 
 
 def _cmd_minimize(args) -> int:
-    ta, za, tb, zb = (float(v) for v in args.endpoints.split(","))
     spec = variational.WeightFunctionalSpec(args.ref, args.alpha, args.lam)
-    curve = variational.minimize(spec, (ta, za, tb, zb), args.n)
+    curve = variational.minimize(spec, args.endpoints, args.n)
     grad = variational.functional_gradient(spec, curve)
     summary = {  # both raise on a value that is not finite, before anything is written
         "functional_value": variational.evaluate_functional(spec, curve),

@@ -64,9 +64,10 @@ def check_orientation(signs, name: str) -> bool:
 
 
 def check_admissible(values, name: str) -> None:
-    """NonAdmissibleError unless |value| >= ADMISSIBLE_MIN at every node (a NaN node passes)."""
-    if np.count_nonzero(abs(values) < ADMISSIBLE_MIN):  # counted: a NaN .min() would hide a zero
-        raise NonAdmissibleError(f"{name}={np.nanmin(abs(values))} below admissibility threshold")
+    """NonAdmissibleError unless |value| >= ADMISSIBLE_MIN at every node (a NaN node fails)."""
+    if np.count_nonzero(abs(values) >= ADMISSIBLE_MIN) != np.size(values):  # NaN is not >=
+        smallest = np.fmin.reduce(abs(values), axis=None)  # NaN only if every node is NaN
+        raise NonAdmissibleError(f"{name}={smallest} below admissibility threshold")
 
 
 def check_domain(ts, lo: float, hi: float) -> None:
@@ -239,13 +240,11 @@ class ProfileKind(NamedTuple):
     jet: Callable  # jet(*values, t) -> (z, z', z'')
 
 
-def _poly_jet(a, t):
-    a = np.asarray(a, dtype=float)
-    with np.errstate(over="raise"):  # an overflow raises, as float ** does, rather than warns
-        z = a * t ** np.arange(a.size)
-        zd = a[1:] * np.arange(1, a.size) * t ** np.arange(a.size - 1)
-        zdd = a[2:] * np.arange(2, a.size) * np.arange(1, a.size - 1) * t ** np.arange(a.size - 2)
-        return (float(z.sum()), float(zd.sum()), float(zdd.sum()))
+def _poly_jet(a, t):  # Horner's rule in Python floats: an overflow gives inf, not a warning
+    z = zd = zdd = 0.0
+    for c in reversed(a):
+        z, zd, zdd = z * t + float(c), zd * t + z, zdd * t + 2.0 * zd
+    return z, zd, zdd
 
 
 PROFILE_KINDS = {
@@ -310,7 +309,7 @@ class ProfileForm:
             z, zd, zdd = self._jet(float(t))
             if math.isfinite(z) and math.isfinite(zd) and math.isfinite(zdd):
                 return z, zd, zdd
-        except (OverflowError, FloatingPointError, ZeroDivisionError):
+        except (OverflowError, ZeroDivisionError):
             pass  # ** raises on overflow where * gives an infinity; / raises once t**2 underflows
         raise DomainError(f"{self.kind} profile overflows at t={t}")
 
@@ -406,6 +405,7 @@ def catenary_curvature_residual(
     where npar is the parabolic normal.  The residual vanishes identically on
     the corresponding solution families.
     """
+    check_finite(alpha=alpha, lam=lam)
     j = _admissible(curve.at(t))
     npar_x, npar_z = _parabolic_normal(j)
     if reference == LZ:

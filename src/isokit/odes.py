@@ -25,10 +25,11 @@ from typing import Callable
 
 import numpy as np
 
-from .core import write_csv
+from .core import check_finite, write_csv
 from .curves import DENOM_FLOOR, check_domain
 from .errors import (
     DomainError,
+    InvalidIntervalError,
     MaxIterExceededError,
     NonContractionError,
     SingularityError,
@@ -55,6 +56,8 @@ class ProfileODE:
 
     @classmethod
     def nonisotropic_alpha_catenary(cls, alpha: float, lam: float = 0.0) -> "ProfileODE":
+        check_finite(alpha=alpha, lam=lam)
+
         def rhs(t, z, zp, _a=alpha, _l=lam, _am1=alpha - 1.0):
             del t
             if z <= 0.0 and _a != round(_a):
@@ -81,6 +84,7 @@ class ProfileODE:
 
     @classmethod
     def parabolic_nonisotropic(cls, a: float, b: float, c2: float) -> "ProfileODE":
+        check_finite(a=a, b=b, c2=c2)
         if b == 0.0:
             raise ValueError("parabolic profile ODE needs b != 0")
         ab2 = a * a + b * b
@@ -154,12 +158,15 @@ def integrate(
 ) -> IVPResult:
     """Fixed-step classical Runge-Kutta for z'' = rhs(t, z, z').
 
-    Backward integration (t1 < t0) is allowed.  Raises SingularityError when
-    a right-hand-side denominator collapses or divides by zero, and
-    StepFailureError on non-finite state or a right-hand side that overflows.
+    Backward integration (t1 < t0) is allowed; t1 == t0 is an InvalidIntervalError, a
+    non-finite input a ValueError naming it, a right-hand-side denominator that collapses or
+    divides by zero a SingularityError, and a non-finite state or overflow a StepFailureError.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
+    check_finite(t0=t0, z0=z0, zp0=zp0, t1=t1)
+    if t1 == t0:
+        raise InvalidIntervalError(f"empty integration interval: t1 = t0 = {t0}")
     h = (t1 - t0) / steps
     hh = 0.5 * h  # 0.5 * h * k parses as (0.5 * h) * k, so this is exact
     ts = np.empty(steps + 1)

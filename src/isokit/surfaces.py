@@ -304,11 +304,13 @@ class Mesh(NamedTuple):
 def mesh_grid(surface: ParamSurface, nu: int, nv: int) -> Mesh:
     """The nu x nv quad mesh, gridded once; its vertices are ``jet.r.reshape(-1, 3)``.
 
-    A v-range spanning a full turn closes the seam by identifying the last
-    column with the first instead of duplicating it.  The writers below format
-    one mesh, so a mesh and its curvature sidecar share one grid.
+    A v-range spanning a full turn closes the seam by identifying the last column with
+    the first instead of duplicating it, and needs nv >= 3 (else a face or vertex repeats).
+    The writers below format one mesh, so a mesh and its curvature sidecar share one grid.
     """
     wrap_v = abs((surface.v_hi - surface.v_lo) - TWO_PI) < 1e-9
+    if wrap_v and nv < 3:
+        raise ValueError(f"a full-turn mesh needs at least 3 cells around, got {nv}")
     us = np.linspace(surface.u_lo, surface.u_hi, nu + 1)
     vs = np.linspace(surface.v_lo, surface.v_hi, nv + 1)[: nv if wrap_v else nv + 1]
     ncols = vs.size

@@ -195,6 +195,23 @@ def test_negative_b_mesh_keeps_its_t_range_open(tmp_path):
     assert [ln for ln in lines if ln.startswith("f ")] == ["f 1 4 5 2", "f 2 5 6 3"]
 
 
+
+@pytest.mark.parametrize(
+    "argv, nv",
+    [
+        (["catenoid", "--r1", "1", "--z1", "0", "--r2", "2", "--z2", "1", "--grid", "2x2"], 2),
+        (["surface", "revolution", "--profile", "log:1,0", "--trange", "1:2", "--grid", "2x1"], 1),
+    ],
+    ids=["catenoid_2x2", "revolution_2x1"],
+)
+def test_full_turn_mesh_needs_three_cells_around(argv, nv, tmp_path, capsys):
+    # 2 cells around wrote one quad twice in opposite orientations, 1 cell a face "f 1 2 2 1"
+    assert run_cli(*argv, "--mesh", str(tmp_path / "m.obj")) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: a full-turn mesh needs at least 3 cells around, got {nv}\n"
+    assert list(tmp_path.iterdir()) == []
+
 def test_ivp_outputs(tmp_path, capsys):
     out = tmp_path / "ivp.csv"
     code = run_cli("ivp", "--a", "1", "--out", str(out))
@@ -316,6 +333,17 @@ def test_non_finite_input_is_named(argv, name, capsys):
     assert out.err.startswith(f"error: {name} must be finite")
     assert "Traceback" not in out.err
 
+
+
+@pytest.mark.parametrize("raw", ["1,0,2", "1,0,2,1,5", "a,b,c,d"])
+def test_malformed_endpoints_are_a_flag_error(raw, tmp_path, capsys):
+    # these exited 1 with Python's unpacking or float() message
+    with pytest.raises(SystemExit) as err:
+        run_cli("minimize", "--endpoints", raw, "--out", str(tmp_path / "c.csv"),
+                "--json", str(tmp_path / "s.json"))
+    assert err.value.code == 2
+    assert f"argument --endpoints: endpoints {raw} need four numbers" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 @pytest.mark.parametrize(
     "argv, message",

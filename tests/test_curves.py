@@ -1,6 +1,7 @@
 import hashlib
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -216,6 +217,16 @@ class TestCurvatureResidual:
                            match=r"^weight denominator 0\.0 at t=1\.5 is numerically zero$"):
             catenary_curvature_residual(line, LZ, 1.0, 1.5, 1.5)
 
+    @pytest.mark.parametrize(("alpha", "lam", "name", "value"), [
+        (math.inf, 0.0, "alpha", "inf"), (math.nan, 0.0, "alpha", "nan"),
+        (1.0, math.nan, "lam", "nan"),
+    ])
+    def test_non_finite_alpha_or_lam_is_named(self, alpha, lam, name, value):
+        # alpha = inf or nan was a bare OverflowError or ValueError from round(), lam = nan gave nan
+        curve = CatenaryFamily(alpha=1.0).plane_curve(1.0, 2.0)
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            catenary_curvature_residual(curve, LZ, alpha, lam, 1.5)
+
     def test_weight_power_overflow_is_a_domain_error(self):
         curve = ProfileForm("poly", {"a": (1.0, 1e200)}).plane_curve(1.0, 2.0)
         with pytest.raises(DomainError, match=r"^weight power overflows at z=1.5e\+200 \(t=1.5\)$"):
@@ -318,6 +329,16 @@ class TestAdmissibility:
                 0.0, 1.0, lambda t: t, lambda t: 0.0, xd, lambda t: 0.0, lambda t: 0.0, lambda t: 0.0
             )
 
+    @pytest.mark.filterwarnings("error")
+    def test_nan_slope_everywhere_rejected(self):
+        # no node has |x'| >= 1e-9, so the curve is not admissible; it used to construct
+        # and give nan arclength and curvature
+        with pytest.raises(NonAdmissibleError, match=r"^\|x'\|=nan below admissibility threshold$"):
+            PlaneCurve.from_functions(
+                0, 1, lambda t: t, lambda t: 0.0, lambda t: math.nan,
+                lambda t: 0.0, lambda t: 0.0, lambda t: 0.0,
+            )
+
     def test_sign_change_rejected(self):
         with pytest.raises(NonAdmissibleError):
             PlaneCurve.from_functions(
@@ -389,26 +410,55 @@ def test_csv_with_too_few_rows_is_a_value_error(rows, tmp_path):
         read_curve_csv(path)
 
 
-def _poly_closure(vals):
-    """The numpy arithmetic the CLI used for poly:a0,a1,... profiles."""
-    c = np.array(vals)
-
-    def poly(t):
-        powers = c * t ** np.arange(c.size)
-        dz = c[1:] * np.arange(1, c.size) * t ** np.arange(c.size - 1)
-        ddz = c[2:] * np.arange(2, c.size) * np.arange(1, c.size - 1) * t ** np.arange(c.size - 2)
-        return (float(powers.sum()), float(dz.sum()), float(ddz.sum()))
-
-    return poly
+def _horner(vals, t):
+    """Horner's rule for sum(a[k] t**k) and its two derivatives, one update at a time."""
+    z = zd = zdd = 0.0
+    for c in reversed(vals):
+        zdd = zdd * t + 2.0 * zd
+        zd = zd * t + z
+        z = z * t + c
+    return z, zd, zdd
 
 
 class TestProfileForm:
     @pytest.mark.parametrize("vals", [[], [0.7], [0.1, 0.2, 0.3], [-1.3, 0.25, 2.0, -0.4, 1e-3]])
-    def test_poly_matches_former_cli_closure_bitwise(self, vals):
-        form, old = ProfileForm("poly", {"a": tuple(vals)}), _poly_closure(vals)
+    def test_poly_matches_horner_reference_bitwise(self, vals):
+        form = ProfileForm("poly", {"a": tuple(vals)})
         for t in np.linspace(0.3, 3.7, 23):
-            assert form(float(t)) == old(float(t))
-            assert form(t) == old(t)
+            assert form(float(t)) == _horner(vals, float(t))
+            assert form(t) == _horner(vals, float(t))
+
+    def test_poly_is_within_the_horner_bound_of_exact_values(self):
+        rng = np.random.default_rng(19)
+        for _ in range(300):
+            vals = rng.uniform(-2.0, 2.0, int(rng.integers(1, 10))).tolist()
+            t = float(rng.uniform(-3.0, 3.0))
+            got = ProfileForm("poly", {"a": tuple(vals)})(t)
+            ft, terms = Fraction(t), list(enumerate(vals))
+            exact = (
+                sum(Fraction(c) * ft**k for k, c in terms),
+                sum(k * Fraction(c) * ft ** (k - 1) for k, c in terms[1:]),
+                sum(k * (k - 1) * Fraction(c) * ft ** (k - 2) for k, c in terms[2:]),
+            )
+            scale = (
+                sum(abs(c) * abs(t) ** k for k, c in terms),
+                sum(k * abs(c) * abs(t) ** (k - 1) for k, c in terms[1:]),
+                sum(k * (k - 1) * abs(c) * abs(t) ** (k - 2) for k, c in terms[2:]),
+            )
+            bound = 2 * len(vals) * np.finfo(float).eps
+            for g, e, s in zip(got, exact, scale):
+                assert abs(Fraction(g) - e) <= Fraction(bound * s)
+
+    @pytest.mark.parametrize("a", [(0.5, -1.0, 2.0), np.array([0.5, -1.0, 2.0])],
+                             ids=["tuple", "array"])
+    def test_poly_jet_fields_are_python_floats(self, a):
+        for t in (1.5, np.float64(1.5)):
+            assert [type(f) for f in ProfileForm("poly", {"a": a})(t)] == [float] * 3
+
+    @pytest.mark.filterwarnings("error")  # the DomainError is the only signal: no numpy warning
+    def test_poly_overflow_at_two_is_a_domain_error(self):
+        with pytest.raises(DomainError, match=r"^poly profile overflows at t=2.0$"):
+            ProfileForm("poly", {"a": (1e308, 1e308)})(2.0)
 
     @pytest.mark.parametrize("alpha, lam", [(1.0, 0.0), (1.0, -0.3), (2.5, 0.0), (0.4, 0.0)])
     def test_catenary_family_matches_closed_forms_bitwise(self, alpha, lam):

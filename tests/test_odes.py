@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from isokit.curves import GraphCurve
 from isokit.errors import (
     DomainError,
+    InvalidIntervalError,
     MaxIterExceededError,
     NonContractionError,
     SingularityError,
@@ -50,6 +51,23 @@ class TestProfileODEs:
         # near t = 0 the radial term halves the curvature source
         assert E_SMS.rhs(0.0, 2.0, 0.0) == pytest.approx(1.0 / 8.0)
         assert E_SMS.rhs(1.0, 2.0, 0.0) == pytest.approx(0.25)
+
+    @pytest.mark.parametrize(("args", "name", "value"), [
+        ((math.nan,), "alpha", "nan"), ((1.0, math.nan), "lam", "nan"),
+        ((math.inf,), "alpha", "inf"),
+    ])
+    def test_alpha_catenary_rejects_a_non_finite_parameter(self, args, name, value):
+        # these constructed, and integrate failed with "non-finite state at t=0.1"
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            ProfileODE.nonisotropic_alpha_catenary(*args)
+
+    @pytest.mark.parametrize(("args", "name", "value"), [
+        ((math.nan, 1.0, 0.5), "a", "nan"), ((0.5, math.inf, 0.5), "b", "inf"),
+        ((0.5, 1.0, math.nan), "c2", "nan"),
+    ])
+    def test_parabolic_rejects_a_non_finite_parameter(self, args, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            ProfileODE.parabolic_nonisotropic(*args)
 
     def test_parabolic_rhs_reduction(self):
         # a=0, b=1, c2=0: (2z) z'' + z'^2 - 1 = 0, solved by z = t
@@ -171,6 +189,24 @@ class TestIntegrate:
         with pytest.raises(SingularityError, match=r"^right-hand side singular in the step "
                                                    r"at t=0\.0: 0\.0 cannot be raised"):
             integrate(ode, 0.0, 0.0, 0.0, 1.0, 10)
+
+    @pytest.mark.parametrize(("args", "name", "value"), [
+        ((1.0, 1.0, 0.0, math.inf), "t1", "inf"),
+        ((math.nan, 1.0, 0.0, 1.0), "t0", "nan"),
+        ((0.0, math.inf, 0.0, 1.0), "z0", "inf"),
+        ((0.0, 1.0, math.nan, 1.0), "zp0", "nan"),
+    ], ids=["t1", "t0", "z0", "zp0"])
+    def test_non_finite_input_is_named(self, args, name, value):
+        # t1 = inf was a StepFailureError "non-finite state at t=inf": a solver failure
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            integrate(ProfileODE.nonisotropic_alpha_catenary(1.0), *args, 10)
+
+    @pytest.mark.filterwarnings("error")
+    def test_empty_interval_is_invalid(self):
+        # t1 == t0 returned 11 samples at one t, whose evaluation divided by h = 0
+        with pytest.raises(InvalidIntervalError,
+                           match=r"^empty integration interval: t1 = t0 = 1\.0$"):
+            integrate(E_SMS, 1.0, 1.0, 0.0, 1.0, 10)
 
 
 def _numpy_store_integrate(ode, t0, z0, zp0, t1, steps):

@@ -399,6 +399,25 @@ class TestInvariantsAndOrientation:
                 ),
             )
 
+    @pytest.mark.filterwarnings("error")
+    def test_nan_top_view_jacobian_rejected(self):
+        # r_u = (nan, 0, 0) makes X12 NaN at every node; it used to construct, and
+        # mean_curvature gave nan after numpy's "invalid value encountered in det"
+        with pytest.raises(
+            NonAdmissibleError, match="^top-view Jacobian=nan below admissibility threshold$"
+        ):
+            ParamSurface(
+                0.0, 1.0, 0.0, 1.0,
+                lambda us, vs: (
+                    (us, vs, 0.0),
+                    (math.nan, 0.0, 0.0),
+                    (0.0, 1.0, 0.0),
+                    (0.0, 0.0, 0.0),
+                    (0.0, 0.0, 0.0),
+                    (0.0, 0.0, 0.0),
+                ),
+            )
+
     def test_isotropic_tangent_plane_rejected(self):
         with pytest.raises(NonAdmissibleError):
             ParamSurface(

@@ -171,6 +171,11 @@ COMMANDS = [
     # b < 0: the verification surface runs theta backwards and keeps its (t, theta) grid
     ("classify_parabolic_negative_b", ["classify", "parabolic", "--a", "0", "--b=-1",
                                        "--c2", "1", "--ref", "yz"]),
+    # a full turn of 2 cells around repeats its quad: exit 1, no mesh
+    ("catenoid_full_turn_two_cells", ["catenoid", "--r1", "1", "--z1", "0", "--r2", "2",
+                                      "--z2", "1", "--mesh", "m.obj", "--grid", "2x2"]),
+    # three endpoint values are a flag error: exit 2, no file
+    ("minimize_endpoints_three_values", ["minimize", "--endpoints", "1,0,2", "--out", "c.csv"]),
 ]
 
 
