@@ -18,7 +18,10 @@ from .errors import IsoKitError
 
 
 def _parse_range(raw: str) -> tuple[float, float]:
-    lo, hi = (float(x) for x in raw.split(":"))
+    try:
+        lo, hi = (float(x) for x in raw.split(":"))
+    except ValueError:  # a value that is no number, or not two of them
+        raise argparse.ArgumentTypeError(f"range {raw} needs two numbers lo:hi") from None
     if not lo < hi:  # false for NaN too
         raise argparse.ArgumentTypeError(f"range {raw} needs lo < hi")
     return lo, hi
@@ -27,10 +30,14 @@ def _parse_range(raw: str) -> tuple[float, float]:
 def _count(lo: int):
     """argparse type: an integer of at least ``lo``."""
 
-    def parse(raw: str) -> int:
-        if int(raw) < lo:
+    def parse(raw) -> int:
+        try:
+            n = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{raw} is not an integer") from None
+        if n < lo:
             raise argparse.ArgumentTypeError(f"{raw} is below the minimum {lo}")
-        return int(raw)
+        return n
 
     return parse
 
@@ -44,7 +51,10 @@ def _parse_endpoints(raw: str) -> list[float]:
 
 
 def _parse_grid(raw: str) -> tuple[int, int]:
-    nu, nv = raw.lower().split("x")
+    try:
+        nu, nv = (int(n) for n in raw.lower().split("x"))
+    except ValueError:  # a count that is no integer, or not two of them
+        raise argparse.ArgumentTypeError(f"grid {raw} needs two integers NUxNV") from None
     return _count(1)(nu), _count(1)(nv)
 
 
@@ -60,11 +70,15 @@ def _parse_profile(raw: str) -> curves.ProfileForm:
     if name not in _CLI_PROFILES:
         raise argparse.ArgumentTypeError(f"unknown profile kind {name!r}")
     kind = _CLI_PROFILES[name]
-    vals = tuple(float(v) for v in argstr.split(",")) if argstr else ()
-    if kind == "poly":  # its one coefficient is the tuple a
-        vals = (vals,)
-    # a wrong count fails the strict zip with a ValueError: a flag error (exit 2)
-    return curves.ProfileForm(kind, dict(zip(curves.PROFILE_KINDS[kind].names, vals, strict=True)))
+    names = curves.PROFILE_KINDS[kind].names
+    try:  # a value that is no number or not finite, or a wrong count of them: exit 2
+        vals = tuple(float(v) for v in argstr.split(",")) if argstr else ()
+        if kind == "poly":  # its one coefficient is the tuple a
+            vals = (vals,)
+        return curves.ProfileForm(kind, dict(zip(names, vals, strict=True)))
+    except ValueError:
+        form = f"{name}:" + ("a0,a1,..." if kind == "poly" else ",".join(names))
+        raise argparse.ArgumentTypeError(f"profile {raw} needs {form} of finite numbers") from None
 
 
 def _add_sweep_options(p, trange_flag: str, thetarange_default) -> None:

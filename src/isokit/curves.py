@@ -297,6 +297,8 @@ class ProfileForm:
             got = tuple(self.coefficients)
             raise ValueError(f"{self.kind} profile needs coefficients {names}, got {got}")
         values = tuple(self.coefficients[name] for name in names)
+        if self.kind == "poly" and np.ndim(values[0]) != 1:
+            raise ValueError(f"poly profile needs a sequence of coefficients a, got {values[0]!r}")
         if not all(np.all(np.isfinite(v)) for v in values):
             raise ValueError(f"non-finite coefficient in {self.kind} profile {self.coefficients}")
         object.__setattr__(self, "_gap", gap and partial(gap, *values))

@@ -253,6 +253,8 @@ def _unit_picard(tol: float) -> IVPResult:
     """The a = 1 profile, iterated from the constant until the C^1 correction
     max|dz| + max|dz'| is below tol; z''(0) is a least-squares fit of z - 1
     against t^2 and t^4 on the inner half.  Callers copy its arrays."""
+    if not tol > 0.0:  # false for NaN too; a cached tol skips the check
+        raise ValueError(f"tol must be positive, got {tol}")
     t = np.linspace(0.0, PICARD_UNIT_RADIUS, PICARD_NODES)
     profile = IVPResult(t, np.full(t.size, 1.0), np.zeros(t.size))
     ratios: list[float] = []

@@ -37,6 +37,7 @@ from .surfaces import (
     jet_parabolic_normal,
     make_parabolic_revolution,
     make_revolution,
+    point_values,
 )
 
 PI_YZ = "yz"  # isotropic reference plane x = 0
@@ -72,7 +73,7 @@ def jet_sms_residual(jet: SurfaceJet, spec: SingularSpec):
 
 def sms_residual(surface: ParamSurface, spec: SingularSpec, u: float, v: float) -> float:
     """H minus alpha * <n_par, axis> / (2 * (distance - lam)) at (u, v)."""
-    return float(jet_sms_residual(surface.at(u, v), spec))
+    return point_values("SMS residual", lambda jet: jet_sms_residual(jet, spec), surface, u, v)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +209,8 @@ def classify_helicoidal(
 
 
 def classify_parabolic_revolution(
-    a: float,
-    b: float,
-    c: float,
-    c1: float,
-    c2: float,
-    reference: str,
-    z1: float = 0.0,
-    z2: float = 1.0,
+    a: float, b: float, c: float, c1: float, c2: float, reference: str,
+    z1: float = 0.0, z2: float = 1.0,
 ) -> ClassificationReport:
     """Case analysis for hanging surfaces of parabolic revolution.
 
@@ -232,11 +227,7 @@ def classify_parabolic_revolution(
     params = {"a": a, "b": b, "c": c, "c1": c1, "c2": c2, "reference": reference}
 
     if reference == PI_XY:
-        violated = []
-        if abs(c) > 1e-12:
-            violated.append(("c", c))
-        if abs(c1) > 1e-12:
-            violated.append(("c1", c1))
+        violated = [(name, x) for name, x in (("c", c), ("c1", c1)) if abs(x) > 1e-12]
         if violated:
             return ClassificationReport("NoSolution", params, violated)
         ode = ProfileODE.parabolic_nonisotropic(a, b, c2)

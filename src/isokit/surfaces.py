@@ -5,8 +5,8 @@ never vanishes; one with X12 < 0 is traversed backwards in v.  With
 X23, X31, X12 the pairwise minors of the top-view derivative matrix, the
 minimal normal is (X23/X12, X31/X12, 1) and the parabolic (relative) normal
 replaces the third component with 1/2 - (X23^2 + X31^2)/(2*X12^2).  First
-fundamental form coefficients use the degenerate metric, the second come
-from triple-product determinants, and the relative area integrates
+fundamental form coefficients use the degenerate metric, the second are
+triple products (X23, X31, X12) . r_ij / X12, and the relative area integrates
 det(r_u, r_v, n_par).
 
 ``ParamSurface.grid`` calls a surface's evaluator ``evaluate(us, vs)`` once per
@@ -109,10 +109,10 @@ def jet_minors(jet: SurfaceJet):
 
 
 def jet_forms(jet: SurfaceJet):
-    """(g11, g12, g22, h11, h12, h22); h_ij = det(r_u, r_v, r_ij) / X12 with X12 = sqrt(det g)."""
-    ru, rv, x12 = jet.ru, jet.rv, jet_minors(jet)[2]
+    """(g11, g12, g22, h11, h12, h22); h_ij = (X23, X31, X12).r_ij / X12, X12 = sqrt(det g)."""
+    ru, rv, (x23, x31, x12) = jet.ru, jet.rv, jet_minors(jet)
     g = [a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] for a, b in ((ru, ru), (ru, rv), (rv, rv))]
-    h = [np.linalg.det(np.stack([ru, rv, w], axis=-2)) / x12 for w in (jet.ruu, jet.ruv, jet.rvv)]
+    h = [(w[..., 0] * x23 + w[..., 1] * x31 + w[..., 2] * x12) / x12 for w in jet[3:]]  # r_ij
     return (*g, *h)
 
 
@@ -130,22 +130,31 @@ def jet_parabolic_normal(jet: SurfaceJet):
     return p, q, 0.5 - 0.5 * (p * p + q * q)
 
 
+@np.errstate(all="ignore")  # a value that overflows is the DomainError below, not a warning
+def point_values(name: str, quantity, surface: ParamSurface, u: float, v: float) -> list:
+    """The floats quantity(surface.at(u, v)); DomainError naming name and (u, v) unless finite."""
+    values = np.atleast_1d(quantity(surface.at(u, v)))
+    if not np.isfinite(values).all():
+        raise DomainError(f"{name} at (u, v) = ({u}, {v}) is not finite")
+    return values.tolist()
+
+
 def fundamental_forms(surface: ParamSurface, u: float, v: float):
     """(g11, g12, g22, h11, h12, h22) at the point."""
-    return tuple(float(x) for x in jet_forms(surface.at(u, v)))
+    return tuple(point_values("fundamental form", jet_forms, surface, u, v))
 
 
 def mean_curvature(surface: ParamSurface, u: float, v: float) -> float:
-    return float(jet_mean_curvature(surface.at(u, v)))
+    return point_values("mean curvature", jet_mean_curvature, surface, u, v)[0]
 
 
 def surface_minimal_normal(surface: ParamSurface, u: float, v: float) -> IsoVec3:
-    x23, x31, x12 = jet_minors(surface.at(u, v))
-    return IsoVec3(float(x23 / x12), float(x31 / x12), 1.0)
+    p, q = point_values("minimal normal", lambda jet: jet_parabolic_normal(jet)[:2], surface, u, v)
+    return IsoVec3(p, q, 1.0)
 
 
 def surface_parabolic_normal(surface: ParamSurface, u: float, v: float) -> IsoVec3:
-    return IsoVec3(*(float(x) for x in jet_parabolic_normal(surface.at(u, v))))
+    return IsoVec3(*point_values("parabolic normal", jet_parabolic_normal, surface, u, v))
 
 
 @np.errstate(all="ignore")  # once per call, not per row: an area that overflows is named below

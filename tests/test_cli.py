@@ -453,7 +453,7 @@ def test_pitch_slope_and_jet_overflow_is_one_error_line(argv, message, tmp_path,
     "argv, code, out",
     [
         (["residual", "--check", "sms", "--profile=poly:0,1e300", "--range=1:2"], 1,
-         "9.9999999999998845e+299\n"),
+         "1.0000000000000003e+300\n"),
         (["classify", "helicoidal", "--c", "0", "--ref", "yz", "--z1", "1e300", "--z2", "1e300"],
          0, None),
     ],
@@ -525,6 +525,41 @@ def test_unordered_range_is_a_flag_error(raw, tmp_path, capsys):
         run_cli("catenary", f"--range={raw}", "--n", "3", "--out", str(tmp_path / "c.csv"))
     assert err.value.code == 2
     assert f"range {raw} needs lo < hi" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["catenary", "--range", "1"], "argument --range: range 1 needs two numbers lo:hi"),
+        (["catenary", "--range", "a:b"], "argument --range: range a:b needs two numbers lo:hi"),
+        (["catenary", "--range", "1:2", "--n", "x"], "argument --n: x is not an integer"),
+        *((["catenoid", "--r1", "1", "--z1", "0", "--r2", "2", "--z2", "1", "--grid", grid],
+          f"argument --grid: grid {grid} needs two integers NUxNV")
+          for grid in ("2", "2x3x4", "axb")),
+        *((["surface", "revolution", "--profile", spec, "--trange", "1:2", "--mesh", "m.obj"],
+          f"argument --profile: profile {spec} needs {form} of finite numbers")
+          for spec, form in (("log:1", "log:c,d"), ("log:1,x", "log:c,d"),
+                             ("inverse:nan,1", "inverse:z1,z2"), ("poly:1,x", "poly:a0,a1,..."))),
+    ],
+    ids=["range_1", "range_a_b", "n_x", "grid_2", "grid_2x3x4", "grid_axb", "profile_log_1",
+         "profile_log_1_x", "profile_inverse_nan", "profile_poly_1_x"],
+)
+def test_flag_errors_name_the_expected_form(argv, message, tmp_path, monkeypatch, capsys):
+    # these named the private parser: "invalid _parse_range value: '1'"
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        run_cli(*argv)
+    assert err.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("tol", ["0", "-1"])
+def test_ivp_tol_that_is_not_positive_is_an_input_error(tol, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("ivp", "--a", "1", "--tol", tol, "--out", "p.csv") == 1
+    assert capsys.readouterr() == ("", f"error: tol must be positive, got {float(tol)}\n")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -505,6 +505,12 @@ class TestProfileForm:
         with pytest.raises(DomainError, match=f"{kind} profile is undefined at t={t}"):
             ProfileForm(kind, co)(t)
 
+    @pytest.mark.parametrize("a", [1.0, "12", ((1.0, 2.0),)], ids=["scalar", "string", "nested"])
+    def test_poly_coefficients_must_be_a_sequence(self, a):
+        # a scalar a constructed, and every call then raised a bare TypeError
+        with pytest.raises(ValueError, match="^poly profile needs a sequence of coefficients a"):
+            ProfileForm("poly", {"a": a})
+
     def test_overflowing_poly_sum_is_a_domain_error(self):
         with pytest.raises(DomainError, match=r"^poly profile overflows at t=1.0$"):
             ProfileForm("poly", {"a": (1e308, 1e308)})(1.0)

@@ -350,6 +350,12 @@ class TestPicard:
             with pytest.raises(ValueError, match="a must be finite and positive"):
                 picard_solve_degenerate(a)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_tol_must_be_positive(self, tol):
+        # a tol of 0 ran all Picard iterations and reported no convergence
+        with pytest.raises(ValueError, match=f"^tol must be positive, got {tol}$"):
+            picard_solve_degenerate(1.0, tol=tol)
+
     def test_iteration_cap(self, monkeypatch):
         from isokit import odes as odes_module
 

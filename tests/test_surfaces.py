@@ -19,14 +19,23 @@ from isokit.curves import (
     write_curve_csv,
 )
 from isokit.errors import DomainError, NonAdmissibleError
-from isokit.singular import ProfileForm, classify_helicoidal, cmc_profile_coefficient
+from isokit.singular import (
+    ProfileForm,
+    SingularSpec,
+    classify_helicoidal,
+    cmc_profile_coefficient,
+    sms_residual,
+)
 from isokit.surfaces import (
     TWO_PI,
     HelicoidalSpec,
     ParabolicRevolutionSpec,
     ParamSurface,
     RevolutionSpec,
+    SurfaceJet,
     fundamental_forms,
+    jet_forms,
+    jet_minors,
     make_helicoidal,
     make_parabolic_revolution,
     make_revolution,
@@ -870,10 +879,69 @@ def test_swept_relative_area_digest_is_pinned():
 
 def test_classification_sms_residual_bits_are_pinned():
     report = classify_helicoidal(0.0, "yz", 0.3, 1.4)
-    assert dict(report.constraints)["sms_residual_max_abs"].hex() == "0x1.2000000000000p-48"
+    assert dict(report.constraints)["sms_residual_max_abs"].hex() == "0x1.8000000000000p-49"
 
 
 def test_parabolic_revolution_spec_rejects_a_non_finite_parameter():
     curve = ProfileForm("quadratic", {"quad": 1.0, "z1": 0.0}).plane_curve(0.5, 2.0)
     with pytest.raises(ValueError, match="^a must be finite, got nan$"):
         ParabolicRevolutionSpec(math.nan, 1.0, 0.0, 0.0, 0.0, curve)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_second_form_is_the_triple_product_determinant(seed):
+    # det(r_u, r_v, r_ij) by LU is the reference; the bound is relative to the size of the
+    # terms of (X23, X31, X12).r_ij, since either side cancels where h_ij is near zero
+    jet = SurfaceJet(*np.random.default_rng(seed).standard_normal((6, 200, 3)))
+    x23, x31, x12 = jet_minors(jet)
+    for w, h in zip(jet[3:], jet_forms(jet)[3:]):
+        ref = np.linalg.det(np.stack([jet.ru, jet.rv, w], -2)) / x12
+        scale = (abs(w[..., 0] * x23) + abs(w[..., 1] * x31) + abs(w[..., 2] * x12)) / abs(x12)
+        assert np.all(abs(h - ref) <= 1e-12 * scale)
+
+
+def skewed_paraboloid(eps):
+    """z = x^2 + y^2 (H = 2) over x = u + v, y = u + (1 + eps) v, so that X12 = eps."""
+
+    def evaluate(us, vs):
+        x, y, s = us + vs, us + (1.0 + eps) * vs, 1.0 + eps
+        return ((x, y, x * x + y * y), (1.0, 1.0, 2.0 * x + 2.0 * y),
+                (1.0, s, 2.0 * x + 2.0 * s * y), (0.0, 0.0, 4.0), (0.0, 0.0, 2.0 + 2.0 * s),
+                (0.0, 0.0, 2.0 + 2.0 * s * s))
+
+    return ParamSurface(-1.0, 1.0, -1.0, 1.0, evaluate)
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
+def test_mean_curvature_is_exact_on_a_skewed_parametrization(eps):
+    # an LU determinant of (r_u, r_v, r_ij) lost digits here: 2.7e-7 at eps 1e-4, 4.4e-3 at 1e-6
+    surface = skewed_paraboloid(eps)
+    for u in (-1.0, 0.0, 1.0):
+        for v in (-0.5, 0.0, 0.5):
+            assert abs(mean_curvature(surface, u, v) - 2.0) < 1e-9
+
+
+@pytest.mark.filterwarnings("error")
+def test_per_point_quantities_that_are_not_finite_are_domain_errors():
+    curve = ProfileForm("poly", {"a": (0.0, 1.0)}).plane_curve(1.0, 1e300)
+    far = make_revolution(RevolutionSpec(curve))  # H overflows at t = 1e299
+    point = r"at \(u, v\) = \(1e\+299, 0.3\) is not finite$"
+    with pytest.raises(DomainError, match="^mean curvature " + point):
+        mean_curvature(far, 1e299, 0.3)
+    with pytest.raises(DomainError, match="^fundamental form " + point):
+        fundamental_forms(far, 1e299, 0.3)
+    with pytest.raises(DomainError, match="^SMS residual " + point):
+        sms_residual(far, SingularSpec(), 1e299, 0.3)
+    # X23 = -z' t cos(v) overflows at z' = 1e308, t = 1.9; at z' = 1e200 only p^2 does
+    def steep(slope):
+        return make_revolution(RevolutionSpec(GraphCurve(1.0, 2.0, lambda t: (0.0, slope, 0.0))))
+
+    with pytest.raises(DomainError, match=r"^minimal normal at \(u, v\) = \(1.9, 0.0\)"):
+        surface_minimal_normal(steep(1e308), 1.9, 0.0)
+    normal = surface_minimal_normal(steep(1e200), 1.5, 0.3)
+    assert normal.x == pytest.approx(-1e200 * math.cos(0.3))
+    with pytest.raises(DomainError, match=r"^parabolic normal at \(u, v\) = \(1.5, 0.3\)"):
+        surface_parabolic_normal(steep(1e200), 1.5, 0.3)
+    # X12 = 1e-8 is admissible, but g11 g22 - g12^2 cancels to 0
+    with pytest.raises(DomainError, match=r"^mean curvature at \(u, v\) = \(0.5, 0.5\)"):
+        mean_curvature(skewed_paraboloid(1e-8), 0.5, 0.5)

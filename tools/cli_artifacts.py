@@ -176,6 +176,11 @@ COMMANDS = [
                                       "--z2", "1", "--mesh", "m.obj", "--grid", "2x2"]),
     # three endpoint values are a flag error: exit 2, no file
     ("minimize_endpoints_three_values", ["minimize", "--endpoints", "1,0,2", "--out", "c.csv"]),
+    # the hanging-surface residual against the non-isotropic plane z = 0 (exit 1)
+    ("residual_sms_nonisotropic", ["residual", "--check", "sms", "--sref", "xy",
+                                   "--profile", "inverse:0.4,1.5", "--range", "1:3"]),
+    # a Picard tolerance that is not positive is an input error: exit 1, no file
+    ("ivp_tol_zero", ["ivp", "--a", "1", "--tol", "0", "--out", "profile.csv"]),
 ]
 
 
