@@ -7,10 +7,11 @@ against the relative length element (1 + z'^2)/2 dt:
     F[z] = sum_i h_i * (w_i + w_{i+1})/2 * (1 + zdot_i^2)/2,
 
 with zdot_i the forward difference on cell i.  The gradient below is the
-exact derivative of this discrete functional with the endpoints eliminated,
-and the minimizer runs damped Newton on the resulting tridiagonal system,
-raising NoConvergenceError where a Thomas pivot vanishes or no damping
-reduces the gradient.  Critical profiles satisfy the continuum equations
+exact derivative of this discrete functional with the endpoints eliminated.
+For the isotropic axis it is quadratic in z, so one Newton step from the straight
+line minimizes it at any scale; the non-isotropic axis runs damped Newton.  A zero
+Thomas pivot, or no damping that lowers the gradient, raises NoConvergenceError.
+Critical profiles satisfy the continuum equations
 alpha*t**(alpha-1)*z' + (t**alpha - lam)*z'' = 0 and
 (z**alpha - lam)*z'' = alpha*z**(alpha-1)*(1 - z'^2)/2 respectively.
 """
@@ -95,38 +96,30 @@ def evaluate_functional(
     return value
 
 
-@np.errstate(all="ignore")  # a gradient that overflows is named below, not warned
+@np.errstate(all="ignore")  # a gradient that overflows is a named DomainError, not warned
 def functional_gradient(spec: WeightFunctionalSpec, curve: DiscreteCurve) -> np.ndarray:
     """Exact gradient of the discrete functional at the interior nodes."""
-    grad = _gradient_hessian(spec, curve.grid, curve.values)[0]
-    if not np.isfinite(grad).all():
-        raise _overflow_error(spec, curve.grid, curve.values)
-    return grad
-
-
-def _overflow_error(spec, t, z) -> DomainError:
-    """The DomainError naming the first term of the discrete functional at (t, z) that is
-    not finite: a weight power, a slope square, or else the gradient itself.  Its callers
-    silence numpy's warnings."""
-    base, name = (t, "t") if spec.reference == LZ else (z, "z")
-    bad = np.flatnonzero(~np.isfinite(_weights(spec, t, z)).all(axis=0))
-    if bad.size:
-        return DomainError(f"weight power overflows at {name}={base[bad[0]]}")
-    bad = np.flatnonzero(~np.isfinite((np.diff(z) / np.diff(t)) ** 2))
-    if bad.size:
-        return DomainError(f"slope square overflows at t={t[bad[0]]}")
-    return DomainError("gradient of the discrete functional overflows")
+    return _gradient_hessian(spec, curve.grid, curve.values)[0]
 
 
 def _gradient_hessian(spec, t, z):
     """Gradient plus the tridiagonal Hessian bands at the interior nodes."""
     h = np.diff(t)
     zdot = np.diff(z) / h
-    q = 0.5 * (1.0 + zdot**2)
+    q = 0.5 * (1.0 + zdot**2)  # finite exactly where the slope square is
     w, wp, wpp = _weights(spec, t, z)
     cell_w = 0.5 * (w[:-1] + w[1:])
     grad = cell_w[:-1] * zdot[:-1] - cell_w[1:] * zdot[1:]
     grad += 0.5 * wp[1:-1] * (h[:-1] * q[:-1] + h[1:] * q[1:])
+    if not np.isfinite(grad).all():  # name the first weight power, else slope square, that is not
+        base, name = (t, "t") if spec.reference == LZ else (z, "z")
+        bad = np.flatnonzero(~np.isfinite((w, wp, wpp)).all(axis=0))
+        if bad.size:
+            raise DomainError(f"weight power overflows at {name}={base[bad[0]]}")
+        bad = np.flatnonzero(~np.isfinite(q))
+        if bad.size:
+            raise DomainError(f"slope square overflows at t={t[bad[0]]}")
+        raise DomainError("gradient of the discrete functional overflows")
     diag = (
         0.5 * wpp[1:-1] * (h[:-1] * q[:-1] + h[1:] * q[1:])
         + wp[1:-1] * (zdot[:-1] - zdot[1:])
@@ -182,22 +175,24 @@ def _check_weight_sign(t, w):
         )
 
 
-@np.errstate(all="ignore")  # an overflow is a named DomainError below, not a warning
+@np.errstate(all="ignore")  # an overflow is a named DomainError, not a warning
 def minimize(
     spec: WeightFunctionalSpec, endpoints: tuple[float, float, float, float], n: int
 ) -> DiscreteCurve:
     """Profile with fixed endpoints driving the interior gradient to zero.
 
-    ``endpoints`` is (t_a, z_a, t_b, z_b); ``n`` counts the grid cells.  The
-    returned curve satisfies max|gradient| < TOL_SCALE * n within MAX_ITER
-    Newton steps.  For the isotropic axis a weight t**alpha - lam that
-    vanishes or changes sign on the grid raises SingularDenominatorError
-    before the first iteration.
+    ``endpoints`` is (t_a, z_a, t_b, z_b); ``n >= 2`` counts the grid cells.  For the
+    isotropic axis the curve is the exact minimizer of the quadratic discrete functional at
+    any data scale, one Newton step from the straight line, after a weight t**alpha - lam that
+    vanishes or changes sign on the grid raises SingularDenominatorError.  For the other axis
+    it satisfies max|gradient| < TOL_SCALE * n within MAX_ITER damped Newton steps.
     """
     t_a, z_a, t_b, z_b = endpoints
     check_finite(t_a=t_a, z_a=z_a, t_b=t_b, z_b=z_b)
     if not t_a < t_b:
         raise ValueError("need t_a < t_b")
+    if n < 2:
+        raise ValueError(f"need n >= 2 grid cells, got n={n}")
     t = np.linspace(t_a, t_b, n + 1)
     z = np.linspace(z_a, z_b, n + 1)
     tol = TOL_SCALE * n
@@ -207,21 +202,22 @@ def minimize(
     grad, diag, off = _gradient_hessian(spec, t, z)
     for _ in range(MAX_ITER + 1):
         gn = float(np.max(np.abs(grad)))
-        if gn < tol:
+        if gn < tol and spec.reference == LX:
             return DiscreteCurve(t, z)
-        if not math.isfinite(gn):  # only the start can be: a step is taken only if gn falls
-            raise _overflow_error(spec, t, z)
         try:
             step = _solve_tridiagonal(diag, off, -grad)
         except ZeroDivisionError:
             msg = f"zero pivot in the Newton system at gradient norm {gn:.3e}"
             raise NoConvergenceError(msg) from None
+        if spec.reference == LZ:  # the step to the minimizer of a quadratic functional
+            z[1:-1] += step
+            return DiscreteCurve(t, z)
         for damping in (1.0, 0.5, 0.25, 0.125, 0.0625):
             trial = z.copy()
             trial[1:-1] += damping * step
             try:
                 trial_bands = _gradient_hessian(spec, t, trial)
-            except DomainError:
+            except DomainError:  # a domain error or an overflow at the trial profile
                 continue
             if float(np.max(np.abs(trial_bands[0]))) < gn:
                 z = trial

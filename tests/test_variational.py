@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isokit import variational
 from isokit.curves import LX, LZ, CatenaryFamily
@@ -344,3 +346,61 @@ def test_non_finite_inputs_are_named(bad):
         endpoints[i] = bad
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             minimize(LZ1, tuple(endpoints), 20)
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_minimize_needs_two_cells(n):
+    with pytest.raises(ValueError, match=f"^need n >= 2 grid cells, got n={n}$"):
+        minimize(LZ1, (1.0, 0.0, 2.0, 1.0), n)
+
+
+@pytest.mark.parametrize("n", [200, 20000])
+def test_isotropic_minimize_is_one_newton_step(monkeypatch, n):
+    calls = {"_gradient_hessian": 0, "_solve_tridiagonal": 0}
+    for name in calls:
+        real = getattr(variational, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(variational, name, counted)
+    minimize(WeightFunctionalSpec(LZ, 2.5, 0.0), (1.0, 0.0, math.e, 1.0), n)
+    assert calls == {"_gradient_hessian": 1, "_solve_tridiagonal": 1}
+
+
+@pytest.mark.parametrize("n", [400, 20000])
+def test_isotropic_minimize_scales_with_the_rise(n):
+    # the discrete functional is quadratic in z: its minimizer is linear in the data
+    spec = WeightFunctionalSpec(LZ, 2.0, 0.0)
+    unit = minimize(spec, (1.0, 0.0, 2.0, 1.0), n).values
+    for rise in (1e-6, 1e6, 1e12):
+        scaled = minimize(spec, (1.0, 0.0, 2.0, rise), n).values / rise
+        assert np.max(np.abs(scaled - unit)) < 1e-12
+
+
+def test_isotropic_minimize_small_rise_leaves_the_straight_line():
+    curve = minimize(LZ1, (1.0, 0.0, 1.5, 0.001), 20000)
+    exact = 0.001 / math.log(1.5) * np.log(curve.grid)
+    assert np.max(np.abs(curve.values - exact)) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=st.floats(-1.0, 3.0).filter(lambda a: abs(a) > 0.05),
+    n=st.integers(3, 400),
+    t_a=st.floats(0.5, 2.0),
+    span=st.floats(0.5, 3.0),
+    z_a=st.floats(-1.0, 1.0),
+    z_b=st.floats(-1.0, 1.0),
+    log_a=st.floats(-8.0, 8.0),
+    sign=st.sampled_from((-1.0, 1.0)),
+    b=st.floats(-1.0, 1.0),
+)
+def test_isotropic_minimize_is_affine_in_the_heights(alpha, n, t_a, span, z_a, z_b, log_a, sign, b):
+    spec = WeightFunctionalSpec(LZ, alpha, 0.0)
+    a = sign * 10.0**log_a
+    base = minimize(spec, (t_a, z_a, t_a + span, z_b), n).values
+    mapped = minimize(spec, (t_a, a * z_a + b, t_a + span, a * z_b + b), n).values
+    scale = abs(a) * np.max(np.abs(base)) + abs(b)
+    assert np.max(np.abs(mapped - (a * base + b))) <= 1e-13 * scale

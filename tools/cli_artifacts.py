@@ -181,6 +181,11 @@ COMMANDS = [
                                    "--profile", "inverse:0.4,1.5", "--range", "1:3"]),
     # a Picard tolerance that is not positive is an input error: exit 1, no file
     ("ivp_tol_zero", ["ivp", "--a", "1", "--tol", "0", "--out", "profile.csv"]),
+    # the isotropic-axis minimizer away from unit scale: a rise of 1e8 and one of 1e-3
+    ("minimize_lz_large_rise", ["minimize", "--ref", "lz", "--alpha", "2",
+                                "--endpoints", "1,0,2,1e8", "--n", "400"]),
+    ("minimize_lz_small_rise", ["minimize", "--ref", "lz", "--alpha", "1",
+                                "--endpoints", "1,0,1.5,0.001", "--n", "20000"]),
 ]
 
 
