@@ -8,8 +8,9 @@ against the relative length element (1 + z'^2)/2 dt:
 
 with zdot_i the forward difference on cell i.  The gradient below is the
 exact derivative of this discrete functional with the endpoints eliminated.
-For the isotropic axis it is quadratic in z, so one Newton step from the straight
-line minimizes it at any scale; the non-isotropic axis runs damped Newton.  A zero
+On the isotropic axis it vanishes where the flux (w_i + w_{i+1})/2 * zdot_i is one
+constant, so minimize sums h_i over the cell weight: the minimizer for a positive
+weight, the maximizer for a negative one.  The other axis runs damped Newton; a zero
 Thomas pivot, or no damping that lowers the gradient, raises NoConvergenceError.
 Critical profiles satisfy the continuum equations
 alpha*t**(alpha-1)*z' + (t**alpha - lam)*z'' = 0 and
@@ -111,14 +112,8 @@ def _gradient_hessian(spec, t, z):
     cell_w = 0.5 * (w[:-1] + w[1:])
     grad = cell_w[:-1] * zdot[:-1] - cell_w[1:] * zdot[1:]
     grad += 0.5 * wp[1:-1] * (h[:-1] * q[:-1] + h[1:] * q[1:])
-    if not np.isfinite(grad).all():  # name the first weight power, else slope square, that is not
-        base, name = (t, "t") if spec.reference == LZ else (z, "z")
-        bad = np.flatnonzero(~np.isfinite((w, wp, wpp)).all(axis=0))
-        if bad.size:
-            raise DomainError(f"weight power overflows at {name}={base[bad[0]]}")
-        bad = np.flatnonzero(~np.isfinite(q))
-        if bad.size:
-            raise DomainError(f"slope square overflows at t={t[bad[0]]}")
+    if not np.isfinite(grad).all():
+        _name_overflow(spec, t, z, (w, wp, wpp), q)
         raise DomainError("gradient of the discrete functional overflows")
     diag = (
         0.5 * wpp[1:-1] * (h[:-1] * q[:-1] + h[1:] * q[1:])
@@ -129,6 +124,17 @@ def _gradient_hessian(spec, t, z):
     # sub/super band between interior nodes j and j+1
     off = 0.5 * (wp[1:-2] - wp[2:-1]) * zdot[1:-1] - cell_w[1:-1] / h[1:-1]
     return grad, diag, off
+
+
+def _name_overflow(spec, t, z, powers, q):
+    """Raise a DomainError at the first weight power, else slope square, that is not finite."""
+    base, name = (t, "t") if spec.reference == LZ else (z, "z")
+    bad = np.flatnonzero(~np.isfinite(powers).all(axis=0))
+    if bad.size:
+        raise DomainError(f"weight power overflows at {name}={base[bad[0]]}")
+    bad = np.flatnonzero(~np.isfinite(q))
+    if bad.size:
+        raise DomainError(f"slope square overflows at t={t[bad[0]]}")
 
 
 def _solve_tridiagonal(diag, off, rhs):
@@ -182,10 +188,11 @@ def minimize(
     """Profile with fixed endpoints driving the interior gradient to zero.
 
     ``endpoints`` is (t_a, z_a, t_b, z_b); ``n >= 2`` counts the grid cells.  For the
-    isotropic axis the curve is the exact minimizer of the quadratic discrete functional at
-    any data scale, one Newton step from the straight line, after a weight t**alpha - lam that
-    vanishes or changes sign on the grid raises SingularDenominatorError.  For the other axis
-    it satisfies max|gradient| < TOL_SCALE * n within MAX_ITER damped Newton steps.
+    isotropic axis a weight t**alpha - lam that vanishes or changes sign on the grid raises
+    SingularDenominatorError; else the curve is the constant-flux critical profile, exact to
+    rounding at any scale: the minimizer for a positive weight, the maximizer for a negative
+    one.  For the other axis it satisfies max|gradient| < TOL_SCALE * n within MAX_ITER
+    damped Newton steps.
     """
     t_a, z_a, t_b, z_b = endpoints
     check_finite(t_a=t_a, z_a=z_a, t_b=t_b, z_b=z_b)
@@ -195,23 +202,30 @@ def minimize(
         raise ValueError(f"need n >= 2 grid cells, got n={n}")
     t = np.linspace(t_a, t_b, n + 1)
     z = np.linspace(z_a, z_b, n + 1)
-    tol = TOL_SCALE * n
-    if spec.reference == LZ:
-        _check_weight_sign(t, _weights(spec, t, z)[0])
+    if spec.reference == LZ:  # the flux cell weight * zdot is one constant along the profile
+        w = _weights(spec, t, z)[0]
+        _check_weight_sign(t, w)
+        h = np.diff(t)
+        _name_overflow(spec, t, z, (w,), 0.5 * (1.0 + (np.diff(z) / h) ** 2))
+        # the profile sees only ratios of h / cell weight: their mantissa quotients over one
+        # exact power of two keep every cell weight, quotient and partial sum in range
+        mh, eh = np.frexp(h)
+        mw, ew = np.frexp(0.5 * w[:-1] + 0.5 * w[1:])
+        s = np.cumsum(np.ldexp(mh / mw, (eh - ew) - np.max(eh - ew)))
+        z[1:-1] = z_a + (z_b - z_a) * (s[:-1] / s[-1])
+        return DiscreteCurve(t, z)
 
+    tol = TOL_SCALE * n
     grad, diag, off = _gradient_hessian(spec, t, z)
     for _ in range(MAX_ITER + 1):
         gn = float(np.max(np.abs(grad)))
-        if gn < tol and spec.reference == LX:
+        if gn < tol:
             return DiscreteCurve(t, z)
         try:
             step = _solve_tridiagonal(diag, off, -grad)
         except ZeroDivisionError:
             msg = f"zero pivot in the Newton system at gradient norm {gn:.3e}"
             raise NoConvergenceError(msg) from None
-        if spec.reference == LZ:  # the step to the minimizer of a quadratic functional
-            z[1:-1] += step
-            return DiscreteCurve(t, z)
         for damping in (1.0, 0.5, 0.25, 0.125, 0.0625):
             trial = z.copy()
             trial[1:-1] += damping * step

@@ -1,5 +1,8 @@
+import decimal
+import itertools
 import math
 import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -228,7 +231,7 @@ class TestTridiagonal:
 
 
 def test_zero_pivot_is_no_convergence(monkeypatch):
-    # a zero Hessian diagonal makes the first Thomas pivot 0
+    # a zero Hessian diagonal makes the first Thomas pivot 0; only the LX axis solves a system
     real = variational._gradient_hessian
 
     def zero_diagonal(spec, t, z):
@@ -237,7 +240,7 @@ def test_zero_pivot_is_no_convergence(monkeypatch):
 
     monkeypatch.setattr(variational, "_gradient_hessian", zero_diagonal)
     with pytest.raises(NoConvergenceError, match=r"^zero pivot in the Newton system at gradient norm "):
-        minimize(LZ1, (1.0, 0.0, math.e, 1.0), 20)
+        minimize(WeightFunctionalSpec(LX, 2.0, 0.0), (1.0, 1.0, 2.0, 3.0), 20)
 
 
 def test_no_descent_step_is_no_convergence():
@@ -355,18 +358,73 @@ def test_minimize_needs_two_cells(n):
 
 
 @pytest.mark.parametrize("n", [200, 20000])
-def test_isotropic_minimize_is_one_newton_step(monkeypatch, n):
-    calls = {"_gradient_hessian": 0, "_solve_tridiagonal": 0}
-    for name in calls:
-        real = getattr(variational, name)
+def test_isotropic_minimize_solves_no_linear_system(monkeypatch, n):
+    calls = []
+    real = variational._solve_tridiagonal
 
-        def counted(*args, real=real, name=name):
-            calls[name] += 1
-            return real(*args)
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
-        monkeypatch.setattr(variational, name, counted)
+    monkeypatch.setattr(variational, "_solve_tridiagonal", counted)
     minimize(WeightFunctionalSpec(LZ, 2.5, 0.0), (1.0, 0.0, math.e, 1.0), n)
-    assert calls == {"_gradient_hessian": 1, "_solve_tridiagonal": 1}
+    assert calls == []
+    minimize(WeightFunctionalSpec(LX, 1.5, 0.0), (0.0, 1.5, 1.0, 1.7), 200)
+    assert len(calls) >= 1
+
+
+def _decimal_critical_profile(t, w, z_a, z_b):
+    """z_a + (z_b - z_a) * S_i / S_n, S the cumulative sum of h / cell weight, in 50 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        t, w = [Decimal(float(x)) for x in t], [Decimal(float(x)) for x in w]
+        s = list(itertools.accumulate((t[i + 1] - t[i]) / ((w[i] + w[i + 1]) / 2)
+                                      for i in range(len(t) - 1)))
+        rise = Decimal(z_b) - Decimal(z_a)
+        return [z_a] + [float(Decimal(z_a) + rise * s_i / s[-1]) for s_i in s[:-1]] + [z_b]
+
+
+@pytest.mark.parametrize("n", [400, 2000])
+@pytest.mark.parametrize(
+    "alpha, lam, endpoints",
+    [
+        (2.5, 0.0, (1.0, 0.0, math.e, 1.0)),
+        (1.0, -0.3, (1.0, 0.0, math.e, 1.0)),
+        (1.0, 5.0, (1.0, 0.0, 3.0, 1.0)),  # t - 5 < 0 throughout: the maximizer
+        (-0.5, 0.0, (1.0, 0.0, math.e, 1.0)),
+    ],
+)
+def test_isotropic_minimize_is_the_constant_flux_profile_to_rounding(alpha, lam, endpoints, n):
+    # the reference sums the package's own float nodes and weights t**alpha - lam exactly
+    curve = minimize(WeightFunctionalSpec(LZ, alpha, lam), endpoints, n)
+    exact = _decimal_critical_profile(curve.grid, curve.grid**alpha - lam, endpoints[1], endpoints[3])
+    rise = abs(endpoints[3] - endpoints[1])
+    assert np.max(np.abs(curve.values - exact)) <= 4e-15 * rise
+
+
+@pytest.mark.parametrize("lam, sign", [(0.0, 1.0), (5.0, -1.0)])
+def test_isotropic_critical_profile_is_an_extremum_by_the_weight_sign(lam, sign):
+    # t - lam > 0 on [1, 3] at lam = 0 (a minimum) and < 0 at lam = 5 (a maximum)
+    spec = WeightFunctionalSpec(LZ, 1.0, lam)
+    curve = minimize(spec, (1.0, 0.0, 3.0, 1.0), 50)
+    critical = evaluate_functional(spec, curve)
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        z = curve.values.copy()
+        z[1:-1] += 1e-3 * rng.standard_normal(49)
+        assert sign * (evaluate_functional(spec, DiscreteCurve(curve.grid, z)) - critical) > 0
+
+
+def test_isotropic_minimize_at_extreme_weight_scales():
+    # only the ratios of the weights matter.  t**105 is subnormal on [1e-3, 1.1e-3], and scaling
+    # t by 1e3 scales every weight alike, so the profile is the one on [1, 1.1] up to the
+    # rounding of those weights; t + 1e308 is the constant 1e308, whose cell sums overflow
+    spec = WeightFunctionalSpec(LZ, 105.0, 0.0)
+    tiny = minimize(spec, (1e-3, 0.0, 1.1e-3, 1.0), 4).values
+    unit = minimize(spec, (1.0, 0.0, 1.1, 1.0), 4).values
+    assert np.max(np.abs(tiny - unit)) < 1e-9
+    huge = minimize(WeightFunctionalSpec(LZ, 1.0, -1e308), (1.0, 0.0, 2.0, 1.0), 4).values
+    assert np.max(np.abs(huge - np.linspace(0.0, 1.0, 5))) < 1e-15
 
 
 @pytest.mark.parametrize("n", [400, 20000])

@@ -186,6 +186,9 @@ COMMANDS = [
                                 "--endpoints", "1,0,2,1e8", "--n", "400"]),
     ("minimize_lz_small_rise", ["minimize", "--ref", "lz", "--alpha", "1",
                                 "--endpoints", "1,0,1.5,0.001", "--n", "20000"]),
+    # t - 5 < 0 on [1, 3]: the critical profile maximizes the discrete functional
+    ("minimize_lz_negative_weight", ["minimize", "--ref", "lz", "--alpha", "1", "--lambda", "5",
+                                     "--endpoints", "1,0,3,1", "--n", "200"]),
 ]
 
 
