@@ -6,12 +6,14 @@ against the relative length element (1 + z'^2)/2 dt:
 
     F[z] = sum_i h_i * (w_i + w_{i+1})/2 * (1 + zdot_i^2)/2,
 
-with zdot_i the forward difference on cell i.  The gradient below is the
-exact derivative of this discrete functional with the endpoints eliminated.
-On the isotropic axis it vanishes where the flux (w_i + w_{i+1})/2 * zdot_i is one
-constant, so minimize sums h_i over the cell weight: the minimizer for a positive
-weight, the maximizer for a negative one.  The other axis runs damped Newton; a zero
-Thomas pivot, or no damping that lowers the gradient, raises NoConvergenceError.
+with zdot_i the forward difference on cell i.  The cells are formed once, for the value,
+the gradient and both minimizers, and each weight is halved before the sum, so two weights
+near the float max give a finite cell weight.  The gradient is the exact derivative of this
+discrete functional with the endpoints eliminated.  On the isotropic axis it vanishes where
+the flux (w_i + w_{i+1})/2 * zdot_i is one constant, so minimize sums h_i over the cell
+weight: the minimizer for a positive weight, the maximizer for a negative one.  The other
+axis runs damped Newton; a zero Thomas pivot, or no damping that lowers the gradient, raises
+NoConvergenceError, and a Newton step that overflows raises DomainError.
 Critical profiles satisfy the continuum equations
 alpha*t**(alpha-1)*z' + (t**alpha - lam)*z'' = 0 and
 (z**alpha - lam)*z'' = alpha*z**(alpha-1)*(1 - z'^2)/2 respectively.
@@ -60,7 +62,11 @@ class DiscreteCurve:
             raise ValueError("grid must be strictly increasing")
 
 
-def _weights(spec, t, z):
+def _cells(spec, t, z):
+    """Cell widths h, slopes zdot, elements q = (1 + zdot^2)/2, node powers (w, w', w'') and
+    cell weights, each halved before the sum so that two weights near the float max fit."""
+    h = np.diff(t)
+    zdot = np.diff(z) / h
     base, name = (t, "t") if spec.reference == LZ else (z, "z")
     # checking alpha covers LX's alpha - 1 and alpha - 2: for an integer alpha they are
     # negative only where alpha is, or unused, and a fractional alpha needs base > 0
@@ -71,7 +77,7 @@ def _weights(spec, t, z):
         wp = spec.alpha * base ** (spec.alpha - 1.0)
         if spec.alpha != 1.0:
             wpp = spec.alpha * (spec.alpha - 1.0) * base ** (spec.alpha - 2.0)
-    return w, wp, wpp
+    return h, zdot, 0.5 * (1.0 + zdot**2), (w, wp, wpp), 0.5 * w[:-1] + 0.5 * w[1:]
 
 
 @np.errstate(all="ignore")  # a value that overflows is named below, not warned
@@ -83,15 +89,8 @@ def evaluate_functional(
     With ``relative=False`` the plain length element dt replaces the relative
     one; for the isotropic axis the value then depends on the endpoints only.
     """
-    t, z = curve.grid, curve.values
-    h = np.diff(t)
-    w, _, _ = _weights(spec, t, z)
-    cell_w = 0.5 * (w[:-1] + w[1:])
-    if relative:
-        zdot = np.diff(z) / h
-        value = float(np.sum(h * cell_w * 0.5 * (1.0 + zdot**2)))
-    else:
-        value = float(np.sum(h * cell_w))
+    h, _, q, _, cell_w = _cells(spec, curve.grid, curve.values)
+    value = float(np.sum(h * cell_w * q if relative else h * cell_w))
     if not math.isfinite(value):
         raise DomainError(f"functional value overflows to {value}")
     return value
@@ -105,15 +104,12 @@ def functional_gradient(spec: WeightFunctionalSpec, curve: DiscreteCurve) -> np.
 
 def _gradient_hessian(spec, t, z):
     """Gradient plus the tridiagonal Hessian bands at the interior nodes."""
-    h = np.diff(t)
-    zdot = np.diff(z) / h
-    q = 0.5 * (1.0 + zdot**2)  # finite exactly where the slope square is
-    w, wp, wpp = _weights(spec, t, z)
-    cell_w = 0.5 * (w[:-1] + w[1:])
+    h, zdot, q, powers, cell_w = _cells(spec, t, z)
+    _, wp, wpp = powers
     grad = cell_w[:-1] * zdot[:-1] - cell_w[1:] * zdot[1:]
     grad += 0.5 * wp[1:-1] * (h[:-1] * q[:-1] + h[1:] * q[1:])
     if not np.isfinite(grad).all():
-        _name_overflow(spec, t, z, (w, wp, wpp), q)
+        _name_overflow(spec, t, z, powers, q)
         raise DomainError("gradient of the discrete functional overflows")
     diag = (
         0.5 * wpp[1:-1] * (h[:-1] * q[:-1] + h[1:] * q[1:])
@@ -192,7 +188,7 @@ def minimize(
     SingularDenominatorError; else the curve is the constant-flux critical profile, exact to
     rounding at any scale: the minimizer for a positive weight, the maximizer for a negative
     one.  For the other axis it satisfies max|gradient| < TOL_SCALE * n within MAX_ITER
-    damped Newton steps.
+    damped Newton steps; a Newton system that overflows raises DomainError.
     """
     t_a, z_a, t_b, z_b = endpoints
     check_finite(t_a=t_a, z_a=z_a, t_b=t_b, z_b=z_b)
@@ -203,14 +199,13 @@ def minimize(
     t = np.linspace(t_a, t_b, n + 1)
     z = np.linspace(z_a, z_b, n + 1)
     if spec.reference == LZ:  # the flux cell weight * zdot is one constant along the profile
-        w = _weights(spec, t, z)[0]
-        _check_weight_sign(t, w)
-        h = np.diff(t)
-        _name_overflow(spec, t, z, (w,), 0.5 * (1.0 + (np.diff(z) / h) ** 2))
+        h, _, q, powers, cell_w = _cells(spec, t, z)
+        _check_weight_sign(t, powers[0])
+        _name_overflow(spec, t, z, powers[:1], q)  # w' and w'' are 0 on this axis
         # the profile sees only ratios of h / cell weight: their mantissa quotients over one
         # exact power of two keep every cell weight, quotient and partial sum in range
         mh, eh = np.frexp(h)
-        mw, ew = np.frexp(0.5 * w[:-1] + 0.5 * w[1:])
+        mw, ew = np.frexp(cell_w)
         s = np.cumsum(np.ldexp(mh / mw, (eh - ew) - np.max(eh - ew)))
         z[1:-1] = z_a + (z_b - z_a) * (s[:-1] / s[-1])
         return DiscreteCurve(t, z)
@@ -237,7 +232,9 @@ def minimize(
                 z = trial
                 grad, diag, off = trial_bands
                 break
-        else:
+        else:  # a step that is not finite (a band cell_w / h past the float max) fails each rung
+            if not np.isfinite(step).all():
+                raise DomainError("Newton system of the discrete functional overflows")
             raise NoConvergenceError(f"no descent step found at gradient norm {gn:.3e}")
     raise NoConvergenceError(f"gradient norm still above {tol:.3e} after {MAX_ITER} iterations")
 

@@ -66,6 +66,19 @@ def test_dimension_mismatch_rejected():
         euclid_dot((1, 2), (3, 4, 5))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: iso_dot((1, 2, 3, 4), (1, 2, 3, 4)), "iso_dot expects 2- or 3-vectors"),
+        (lambda: sec_dot((1, 2), (1, 2, 3)), "sec_dot expects 2- or 3-vectors of equal dimension"),
+    ],
+    ids=["iso_dot_4", "sec_dot_2_3"],
+)
+def test_products_name_the_dimensions_they_take(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 @given(vec3, vec3)
 def test_iso_dot_symmetric(u, v):
     assert iso_dot(u, v) == iso_dot(v, u)

@@ -179,6 +179,12 @@ class TestCatenaryFamily:
         with pytest.raises(ValueError):
             CatenaryFamily(alpha=2.0, lam=1.0)
 
+    def test_unknown_reference_line_is_rejected(self):
+        with pytest.raises(ValueError, match="^unknown reference line 'xx'$"):
+            CatenaryFamily(reference="xx")
+        with pytest.raises(ValueError, match="^unknown reference line 'xx'$"):
+            catenary_curvature_residual(PARABOLA, "xx", 1.0, 0.0, 1.0)
+
     def test_no_closed_form_for_nonisotropic_axis(self):
         with pytest.raises(ValueError, match="no closed form for the non-isotropic reference"):
             CatenaryFamily(reference=LX, alpha=1.0)
@@ -408,6 +414,11 @@ def test_csv_with_too_few_rows_is_a_value_error(rows, tmp_path):
     path.write_text("t,x,z\n" + rows)
     with pytest.raises(ValueError, match="at least 4 samples"):
         read_curve_csv(path)
+
+
+def test_samples_on_a_grid_that_is_not_uniform_are_rejected():
+    with pytest.raises(ValueError, match="^sample grid must be uniform and increasing$"):
+        PlaneCurve.from_samples([0.0, 1.0, 2.0, 4.0], [0.0, 1.0, 2.0, 3.0])
 
 
 def _horner(vals, t):

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -355,6 +356,11 @@ class TestPicard:
         # a tol of 0 ran all Picard iterations and reported no convergence
         with pytest.raises(ValueError, match=f"^tol must be positive, got {tol}$"):
             picard_solve_degenerate(1.0, tol=tol)
+
+    def test_scale_that_overflows_the_profile_is_a_domain_error(self):
+        message = r"^the profile scaled to a = 1\.7976931348623157e\+308 overflows a float$"
+        with pytest.raises(DomainError, match=message):
+            picard_solve_degenerate(sys.float_info.max)
 
     def test_iteration_cap(self, monkeypatch):
         from isokit import odes as odes_module

@@ -99,6 +99,11 @@ def test_simpson_samples_validation():
         quadrature.simpson_samples(np.ones(4), 0.1)
 
 
+def test_cumulative_simpson_needs_three_samples():
+    with pytest.raises(ValueError, match="^cumulative_simpson needs at least 3 samples$"):
+        quadrature.cumulative_simpson(np.ones(2), 0.1)
+
+
 def test_cumulative_simpson_matches_antiderivative():
     t = np.linspace(0.0, 2.0, 201)
     running = quadrature.cumulative_simpson(np.exp(t), t[1] - t[0])

@@ -354,3 +354,17 @@ def test_report_json_schema():
 def test_non_finite_input_is_a_value_error_naming_it(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SingularSpec("zz"), "unknown reference plane 'zz'"),
+        (lambda: cmc_profile_coefficient(1.0, 0.0, 0.5, 0.5, 0.2), "needs b != 0"),
+        (lambda: cmc_quadric_coefficients(1.0, 0.0, 0.0, 0.5, 0.5, 0.0, 0.3, 0.2), "needs b != 0"),
+    ],
+    ids=["SingularSpec", "cmc_profile_coefficient", "cmc_quadric_coefficients"],
+)
+def test_invalid_reference_plane_or_zero_b_is_a_value_error(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -291,8 +291,11 @@ class TestElResidual:
          r"slope square overflows at t=0.0"),
         (WeightFunctionalSpec(LX, 2.5, 0.0), (1e-300, 1e300, 2.5, 1e300), 200,
          r"weight power overflows at z=1e\+300"),
+        # the gradient at the straight start is finite; the bands cell weight / h are not
+        (WeightFunctionalSpec(LX, 1.0, -1.5e308), (0.0, 1.0, 1.0, 1.5), 4,
+         "Newton system of the discrete functional overflows"),
     ],
-    ids=["lz_weight", "lz_slope", "lx_weight"],
+    ids=["lz_weight", "lz_slope", "lx_weight", "lx_bands"],
 )
 def test_overflowing_minimize_start_is_named(spec, endpoints, n, message):
     with pytest.raises(DomainError, match=f"^{message}$"):  # pytest makes a warning an error
@@ -462,3 +465,81 @@ def test_isotropic_minimize_is_affine_in_the_heights(alpha, n, t_a, span, z_a, z
     mapped = minimize(spec, (t_a, a * z_a + b, t_a + span, a * z_b + b), n).values
     scale = abs(a) * np.max(np.abs(base)) + abs(b)
     assert np.max(np.abs(mapped - (a * base + b))) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("reference, t_a", [(LZ, 1.0), (LX, 0.0)])
+def test_weight_near_the_float_max_gives_a_finite_value_and_gradient(reference, t_a):
+    # alpha = 0 and lam = -1e308: the constant weight 1e308, whose node pairs sum past the
+    # float max while their halves do not
+    spec, unit = WeightFunctionalSpec(reference, 0.0, -1e308), WeightFunctionalSpec(reference, 0.0, 0.0)
+    t = np.linspace(t_a, t_a + 1.0, 9)
+    curve = DiscreteCurve(t, 0.2 * np.sin(3.0 * t))
+    assert evaluate_functional(spec, curve) == pytest.approx(1e308 * evaluate_functional(unit, curve))
+    grad = functional_gradient(spec, curve)
+    np.testing.assert_allclose(grad, 1e308 * functional_gradient(unit, curve), rtol=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    reference=st.sampled_from((LZ, LX)),
+    log_c=st.one_of(st.floats(0.0, 308.25), st.floats(307.9, 308.25)),  # half of them near the max
+    n=st.integers(2, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_functional_is_linear_in_a_constant_weight(reference, log_c, n, seed):
+    # at alpha = 0 the weight is the constant c = 1 - lam: the value and the gradient scale by c
+    # up to the float max; the slopes stay below 0.4 so c times the unit results fits a float
+    lam = 1.0 - 10.0**log_c
+    c = 1.0 - lam
+    t = np.linspace(0.0, 1.0, n + 1)
+    rise = np.random.default_rng(seed).uniform(-0.4, 0.4, n) / n
+    curve = DiscreteCurve(t, np.concatenate(([0.0], np.cumsum(rise))))
+    spec, unit = WeightFunctionalSpec(reference, 0.0, lam), WeightFunctionalSpec(reference, 0.0, 0.0)
+    value = evaluate_functional(spec, curve)
+    assert value == pytest.approx(c * evaluate_functional(unit, curve), rel=1e-14)
+    np.testing.assert_allclose(
+        functional_gradient(spec, curve), c * functional_gradient(unit, curve), rtol=0.0, atol=1e-15 * c
+    )
+
+
+def test_overflowing_flux_of_a_returned_profile_is_named():
+    # the critical profile fits a float, but h * cell weight and cell weight * zdot do not, so
+    # no finite value or gradient of it exists
+    spec = WeightFunctionalSpec(LZ, 2.0, 0.0)
+    curve = minimize(spec, (1.0, 0.0, 1e150, 1e160), 4)
+    assert np.isfinite(curve.values).all()
+    with pytest.raises(DomainError, match=r"^functional value overflows to inf$"):
+        evaluate_functional(spec, curve)
+    with pytest.raises(DomainError, match=r"^gradient of the discrete functional overflows$"):
+        functional_gradient(spec, curve)
+
+
+def test_newton_skips_a_full_step_that_leaves_the_weight_domain(monkeypatch):
+    # z**1.5 needs z > 0: early full steps cross it, raise in the trial and are halved
+    real, trial_errors = variational._gradient_hessian, []
+
+    def recorded(spec, t, z):
+        try:
+            return real(spec, t, z)
+        except DomainError as exc:
+            trial_errors.append(str(exc))
+            raise
+
+    monkeypatch.setattr(variational, "_gradient_hessian", recorded)
+    spec = WeightFunctionalSpec(LX, 1.5, 0.0)
+    curve = minimize(spec, (0.0, 0.05, 0.2, 0.02), 20)
+    assert trial_errors and set(trial_errors) == {"non-integer exponent needs z > 0"}
+    assert np.max(np.abs(functional_gradient(spec, curve))) < variational.TOL_SCALE * 20
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: WeightFunctionalSpec("zz"), "unknown reference line 'zz'"),
+        (lambda: DiscreteCurve([0.0, 1.0], [0.0, 1.0]), "grid must be 1-d with at least 3 nodes"),
+    ],
+    ids=["reference", "two_nodes"],
+)
+def test_invalid_spec_or_curve_is_a_value_error(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

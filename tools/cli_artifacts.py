@@ -189,6 +189,17 @@ COMMANDS = [
     # t - 5 < 0 on [1, 3]: the critical profile maximizes the discrete functional
     ("minimize_lz_negative_weight", ["minimize", "--ref", "lz", "--alpha", "1", "--lambda", "5",
                                      "--endpoints", "1,0,3,1", "--n", "200"]),
+    # a constant weight of 1e308: two node weights sum past the float max, their halves do not
+    ("minimize_lz_weight_near_max", ["minimize", "--ref", "lz", "--alpha", "0", "--lambda=-1e308",
+                                     "--endpoints", "1,0,2,1", "--n", "4"]),
+    ("minimize_lx_weight_near_max", ["minimize", "--ref", "lx", "--alpha", "0", "--lambda=-1e308",
+                                     "--endpoints", "0,1,1,1.5", "--n", "4"]),
+    # error exits: Newton bands cell weight / h past the float max, and an LZ profile whose
+    # flux cell weight * zdot (and value) overflow though the profile fits a float
+    ("minimize_lx_bands_overflow", ["minimize", "--ref", "lx", "--alpha", "1", "--lambda=-1.5e308",
+                                    "--endpoints", "0,1,1,1.5", "--n", "4"]),
+    ("minimize_lz_flux_overflow", ["minimize", "--ref", "lz", "--alpha", "2",
+                                   "--endpoints", "1,0,1e150,1e160", "--n", "4"]),
 ]
 
 
