@@ -17,48 +17,41 @@ from .core import check_finite, finite_array, write_json
 from .errors import IsoKitError
 
 
-def _parse_range(raw: str) -> tuple[float, float]:
-    try:
-        lo, hi = (float(x) for x in raw.split(":"))
-    except ValueError:  # a value that is no number, or not two of them
-        raise argparse.ArgumentTypeError(f"range {raw} needs two numbers lo:hi") from None
-    if not lo < hi:  # false for NaN too
-        raise argparse.ArgumentTypeError(f"range {raw} needs lo < hi")
-    return lo, hi
+def _numbers(expected: str, count: int, convert=float, sep=",", least=None, into=tuple):
+    """argparse type: ``count`` values joined by ``sep``, each read by ``convert`` and none
+    below ``least``; one comes back bare, more as ``into``.  Text of another form is the flag
+    error ``expected``, with {} the text."""
 
-
-def _count(lo: int):
-    """argparse type: an integer of at least ``lo``."""
-
-    def parse(raw) -> int:
+    def parse(raw: str):
+        pieces = raw.lower().split(sep)  # lower: --grid takes 2X3
         try:
-            n = int(raw)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{raw} is not an integer") from None
-        if n < lo:
-            raise argparse.ArgumentTypeError(f"{raw} is below the minimum {lo}")
-        return n
+            values = [convert(x) for x in pieces]
+        except ValueError:  # a piece that is no number, like a wrong count, is the form error
+            values = []
+        if len(values) != count:
+            raise argparse.ArgumentTypeError(expected.format(raw))
+        for piece, value in zip(pieces, values):
+            if least is not None and value < least:
+                raise argparse.ArgumentTypeError(f"{piece} is below the minimum {least}")
+        return values[0] if count == 1 else into(values)
 
     return parse
 
 
-def _parse_endpoints(raw: str) -> list[float]:
-    try:
-        ta, za, tb, zb = (float(v) for v in raw.split(","))
-    except ValueError:  # a value that is no number, or not four of them
-        raise argparse.ArgumentTypeError(f"endpoints {raw} need four numbers ta,za,tb,zb") from None
-    return [ta, za, tb, zb]  # a list, which check_finite skips: minimize names a NaN endpoint
+def _parse_range(raw: str) -> tuple[float, float]:
+    lo, hi = _numbers("range {} needs two numbers lo:hi", 2, sep=":")(raw)
+    if not lo < hi:  # false for NaN too
+        raise argparse.ArgumentTypeError(f"range {raw} needs lo < hi")
+    return lo, hi  # a tuple, which check_finite names trange
 
 
-def _parse_grid(raw: str) -> tuple[int, int]:
-    try:
-        nu, nv = (int(n) for n in raw.lower().split("x"))
-    except ValueError:  # a count that is no integer, or not two of them
-        raise argparse.ArgumentTypeError(f"grid {raw} needs two integers NUxNV") from None
-    return _count(1)(nu), _count(1)(nv)
-
-
+_count = functools.partial(_numbers, "{} is not an integer", 1, int)  # _count(least=2): --n
+# a list, which check_finite skips: minimize names a NaN endpoint
+_parse_endpoints = _numbers("endpoints {} need four numbers ta,za,tb,zb", 4, into=list)
+_parse_grid = _numbers("grid {} needs two integers NUxNV", 2, int, sep="x", least=1)
 _CLI_PROFILES = {"log": "log", "power": "power", "inverse": "inverse_radius", "poly": "poly"}
+_SURFACES = ["revolution", "helicoidal", "parabolic"]
+_GROUP = {"--a": 0.0, "--b": 1.0, "--c": 0.0, "--c1": 0.0, "--c2": 0.0}  # the parabolic group
 
 
 def _parse_profile(raw: str) -> curves.ProfileForm:
@@ -86,12 +79,8 @@ def _add_sweep_options(p, trange_flag: str, thetarange_default) -> None:
     p.add_argument("--profile", type=_parse_profile, required=True)
     p.add_argument(trange_flag, dest="trange", type=_parse_range, required=True)
     p.add_argument("--thetarange", type=_parse_range, default=thetarange_default)
-    for flag, default in (("--pitch", 0.0), ("--a", 0.0), ("--b", 1.0), ("--c", 0.0),
-                          ("--c1", 0.0), ("--c2", 0.0)):
+    for flag, default in {"--pitch": 0.0, **_GROUP}.items():
         p.add_argument(flag, type=float, default=default)
-
-
-_SURFACES = ["revolution", "helicoidal", "parabolic"]
 
 
 @functools.cache  # built on the first run call; every default is immutable
@@ -106,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=float, default=0.0)
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p.add_argument("--range", dest="trange", type=_parse_range, required=True)
-    p.add_argument("--n", type=_count(2), default=100)
+    p.add_argument("--n", type=_count(least=2), default=100)
     p.add_argument("--out", default="-")
 
     p = sub.add_parser("minimize", help="minimize a discrete weight functional")
@@ -115,16 +104,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p.add_argument("--endpoints", type=_parse_endpoints, required=True, help="ta,za,tb,zb")
-    p.add_argument("--n", type=_count(2), default=200)
+    p.add_argument("--n", type=_count(least=2), default=200)
     p.add_argument("--out", default="-", help="CSV destination")
     p.add_argument("--json", dest="json_out", default=None, help="summary destination")
 
     p = sub.add_parser("catenoid", help="solve the two-circle boundary problem")
     p.set_defaults(func=_cmd_catenoid)
-    p.add_argument("--r1", type=float, required=True)
-    p.add_argument("--z1", type=float, required=True)
-    p.add_argument("--r2", type=float, required=True)
-    p.add_argument("--z2", type=float, required=True)
+    for flag in ("--r1", "--z1", "--r2", "--z2"):
+        p.add_argument(flag, type=float, required=True)
     p.add_argument("--mesh", default=None, help="optional OBJ destination")
     p.add_argument("--grid", type=_parse_grid, default=(32, 64))
 
@@ -140,11 +127,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_classify)
     p.add_argument("kind", choices=["helicoidal", "parabolic"])
     p.add_argument("--ref", choices=[singular.PI_YZ, singular.PI_XY], required=True)
-    p.add_argument("--c", type=float, default=0.0, help="pitch (helicoidal) or c")
-    p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--c1", type=float, default=0.0)
-    p.add_argument("--c2", type=float, default=0.0)
+    for flag, default in _GROUP.items():
+        p.add_argument(flag, type=float, default=default,
+                       help="pitch (helicoidal) or c" if flag == "--c" else None)
     p.add_argument("--z1", type=float, default=0.0)
     p.add_argument("--z2", type=float, default=1.0)
     p.add_argument("--out", default="-")
@@ -165,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
     _add_sweep_options(p, "--range", (-1.25, 1.25))
-    p.add_argument("--n", type=_count(1), default=100)
+    p.add_argument("--n", type=_count(least=1), default=100)
     p.add_argument("--surface", dest="kind", choices=_SURFACES, default="revolution")
     p.add_argument("--grid", type=_parse_grid, default=(50, 16))
     return parser

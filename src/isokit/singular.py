@@ -238,28 +238,22 @@ def classify_parabolic_revolution(
             ode=ode,
         )
 
-    if a == 0.0:
-        if abs(c1) > 1e-12:
-            return ClassificationReport("NoSolution", params, [("c1", c1)])
-        form = ProfileForm(
-            "log_parabola", {"quad": -c2 / (4.0 * b), "z1": z1, "z2": z2}
-        )
-        res = _verify_parabolic(form, spec, a, b, c, c1, c2)
-        return ClassificationReport(
-            case="ParabolicCase1a",
-            parameters={**params, "quad": -c2 / (4.0 * b), "z1": z1, "z2": z2},
-            constraints=[("c1", c1), ("sms_residual_max_abs", res)],
-            profile=form,
-        )
-    gate = a * c2 + 2.0 * b * c1  # an overflowed (non-finite) gate counts as violated
-    if not math.isfinite(gate) or abs(gate) > 1e-12 * max(1.0, abs(a * c2), abs(2.0 * b * c1)):
-        return ClassificationReport("NoSolution", params, [("a*c2 + 2*b*c1", gate)])
-    form = ProfileForm("quadratic", {"quad": c1 / (2.0 * a), "z1": z1})
+    if a == 0.0:  # case 1a: c1 = 0, the log-parabola
+        case, name, gate = "ParabolicCase1a", "c1", c1
+        ok = abs(c1) <= 1e-12
+        kind, coefficients = "log_parabola", {"quad": -c2 / (4.0 * b), "z1": z1, "z2": z2}
+    else:  # case 1b: a*c2 + 2*b*c1 = 0, the quadratic; an overflowed gate counts as violated
+        case, name, gate = "ParabolicCase1b", "a*c2 + 2*b*c1", a * c2 + 2.0 * b * c1
+        ok = math.isfinite(gate) and abs(gate) <= 1e-12 * max(1.0, abs(a * c2), abs(2.0 * b * c1))
+        kind, coefficients = "quadratic", {"quad": c1 / (2.0 * a), "z1": z1}
+    if not ok:
+        return ClassificationReport("NoSolution", params, [(name, gate)])
+    form = ProfileForm(kind, coefficients)
     res = _verify_parabolic(form, spec, a, b, c, c1, c2)
     return ClassificationReport(
-        case="ParabolicCase1b",
-        parameters={**params, "quad": c1 / (2.0 * a), "z1": z1, "z2": 0.0},
-        constraints=[("a*c2 + 2*b*c1", gate), ("sms_residual_max_abs", res)],
+        case=case,
+        parameters={**params, "z2": 0.0, **form.coefficients},
+        constraints=[(name, gate), ("sms_residual_max_abs", res)],
         profile=form,
     )
 

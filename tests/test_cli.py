@@ -534,6 +534,11 @@ def test_unordered_range_is_a_flag_error(raw, tmp_path, capsys):
         (["catenary", "--range", "1"], "argument --range: range 1 needs two numbers lo:hi"),
         (["catenary", "--range", "a:b"], "argument --range: range a:b needs two numbers lo:hi"),
         (["catenary", "--range", "1:2", "--n", "x"], "argument --n: x is not an integer"),
+        (["catenary", "--range", "1:2", "--n", "1"], "argument --n: 1 is below the minimum 2"),
+        (["residual", "--check", "el", "--profile", "log:1,0", "--range", "1:2", "--n", "0"],
+         "argument --n: 0 is below the minimum 1"),
+        (["surface", "revolution", "--profile", "log:1,0", "--trange", "1:2", "--mesh", "m.obj",
+          "--grid", "0x4"], "argument --grid: 0 is below the minimum 1"),
         *((["catenoid", "--r1", "1", "--z1", "0", "--r2", "2", "--z2", "1", "--grid", grid],
           f"argument --grid: grid {grid} needs two integers NUxNV")
           for grid in ("2", "2x3x4", "axb")),
@@ -542,8 +547,8 @@ def test_unordered_range_is_a_flag_error(raw, tmp_path, capsys):
           for spec, form in (("log:1", "log:c,d"), ("log:1,x", "log:c,d"),
                              ("inverse:nan,1", "inverse:z1,z2"), ("poly:1,x", "poly:a0,a1,..."))),
     ],
-    ids=["range_1", "range_a_b", "n_x", "grid_2", "grid_2x3x4", "grid_axb", "profile_log_1",
-         "profile_log_1_x", "profile_inverse_nan", "profile_poly_1_x"],
+    ids=["range_1", "range_a_b", "n_x", "n_1", "residual_n_0", "grid_0x4", "grid_2", "grid_2x3x4",
+         "grid_axb", "profile_log_1", "profile_log_1_x", "profile_inverse_nan", "profile_poly_1_x"],
 )
 def test_flag_errors_name_the_expected_form(argv, message, tmp_path, monkeypatch, capsys):
     # these named the private parser: "invalid _parse_range value: '1'"
@@ -553,6 +558,14 @@ def test_flag_errors_name_the_expected_form(argv, message, tmp_path, monkeypatch
     assert err.value.code == 2
     assert capsys.readouterr().err.endswith(f"error: {message}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_grid_is_read_after_lower_casing(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for mesh, grid in (("lower.obj", "2x3"), ("upper.obj", "2X3")):
+        assert run_cli("surface", "revolution", "--profile", "log:1,0", "--trange", "1:2",
+                       "--mesh", mesh, "--grid", grid) == 0
+    assert (tmp_path / "upper.obj").read_bytes() == (tmp_path / "lower.obj").read_bytes()
 
 
 @pytest.mark.parametrize("tol", ["0", "-1"])

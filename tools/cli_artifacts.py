@@ -4,8 +4,8 @@
 
 imports ``isokit`` from ``TREE/src``, runs each command below in-process
 through ``cli.run`` inside a fresh temporary directory, and prints one
-``name sha256`` line per captured stdout stream and per written file, plus
-a ``name/exit code`` line per command.  Run it on two trees and ``diff``
+``name sha256`` line per captured stdout stream, per non-empty stderr stream
+and per written file, plus a ``name/exit code`` line per command.  Run it on two trees and ``diff``
 the outputs to check that a change keeps the CLI artifacts byte-identical.
 Option values may follow their flag as a separate argument even when they
 start with '-'; the ``*_separate`` commands do so and must hash like their
@@ -200,6 +200,12 @@ COMMANDS = [
                                     "--endpoints", "0,1,1,1.5", "--n", "4"]),
     ("minimize_lz_flux_overflow", ["minimize", "--ref", "lz", "--alpha", "2",
                                    "--endpoints", "1,0,1e150,1e160", "--n", "4"]),
+    # flag errors (exit 2) and an infinite range end in order (exit 1, names trange)
+    ("catenary_range_nan_lo", ["catenary", "--range=nan:1", "--out", "c.csv"]),
+    ("catenary_range_inf_hi", ["catenary", "--range=1:inf", "--out", "c.csv"]),
+    ("catenary_n_below_minimum", ["catenary", "--range", "1:2", "--n", "1", "--out", "c.csv"]),
+    ("surface_grid_zero", ["surface", "revolution", "--profile", "log:1,0", "--trange", "1:2",
+                           "--mesh", "m.obj", "--grid", "0x4"]),
 ]
 
 
@@ -223,9 +229,9 @@ def main(argv) -> int:
     for name, args in COMMANDS:
         with tempfile.TemporaryDirectory() as tmp:
             os.chdir(tmp)
-            out = io.StringIO()
+            out, err = io.StringIO(), io.StringIO()
             try:
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                     code = cli.run(args)
             except SystemExit as exc:  # argparse flag errors
                 code = exc.code
@@ -233,6 +239,8 @@ def main(argv) -> int:
                 os.chdir(home)
             print(f"{name}/exit {code}")
             print(f"{name}/stdout {_sha(out.getvalue().encode())}")
+            if err.getvalue():  # the error line, and argparse's usage block on a flag error
+                print(f"{name}/stderr {_sha(err.getvalue().encode())}")
             for path in sorted(Path(tmp).iterdir()):
                 print(f"{name}/{path.name} {_sha(path.read_bytes())}")
     return 0
