@@ -12,8 +12,8 @@ near the float max give a finite cell weight.  The gradient is the exact derivat
 discrete functional with the endpoints eliminated.  On the isotropic axis it vanishes where
 the flux (w_i + w_{i+1})/2 * zdot_i is one constant, so minimize sums h_i over the cell
 weight: the minimizer for a positive weight, the maximizer for a negative one.  The other
-axis runs damped Newton; a zero Thomas pivot, or no damping that lowers the gradient, raises
-NoConvergenceError, and a Newton step that overflows raises DomainError.
+axis runs damped Newton; a zero pivot of the cyclic reduction, or no damping that lowers
+the gradient, raises NoConvergenceError, and a Newton step that overflows raises DomainError.
 Critical profiles satisfy the continuum equations
 alpha*t**(alpha-1)*z' + (t**alpha - lam)*z'' = 0 and
 (z**alpha - lam)*z'' = alpha*z**(alpha-1)*(1 - z'^2)/2 respectively.
@@ -134,29 +134,34 @@ def _name_overflow(spec, t, z, powers, q):
 
 
 def _solve_tridiagonal(diag, off, rhs):
-    """Thomas elimination for a symmetric tridiagonal system.
-
-    The sweep reads and writes through memoryviews, so it runs on Python
-    floats: the same IEEE operations in the same order as on numpy scalars,
-    without a numpy scalar per element, and a zero pivot raises the float
-    division's ZeroDivisionError.
+    """Solution of the symmetric tridiagonal system (diagonal ``diag``, both off-diagonals
+    ``off``) for ``rhs`` by odd-even cyclic reduction: each level eliminates the odd unknowns
+    with whole-array operations, halving the system, and the back-substitution restores them.
+    Only a pivot that is exactly 0.0 (an odd diagonal entry of a level, or the last one left)
+    raises ZeroDivisionError; non-finite bands give a non-finite solution.
     """
-    n = diag.size
-    a = memoryview(np.ascontiguousarray(diag, dtype=float))
-    b = memoryview(np.ascontiguousarray(off, dtype=float))
-    r = memoryview(np.ascontiguousarray(rhs, dtype=float))
-    c_arr = np.empty(max(n - 1, 0))
-    d_arr = np.empty(n)
-    c, d = memoryview(c_arr), memoryview(d_arr)
-    cp = a[0]
-    di = d[0] = r[0] / cp
-    for i, o, ai, ri in zip(range(1, n), b, a[1:], r[1:]):
-        ci = c[i - 1] = o / cp
-        cp = ai - o * ci
-        di = d[i] = (ri - o * di) / cp
-    for i, ci, dd in zip(range(n - 2, -1, -1), c[::-1], d[-2::-1]):
-        di = d[i] = dd - ci * di
-    return d_arr
+    a, b, r = (np.asarray(v, dtype=float) for v in (diag, off, rhs))
+    levels = []
+    while a.size > 1:
+        ao, bl, br, ro = a[1::2], b[0::2], b[1::2], r[1::2]  # odd rows: pivot, couplings, rhs
+        if not ao.all():
+            raise ZeroDivisionError("zero pivot in tridiagonal solve")
+        levels.append((ao, bl, br, ro))
+        u, v = bl / ao, br / ao[: br.size]
+        a, r, b = a[0::2].copy(), r[0::2].copy(), -u[: br.size] * br
+        a[: u.size] -= u * bl
+        a[1 : v.size + 1] -= v * br
+        r[: u.size] -= u * ro
+        r[1 : v.size + 1] -= v * ro[: v.size]
+    if not a.all():
+        raise ZeroDivisionError("zero pivot in tridiagonal solve")
+    x = r / a
+    for ao, bl, br, ro in reversed(levels):
+        odd = ro - bl * x[: ao.size]
+        odd[: br.size] -= br * x[1 : br.size + 1]
+        x, even = np.empty(x.size + ao.size), x
+        x[0::2], x[1::2] = even, odd / ao
+    return x
 
 
 def _check_weight_sign(t, w):

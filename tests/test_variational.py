@@ -196,17 +196,33 @@ def _dominant_system(rng, n):
     return diag, off, rng.standard_normal(n)
 
 
+def _backward_error(diag, off, rhs, x):
+    """Normwise backward error |A x - rhs| / (|A| |x| + |rhs|) in the max norm; the residual
+    is formed in extended precision, so its own rounding does not count."""
+    d, o, r, y = (np.asarray(v, dtype=np.longdouble) for v in (diag, off, rhs, x))
+    residual = d * y - r
+    residual[:-1] += o * y[1:]
+    residual[1:] += o * y[:-1]
+    pad = np.zeros(1)
+    row_sums = np.abs(diag) + np.abs(np.concatenate((pad, off))) + np.abs(np.concatenate((off, pad)))
+    scale = np.max(row_sums) * np.max(np.abs(x)) + np.max(np.abs(rhs))
+    return float(np.max(np.abs(residual))) / scale
+
+
 class TestTridiagonal:
     @pytest.mark.parametrize("n", [1, 2, 3, 257, 20001])
     def test_bit_identical_to_numpy_scalar_loop(self, n):
+        # cyclic reduction rounds differently from the Thomas loop: pin its backward error and
+        # its distance from the loop, and the bits of a strided rhs against a contiguous one
         rng = np.random.default_rng(n)
         diag, off, rhs = _dominant_system(rng, n)
-        assert np.array_equal(_solve_tridiagonal(diag, off, rhs), _numpy_scalar_thomas(diag, off, rhs))
+        x, thomas = _solve_tridiagonal(diag, off, rhs), _numpy_scalar_thomas(diag, off, rhs)
+        eps = np.finfo(float).eps
+        assert _backward_error(diag, off, rhs, x) <= 4 * eps
+        assert np.max(np.abs(x - thomas)) <= 16 * eps * np.max(np.abs(thomas))
         strided = np.repeat(rhs, 2)[::2]  # same values through a non-contiguous view
         assert n == 1 or not strided.flags.c_contiguous
-        assert np.array_equal(
-            _solve_tridiagonal(diag, off, strided), _numpy_scalar_thomas(diag, off, rhs)
-        )
+        assert np.array_equal(_solve_tridiagonal(diag, off, strided), x)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 257])
     def test_agrees_with_dense_solve(self, n):
@@ -228,6 +244,51 @@ class TestTridiagonal:
             _solve_tridiagonal(diag, off, np.ones(9))
         with pytest.raises(ZeroDivisionError):
             _numpy_scalar_thomas(diag, off, np.ones(9))
+
+
+_REDUCTION_SIZES = list(range(1, 10)) + [2**k + d for k in range(4, 11) for d in (-1, 0, 1)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from(_REDUCTION_SIZES), seed=st.integers(0, 2**32 - 1), log_gap=st.floats(-6.0, 0.0))
+def test_cyclic_reduction_solves_positive_definite_systems(n, seed, log_gap):
+    # a random symmetric tridiagonal matrix shifted until its least eigenvalue is a fraction
+    # 10**log_gap of its spread: positive definite, mostly not diagonally dominant, and with
+    # condition number kappa up to about 1e6; the max-norm error bound scales with kappa
+    rng = np.random.default_rng(seed)
+    diag, off, rhs = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n - 1), rng.standard_normal(n)
+    dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    lo, hi = np.linalg.eigvalsh(dense)[[0, -1]]
+    shift = 10.0**log_gap * max(hi - lo, 1.0) - lo
+    dense[np.diag_indices(n)] = diag = diag + shift
+    kappa = (hi + shift) / (lo + shift)
+    expected = np.linalg.solve(dense, rhs)
+    bound = 8 * np.finfo(float).eps * kappa * math.sqrt(n) * np.max(np.abs(expected))
+    assert np.max(np.abs(_solve_tridiagonal(diag, off, rhs) - expected)) <= bound
+
+
+@pytest.mark.parametrize(
+    ("alpha", "endpoints", "n"),
+    [(1.5, (0.0, 1.5, 1.0, 1.7), 200), (1.5, (0.0, 1.5, 1.0, 1.7), 2000),
+     (1.5, (0.0, 1.5, 1.0, 1.7), 20000), (2.5, (0.0, 1.2, 0.9, 1.4), 2000)],
+)
+def test_lx_newton_path_matches_the_thomas_loop(monkeypatch, alpha, endpoints, n):
+    spec = WeightFunctionalSpec(LX, alpha, 0.0)
+    runs = []
+    for solver in (_solve_tridiagonal, _numpy_scalar_thomas):
+        solves = []
+
+        def counted(diag, off, rhs, solver=solver, solves=solves):
+            solves.append(diag.size)
+            return solver(diag, off, rhs)
+
+        monkeypatch.setattr(variational, "_solve_tridiagonal", counted)
+        curve = minimize(spec, endpoints, n)
+        assert np.max(np.abs(functional_gradient(spec, curve))) < variational.TOL_SCALE * n
+        runs.append((len(solves), curve.values))
+    (count, z), (thomas_count, thomas_z) = runs
+    assert count == thomas_count >= 1
+    assert np.max(np.abs(z - thomas_z)) <= 1e-9 * np.max(np.abs(thomas_z))
 
 
 def test_zero_pivot_is_no_convergence(monkeypatch):

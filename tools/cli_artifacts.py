@@ -54,6 +54,8 @@ COMMANDS = [
                             "--out", "profile.csv"]),
     ("minimize_lx_n2000", ["minimize", "--ref", "lx", "--alpha", "1.5",
                            "--endpoints", "0,1.5,1,1.7", "--n", "2000", "--out", "profile.csv"]),
+    ("minimize_lx_n20000", ["minimize", "--ref", "lx", "--alpha", "1.5",
+                            "--endpoints", "0,1.5,1,1.7", "--n", "20000", "--out", "profile.csv"]),
     # further closed forms, meshes, classifications and residuals
     ("catenary_power", ["catenary", "--alpha", "2.5", "--c", "1.5", "--d", "0.5",
                         "--range", "1:3", "--n", "60", "--out", "curve.csv"]),
