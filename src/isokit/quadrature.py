@@ -1,8 +1,12 @@
-"""Composite Simpson quadrature (1-D, cumulative, and tensor-product 2-D).
+"""Composite Simpson quadrature (1-D, cumulative, and tensor-product 2-D) and
+tensor-product Gauss-Legendre.
 
-Default panel counts are 256 for 1-D and 128 per axis for 2-D rules; an
-odd panel count is bumped to the next even one.
+Default Simpson panel counts are 256 for 1-D and 128 per axis for 2-D rules;
+an odd panel count is bumped to the next even one.  ``gauss_2d`` takes its node
+count per axis; ``relative_area`` defaults to it, not to ``simpson_2d``.
 """
+
+import functools
 
 import numpy as np
 
@@ -81,3 +85,19 @@ def simpson_2d(
     us, hu = simpson_nodes(u_lo, u_hi, default_panels_2d() if panels_u is None else panels_u)
     vs, hv = simpson_nodes(v_lo, v_hi, default_panels_2d() if panels_v is None else panels_v)
     return simpson_samples(np.array([simpson_samples(f(u, vs), hv) for u in us]), hu)
+
+
+@functools.cache
+def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def gauss_2d(f, u_lo: float, u_hi: float, v_lo: float, v_hi: float, nodes: int) -> float:
+    """Tensor-product Gauss-Legendre over a rectangle, ``nodes`` per axis; ``f(us, vs)``
+    is called once and returns the (len(us), len(vs)) grid of integrand values."""
+    x, w = gauss_legendre(nodes)
+    hu, hv = 0.5 * (u_hi - u_lo), 0.5 * (v_hi - v_lo)
+    return float((hu * w) @ f(u_lo + hu * (x + 1.0), v_lo + hv * (x + 1.0)) @ (hv * w))

@@ -122,3 +122,22 @@ def test_simpson_2d_separable():
     )
     assert val == pytest.approx(0.5 * 8.0 / 3.0, abs=1e-12)
 
+
+
+def test_gauss_2d_is_one_call_and_exact_to_degree_2n_minus_1():
+    calls = []
+
+    def f(us, vs):  # u^7 v^6: degree 2n - 1 in u and below it in v at n = 4
+        calls.append((us.shape, vs.shape))
+        return us[:, None] ** 7 * vs**6
+
+    val = quadrature.gauss_2d(f, 0.0, 1.0, -1.0, 2.0, 4)
+    assert calls == [((4,), (4,))]
+    assert val == pytest.approx((1.0 / 8.0) * (2.0**7 + 1.0) / 7.0, rel=1e-14)
+
+
+def test_gauss_legendre_nodes_are_cached_and_read_only():
+    x, w = quadrature.gauss_legendre(16)
+    assert quadrature.gauss_legendre(16)[0] is x
+    assert not (x.flags.writeable or w.flags.writeable)
+    assert w.sum() == pytest.approx(2.0, rel=1e-15)

@@ -18,7 +18,9 @@ from isokit.curves import (
     relative_arclength,
     write_curve_csv,
 )
-from isokit.errors import DomainError, NonAdmissibleError
+from isokit.errors import DomainError, NoConvergenceError, NonAdmissibleError
+from isokit.odes import ProfileODE, integrate
+from isokit.quadrature import gauss_2d
 from isokit.singular import (
     ProfileForm,
     SingularSpec,
@@ -181,21 +183,90 @@ class TestRelativeArea:
     def test_log_revolution_annulus(self):
         surf = make_revolution(RevolutionSpec(log_profile(1.0).plane_curve(1.0, math.e)))
         target = math.pi * (math.e**2 + 1) / 2
-        assert relative_area(surf) == pytest.approx(target, rel=1e-8)
+        assert relative_area(surf) == pytest.approx(target, rel=1e-13)
 
     def test_subrectangle(self):
         surf = make_revolution(RevolutionSpec(log_profile(1.0).plane_curve(1.0, math.e)))
         half = relative_area(surf, (1.0, math.e, 0.0, math.pi))
-        assert half == pytest.approx(math.pi * (math.e**2 + 1) / 4, rel=1e-8)
+        assert half == pytest.approx(math.pi * (math.e**2 + 1) / 4, rel=1e-13)
+
+    def test_log_revolution_from_one_to_two(self):
+        # z = ln t: the integrand t (1 + z'^2)/2 = (t + 1/t)/2 over [1, 2] x [0, 2 pi]
+        surf = make_revolution(RevolutionSpec(log_profile(1.0).plane_curve(1.0, 2.0)))
+        assert relative_area(surf) == pytest.approx(math.pi * (1.5 + math.log(2.0)), rel=1e-13)
+
+    def test_default_is_two_gauss_grids_on_a_smooth_surface(self, monkeypatch):
+        surf = make_helicoidal(HelicoidalSpec(log_profile(1.3, 0.2).plane_curve(0.5, 2.0), 0.7))
+        grid, nodes = ParamSurface.grid, []
+
+        def counted(self, us, vs):
+            nodes.append(np.size(us) * np.size(vs))
+            return grid(self, us, vs)
+
+        monkeypatch.setattr(ParamSurface, "grid", counted)
+        relative_area(surf)
+        assert nodes == [16 * 16, 32 * 32]
+
+    def test_kink_is_no_convergence_naming_the_estimate(self):
+        # f = |u - 1/2|^1.5: the integrand (1 + f_u^2)/2 has a kink, so Gauss converges slowly
+        def fuu(u, v):
+            return 0.75 / math.sqrt(abs(u - 0.5)) if u != 0.5 else math.inf
+
+        surf = ParamSurface.graph(
+            0.0, 1.0, 0.0, 1.0, lambda u, v: abs(u - 0.5) ** 1.5,
+            lambda u, v: 1.5 * math.copysign(abs(u - 0.5) ** 0.5, u - 0.5), lambda u, v: 0.0,
+            fuu, lambda u, v: 0.0, lambda u, v: 0.0,
+        )
+        message = r"error estimate \d\.\d{3}e-\d\d > 1e-10 x \|area\| at the 128\^2 cap"
+        with pytest.raises(NoConvergenceError, match=message):
+            relative_area(surf)
+        # explicit panels keep Simpson, exact here: the kink falls on a node
+        assert relative_area(surf, panels_u=128, panels_v=128) == pytest.approx(0.78125, rel=1e-15)
+
+    @staticmethod
+    def _swept_integrated_profile(sweep, steps):
+        result = integrate(ProfileODE.revolution_nonisotropic(), 1.0, 1.0, 0.25, 1.5, steps)
+        curve = GraphCurve(1.0, 1.5, result)
+        if sweep == "revolution":
+            return result, make_revolution(RevolutionSpec(curve))
+        if sweep == "helicoidal":
+            return result, make_helicoidal(HelicoidalSpec(curve, 0.7), 0.0, 1.5)
+        spec = ParabolicRevolutionSpec(0.3, -1.5, 0.4, -0.25, 0.6, curve)
+        return result, make_parabolic_revolution(spec)
+
+    @pytest.mark.parametrize("steps", [40, 10_000])
+    @pytest.mark.parametrize("sweep", ["revolution", "helicoidal", "parabolic"])
+    def test_integrated_profile_agrees_with_simpson(self, sweep, steps):
+        _, surf = self._swept_integrated_profile(sweep, steps)
+        area = relative_area(surf)
+        assert abs(area - relative_area(surf, panels_u=128, panels_v=128)) <= 1e-10 * abs(area)
+
+    @pytest.mark.parametrize("sweep", ["revolution", "helicoidal", "parabolic"])
+    def test_integrated_profile_area_is_within_its_estimate(self, sweep):
+        # a Hermite-spline profile has kinks in z'' at its knots, so Gauss converges only
+        # algebraically; z' is piecewise quadratic, so a 3-point rule per knot interval and
+        # 8 nodes in v (the integrand is at most quadratic in v) give the exact area
+        result, surf = self._swept_integrated_profile(sweep, 40)
+        area, estimate = surfaces._gauss_area(surf, (surf.u_lo, surf.u_hi, surf.v_lo, surf.v_hi))
+        assert estimate <= surfaces.AREA_RTOL * abs(area)
+        x, w = np.polynomial.legendre.leggauss(3)
+        half = 0.5 * np.diff(result.t)[:, None]
+        ts, wt = (result.t[:-1, None] + half * (x + 1.0)).ravel(), (half * w).ravel()
+        x, w = np.polynomial.legendre.leggauss(8)
+        hv = 0.5 * (surf.v_hi - surf.v_lo)
+        exact = wt @ surfaces._integrand(surf.grid(ts, surf.v_lo + hv * (x + 1.0))) @ (hv * w)
+        assert abs(area - exact) <= estimate + 16 * math.ulp(exact)
 
     def test_overflowing_jet_is_a_domain_error(self):
-        # pitch*theta + z overflows a float, so the jet and the area are not finite
+        # pitch*theta + z overflows a float, so the jet and the area are not finite; the
+        # default rule says so at its first value, before any error estimate
         curve = ProfileForm("poly", {"a": (1e308,)}).plane_curve(1.0, 2.0)
         surf = make_helicoidal(HelicoidalSpec(curve, 1e308), 0.0, 1.5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="^relative area is not finite: inf$"):
-                relative_area(surf, panels_u=2, panels_v=2)
+        for panels in ({"panels_u": 2, "panels_v": 2}, {}):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match="^relative area is not finite: inf$"):
+                    relative_area(surf, **panels)
 
 
 class TestGenerators:
@@ -791,9 +862,9 @@ def test_mirrored_graph_reverses_back_to_the_same_jets(coefficients, u_box, v_bo
 
 _LOG = ProfileForm("log", {"c": 1.5, "d": 0.25}).plane_curve(0.8, 2.4)
 _POWER = ProfileForm("power", {"c": 0.75, "p": -1.5, "d": 0.5}).plane_curve(0.8, 2.4)
-# float.hex of relative_area at 16^2 and the default 128^2 panels, taken when grids were
-# still filled one u-row at a time: any change to the per-node arithmetic or to the
-# Simpson summation order moves these bits.
+# float.hex of relative_area at 16^2 and 128^2 Simpson panels, taken when grids were
+# still filled one u-row at a time and 128^2 Simpson was the default: any change to the
+# per-node arithmetic or to the Simpson summation order moves these bits.
 AREA_PINS = {
     "revolution_log": (
         lambda: make_revolution(RevolutionSpec(_LOG)),
@@ -827,16 +898,16 @@ AREA_PINS = {
 
 @pytest.mark.parametrize("name", AREA_PINS)
 def test_relative_area_bits_are_pinned(name):
-    make, coarse, default, *extra = AREA_PINS[name]
+    make, coarse, fine, *extra = AREA_PINS[name]
     kwargs = extra[0] if extra else {}
     surf = make()
     assert relative_area(surf, **{"panels_u": 16, "panels_v": 16, **kwargs}).hex() == coarse
-    assert relative_area(surf, **kwargs).hex() == default
+    assert relative_area(surf, **{"panels_u": 128, "panels_v": 128, **kwargs}).hex() == fine
 
 
 def _swept_area_draw(rng, k):
-    """The k-th seeded swept surface and panel count, drawn like the benchmark's area ops:
-    the four profile kinds x the three sweeps, at 16^2 to the default 128^2 panels."""
+    """The k-th seeded swept surface and Simpson panel count, drawn like the benchmark's
+    area ops: the four profile kinds x the three sweeps, at 16^2 to 128^2 panels."""
     kind = ("log", "power", "inverse_radius", "log_parabola")[k % 4]
     sweep = ("revolution", "helicoidal", "parabolic")[k // 4 % 3]
     t_lo = rng.uniform(0.5, 1.5)
@@ -851,7 +922,7 @@ def _swept_area_draw(rng, k):
     else:
         curve = ProfileForm(kind, {"quad": rng.uniform(-0.5, 0.5), "z1": d, "z2": c})
     curve = curve.plane_curve(t_lo, t_hi)
-    panels = (16, 32, 64, None)[k // 12 % 4]
+    panels = (16, 32, 64, 128)[k // 12 % 4]
     if sweep == "parabolic":
         w = rng.uniform(0.5, 1.5)
         spec = ParabolicRevolutionSpec(rng.uniform(-1.0, 1.0), rng.uniform(0.5, 2.0),
@@ -875,6 +946,18 @@ def test_swept_relative_area_digest_is_pinned():
         hexes.append(relative_area(surface, panels_u=panels, panels_v=panels).hex())
     digest = hashlib.sha256("\n".join(hexes).encode()).hexdigest()
     assert digest == "f8fca7f9330f9a95ec253cc20b30e8386012f5c02b80788f6e3594d97a63b785"
+
+
+def test_swept_default_area_estimate_bounds_its_error():
+    # against a 64^2 Gauss reference; below the estimate's rounding floor, 16 ulp of the area
+    rng = random.Random(1729)
+    for k in range(60):
+        surface, _ = _swept_area_draw(rng, k)
+        box = (surface.u_lo, surface.u_hi, surface.v_lo, surface.v_hi)
+        area, estimate = surfaces._gauss_area(surface, box)
+        reference = gauss_2d(lambda us, vs: surfaces._integrand(surface.grid(us, vs)), *box, 64)
+        assert estimate <= surfaces.AREA_RTOL * abs(area)
+        assert abs(area - reference) <= estimate + 16 * math.ulp(reference)
 
 
 def test_classification_sms_residual_bits_are_pinned():

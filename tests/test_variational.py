@@ -292,7 +292,8 @@ def test_lx_newton_path_matches_the_thomas_loop(monkeypatch, alpha, endpoints, n
 
 
 def test_zero_pivot_is_no_convergence(monkeypatch):
-    # a zero Hessian diagonal makes the first Thomas pivot 0; only the LX axis solves a system
+    # a zero Hessian diagonal makes the first cyclic-reduction pivot 0; only the LX axis
+    # solves a system
     real = variational._gradient_hessian
 
     def zero_diagonal(spec, t, z):
