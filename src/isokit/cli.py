@@ -152,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_sweep_options(p, "--range", (-1.25, 1.25))
     p.add_argument("--n", type=_count(least=1), default=100)
     p.add_argument("--surface", dest="kind", choices=_SURFACES, default="revolution")
-    p.add_argument("--grid", type=_parse_grid, default=(50, 16))
+    p.add_argument("--grid", type=_parse_grid, default=singular.CHECK_GRID)
     return parser
 
 
@@ -235,10 +235,7 @@ def _cmd_residual(args) -> int:
     else:
         surf = _make_surface(args)
         spec = singular.SingularSpec(args.sref, args.alpha, args.lam)
-        nu, nv = args.grid
-        ts = np.linspace(surf.u_lo, surf.u_hi, nu)
-        ths = np.linspace(surf.v_lo, surf.v_hi, nv)
-        worst = singular.max_sms_residual(surf, spec, ts, ths)
+        worst = singular.max_sms_residual(surf, spec, *surf.nodes(*args.grid))
     sys.stdout.write(f"{worst:.17g}\n")
     return 0 if worst < args.threshold else 1
 

@@ -42,6 +42,7 @@ from .surfaces import (
 
 PI_YZ = "yz"  # isotropic reference plane x = 0
 PI_XY = "xy"  # non-isotropic reference plane z = 0
+CHECK_GRID = (50, 16)  # u x v nodes of a hanging-condition check, spanning the swept surface
 
 
 @dataclass(frozen=True)
@@ -147,22 +148,11 @@ class ClassificationReport:
 def max_sms_residual(surface, spec, t_vals, theta_vals) -> float:
     """Max |sms_residual| over the grid t_vals x theta_vals; NaN if any is NaN.
 
-    A jet or residual that overflows gives an infinite or NaN maximum, with no numpy warning."""
+    The classifications pass ``surface.nodes(*CHECK_GRID)``, the nodes spanning the swept
+    surface.  A jet or residual that overflows gives an infinite or NaN maximum, with no
+    numpy warning."""
     with np.errstate(all="ignore"):
         return float(np.max(np.abs(jet_sms_residual(surface.grid(t_vals, theta_vals), spec))))
-
-
-def _verify_revolution(profile_form: ProfileForm, spec: SingularSpec) -> float:
-    """Max hanging-condition residual of the revolution of the profile.
-
-    Uses a 50 x 16 grid with the angle restricted to keep x = t cos(theta)
-    positive.
-    """
-    curve = profile_form.plane_curve(0.5, 3.0)
-    surface = make_revolution(RevolutionSpec(curve), -1.3, 1.3)
-    t_vals = np.linspace(0.55, 2.95, 50)
-    th_vals = np.linspace(-1.25, 1.25, 16)
-    return max_sms_residual(surface, spec, t_vals, th_vals)
 
 
 def classify_helicoidal(
@@ -195,14 +185,16 @@ def classify_helicoidal(
             ode=ode,
         )
     form = ProfileForm("inverse_radius", {"z1": z1, "z2": z2})
+    # |theta| <= 1.25 keeps x = t cos(theta) positive
+    surface = make_revolution(RevolutionSpec(form.plane_curve(0.55, 2.95)), -1.25, 1.25)
+    t_vals, th_vals = surface.nodes(*CHECK_GRID)
     radial_ode = AlphaRevolutionLink(1.0).ode_residual  # 2 z' + t z''
-    ode_res = max(abs(radial_ode(form, float(t))) for t in np.linspace(0.55, 2.95, 50))
     return ClassificationReport(
         case="HorizontalPlane" if z2 == 0.0 else "EuclideanRevolutionInverse",
         parameters={"pitch": 0.0, "reference": reference, "z1": z1, "z2": z2},
         constraints=[
-            ("radial_ode_max_abs", ode_res),
-            ("sms_residual_max_abs", _verify_revolution(form, spec)),
+            ("radial_ode_max_abs", max(abs(radial_ode(form, float(t))) for t in t_vals)),
+            ("sms_residual_max_abs", max_sms_residual(surface, spec, t_vals, th_vals)),
         ],
         profile=form,
     )
@@ -249,25 +241,17 @@ def classify_parabolic_revolution(
     if not ok:
         return ClassificationReport("NoSolution", params, [(name, gate)])
     form = ProfileForm(kind, coefficients)
-    res = _verify_parabolic(form, spec, a, b, c, c1, c2)
+    # t >= 0.8 and |a theta| <= 0.4 keep x = a theta + t positive
+    theta = 0.95 * (1.0 if a == 0.0 else min(1.0, 0.4 / abs(a)))
+    sweep = ParabolicRevolutionSpec(a, b, c, c1, c2, form.plane_curve(0.8 + 0.05, 2.4 - 0.05))
+    surface = make_parabolic_revolution(sweep, -theta, theta)
+    res = max_sms_residual(surface, spec, *surface.nodes(*CHECK_GRID))
     return ClassificationReport(
         case=case,
         parameters={**params, "z2": 0.0, **form.coefficients},
         constraints=[(name, gate), ("sms_residual_max_abs", res)],
         profile=form,
     )
-
-
-def _verify_parabolic(form, spec, a, b, c, c1, c2) -> float:
-    t_lo, t_hi = 0.8, 2.4
-    curve = form.plane_curve(t_lo, t_hi)
-    theta_max = 1.0 if a == 0.0 else min(1.0, 0.5 * t_lo / abs(a))
-    surface = make_parabolic_revolution(
-        ParabolicRevolutionSpec(a, b, c, c1, c2, curve), -theta_max, theta_max
-    )
-    t_vals = np.linspace(t_lo + 0.05, t_hi - 0.05, 50)
-    th_vals = np.linspace(-0.95 * theta_max, 0.95 * theta_max, 16)
-    return max_sms_residual(surface, spec, t_vals, th_vals)
 
 
 # ---------------------------------------------------------------------------

@@ -62,9 +62,8 @@ class ParamSurface:
         self.u_lo, self.u_hi = float(u_lo), float(u_hi)
         self.v_lo, self.v_hi = float(v_lo), float(v_hi)
         self._evaluate, self._reversed = evaluate, False
-        us = np.linspace(self.u_lo, self.u_hi, CHECK_SAMPLES)
         with np.errstate(all="ignore"):  # a jet that overflows fails where it is used, not here
-            x12s = jet_minors(self.grid(us, np.linspace(self.v_lo, self.v_hi, CHECK_SAMPLES)))[2]
+            x12s = jet_minors(self.grid(*self.nodes(CHECK_SAMPLES, CHECK_SAMPLES)))[2]
         self._reversed = check_orientation(x12s, "top-view Jacobian")  # v -> v_lo + v_hi - v
 
     @classmethod
@@ -80,6 +79,10 @@ class ParamSurface:
                     (0.0, 0.0, zuu), (0.0, 0.0, zuv), (0.0, 0.0, zvv))
 
         return cls(u_lo, u_hi, v_lo, v_hi, evaluate)
+
+    def nodes(self, nu: int, nv: int):
+        """The u-row of nu and the v-row of nv nodes spanning the rectangle, ends included."""
+        return np.linspace(self.u_lo, self.u_hi, nu), np.linspace(self.v_lo, self.v_hi, nv)
 
     def grid(self, us, vs) -> SurfaceJet:
         """Jets at the nodes us x vs, fields of shape (len(us), len(vs), 3).
@@ -355,8 +358,8 @@ def mesh_grid(surface: ParamSurface, nu: int, nv: int) -> Mesh:
     wrap_v = abs((surface.v_hi - surface.v_lo) - TWO_PI) < 1e-9
     if wrap_v and nv < 3:
         raise ValueError(f"a full-turn mesh needs at least 3 cells around, got {nv}")
-    us = np.linspace(surface.u_lo, surface.u_hi, nu + 1)
-    vs = np.linspace(surface.v_lo, surface.v_hi, nv + 1)[: nv if wrap_v else nv + 1]
+    us, vs = surface.nodes(nu + 1, nv + 1)
+    vs = vs[:-1] if wrap_v else vs  # the seam column is the first one
     ncols = vs.size
     i, j = np.meshgrid(np.arange(nu), np.arange(nv), indexing="ij")
     base, jn = i * ncols + 1, (j + 1) % ncols  # only a wrapped grid reaches the modulo

@@ -924,3 +924,19 @@ def test_cli_fuzz_exits_cleanly_with_finite_artifacts(tmp_path, monkeypatch):
         except Exception as exc:  # collect every failing argv, not just the first
             failures.append(f"{' '.join(argv)}: {type(exc).__name__}: {exc}")
     assert failures == []
+
+
+def test_helicoidal_classification_residual_is_the_cli_sms_residual(capsys):
+    # the classification checks its profile on the CHECK_GRID nodes spanning the swept
+    # surface, which is what `residual --check sms` reads over the same rectangle
+    rng = np.random.default_rng(28)
+    draws = [(0.3, 1.4), *rng.uniform(-4.0, 4.0, (8, 2)).tolist()]
+    for z1, z2 in draws:
+        assert run_cli("classify", "helicoidal", "--c", "0", "--ref", "yz",
+                       f"--z1={z1!r}", f"--z2={z2!r}") == 0
+        report = json.loads(capsys.readouterr().out)
+        run_cli("residual", "--check", "sms", f"--profile=inverse:{z1!r},{z2!r}",
+                "--range", "0.55:2.95", "--thetarange=-1.25:1.25")
+        cli_residual = float(capsys.readouterr().out)
+        constraints = {c["name"]: c["residual"] for c in report["constraints"]}
+        assert constraints["sms_residual_max_abs"] == cli_residual, (z1, z2)

@@ -368,3 +368,42 @@ def test_non_finite_input_is_a_value_error_naming_it(call, message):
 def test_invalid_reference_plane_or_zero_b_is_a_value_error(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+def _inset_revolution_residual(z1, z2):
+    """Reference: the surface over [0.5, 3] x [-1.3, 1.3], sampled 0.05 inside its edges."""
+    form = ProfileForm("inverse_radius", {"z1": z1, "z2": z2})
+    surface = make_revolution(RevolutionSpec(form.plane_curve(0.5, 3.0)), -1.3, 1.3)
+    return max_sms_residual(surface, YZ, np.linspace(0.55, 2.95, 50), np.linspace(-1.25, 1.25, 16))
+
+
+def _inset_parabolic_residual(form, a, b, c, c1, c2):
+    """Reference: the surface over [0.8, 2.4] x [-theta_max, theta_max], sampled 0.05 inside
+    in t and at 0.95 theta_max in theta."""
+    theta_max = 1.0 if a == 0.0 else min(1.0, 0.5 * 0.8 / abs(a))
+    spec = ParabolicRevolutionSpec(a, b, c, c1, c2, form.plane_curve(0.8, 2.4))
+    surface = make_parabolic_revolution(spec, -theta_max, theta_max)
+    t_vals = np.linspace(0.8 + 0.05, 2.4 - 0.05, 50)
+    th_vals = np.linspace(-0.95 * theta_max, 0.95 * theta_max, 16)
+    return max_sms_residual(surface, YZ, t_vals, th_vals)
+
+
+def test_classification_residuals_keep_the_inset_grid_bits():
+    rng = np.random.default_rng(2028)
+    zero = 0
+    for i in range(201):
+        z1, z2, c, c1 = rng.uniform(-3.0, 3.0, 4).tolist()
+        if i % 3 == 0:
+            report = classify_helicoidal(0.0, PI_YZ, z1, z2)
+            reference = _inset_revolution_residual(z1, z2)
+        else:
+            # case 1a (a = 0) or case 1b with |a| below and above 0.4; b of either sign
+            a = 0.0 if i % 3 == 1 else float(rng.choice([-1, 1]) * 10 ** rng.uniform(-2, 1))
+            b = float(rng.choice([-1, 1]) * 10 ** rng.uniform(-1, 1))
+            c1, c2 = (0.0, rng.uniform(-3, 3)) if a == 0.0 else (c1, -2.0 * b * c1 / a)
+            report = classify_parabolic_revolution(a, b, c, c1, c2, PI_YZ, z1, z2)
+            reference = _inset_parabolic_residual(report.profile, a, b, c, c1, c2)
+        residual = dict(report.constraints)["sms_residual_max_abs"]
+        assert residual == reference, (i, report.parameters)
+        zero += residual == 0.0
+    assert zero < 20  # the residuals are rounding errors, mostly not 0.0: a moved node shows

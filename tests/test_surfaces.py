@@ -1028,3 +1028,17 @@ def test_per_point_quantities_that_are_not_finite_are_domain_errors():
     # X12 = 1e-8 is admissible, but g11 g22 - g12^2 cancels to 0
     with pytest.raises(DomainError, match=r"^mean curvature at \(u, v\) = \(0.5, 0.5\)"):
         mean_curvature(skewed_paraboloid(1e-8), 0.5, 0.5)
+
+
+def test_nodes_span_the_surface_bounds_ends_included():
+    # b < 0 runs theta backwards: the nodes still span [v_lo, v_hi], the bounds the surface
+    # was given, and the grid maps each node v to the evaluator's v_lo + v_hi - v
+    curve = ProfileForm("log", {"c": 1.5, "d": 0.25}).plane_curve(0.8, 2.4)
+    surface = make_parabolic_revolution(ParabolicRevolutionSpec(0.3, -1.5, 0.4, 0.0, 0.6, curve),
+                                        -0.8, 0.5)
+    us, vs = surface.nodes(7, 5)
+    assert us.tolist() == np.linspace(0.8, 2.4, 7).tolist()
+    assert vs.tolist() == np.linspace(-0.8, 0.5, 5).tolist()
+    assert (us[0], us[-1], vs[0], vs[-1]) == (0.8, 2.4, -0.8, 0.5)
+    y = surface.grid(us, vs).r[..., 1]  # y = b * theta at the evaluator's theta
+    assert np.array_equal(y, np.broadcast_to(-1.5 * (-0.8 + 0.5 - vs), y.shape))

@@ -9,8 +9,8 @@ and per written file, plus a ``name/exit code`` line per command.  Run it on two
 the outputs to check that a change keeps the CLI artifacts byte-identical.
 Option values may follow their flag as a separate argument even when they
 start with '-'; the ``*_separate`` commands do so and must hash like their
-``--flag=value`` twins.  Uses only the standard library (and the package
-under test).
+``--flag=value`` twins: where a pair differs, the script names it on stderr
+and exits 1.  Uses only the standard library (and the package under test).
 """
 
 import contextlib
@@ -208,6 +208,16 @@ COMMANDS = [
     ("catenary_n_below_minimum", ["catenary", "--range", "1:2", "--n", "1", "--out", "c.csv"]),
     ("surface_grid_zero", ["surface", "revolution", "--profile", "log:1,0", "--trange", "1:2",
                            "--mesh", "m.obj", "--grid", "0x4"]),
+    # case 1b at 0 < |a| < 0.4, whose check spans theta = +-0.95, and at b < 0, whose check
+    # runs theta backwards; both residuals are a few ulps, not 0.0, so a moved node shows
+    ("classify_parabolic_1b_small_a", ["classify", "parabolic", "--a", "0.3", "--b", "1.2",
+                                       "--c1", "0.6", "--c2=-4.8", "--ref", "yz", "--z1=-0.4"]),
+    ("classify_parabolic_1b_negative_b", ["classify", "parabolic", "--a", "0.5", "--b=-2",
+                                          "--c1", "0.75", "--c2", "6", "--ref", "yz",
+                                          "--z1", "0.3"]),
+    # the hanging-surface residual on a grid other than the default 50x16
+    ("residual_sms_grid_7x5", ["residual", "--check", "sms", "--profile", "inverse:0.4,1.5",
+                               "--range", "0.5:3", "--grid", "7x5"]),
 ]
 
 
@@ -227,7 +237,7 @@ def main(argv) -> int:
         print(f"error: imported isokit from {cli.__file__}, not {src}", file=sys.stderr)
         return 1
 
-    home = os.getcwd()
+    home, hashes = os.getcwd(), {}
     for name, args in COMMANDS:
         with tempfile.TemporaryDirectory() as tmp:
             os.chdir(tmp)
@@ -239,13 +249,18 @@ def main(argv) -> int:
                 code = exc.code
             finally:
                 os.chdir(home)
-            print(f"{name}/exit {code}")
-            print(f"{name}/stdout {_sha(out.getvalue().encode())}")
+            lines = [f"exit {code}", f"stdout {_sha(out.getvalue().encode())}"]
             if err.getvalue():  # the error line, and argparse's usage block on a flag error
-                print(f"{name}/stderr {_sha(err.getvalue().encode())}")
-            for path in sorted(Path(tmp).iterdir()):
-                print(f"{name}/{path.name} {_sha(path.read_bytes())}")
-    return 0
+                lines.append(f"stderr {_sha(err.getvalue().encode())}")
+            lines += [f"{f.name} {_sha(f.read_bytes())}" for f in sorted(Path(tmp).iterdir())]
+            hashes[name] = lines
+            print(*(f"{name}/{line}" for line in lines), sep="\n")
+    unlike = [name for name in hashes if name.endswith("_separate")
+              and hashes[name] != hashes[name.removesuffix("_separate")]]
+    for name in unlike:
+        print(f"error: {name} does not hash like {name.removesuffix('_separate')}",
+              file=sys.stderr)
+    return 1 if unlike else 0
 
 
 if __name__ == "__main__":
