@@ -34,7 +34,7 @@ LX = "lx"  # the non-isotropic x-axis; distance to it is the z-coordinate
 
 ADMISSIBLE_MIN = 1e-9  # |x'| on a curve, |X12| on a surface: the tangent is not isotropic
 DENOM_FLOOR = 1e-12  # a weight or ODE denominator below it counts as zero
-CHECK_SAMPLES = 129  # nodes of a PlaneCurve's admissibility check
+CHECK_SAMPLES = 129  # nodes of a general PlaneCurve's x' scan; a GraphCurve checks its ends and 0
 
 
 class CurveJet(NamedTuple):
@@ -82,9 +82,9 @@ class PlaneCurve:
     """Curve evaluator carrying position and first/second derivatives.
 
     The evaluator must return (x, z, x', z', x'', z'') at any t in the closed
-    domain.  Admissibility (|x'| >= 1e-9) is checked on a sampling grid at
-    construction; curves traversed with x' < 0 are reparametrized so that
-    x' > 0 everywhere.  ``grid`` is the one caller of the evaluator.
+    domain.  Admissibility (|x'| >= 1e-9) is checked at construction on ``CHECK_SAMPLES``
+    uniform nodes (a ``GraphCurve``: see there); curves traversed with x' < 0 are
+    reparametrized so that x' > 0 everywhere.  ``grid`` is the one caller of the evaluator.
     """
 
     def __init__(self, t_lo: float, t_hi: float, eval_fn):
@@ -92,8 +92,11 @@ class PlaneCurve:
             raise InvalidIntervalError(f"empty parameter interval [{t_lo}, {t_hi}]")
         self.t_lo, self.t_hi = float(t_lo), float(t_hi)
         self._eval, self._reversed = eval_fn, False
-        xds = _admissible(self.grid(np.linspace(self.t_lo, self.t_hi, CHECK_SAMPLES))).xd
+        xds = _admissible(self.grid(self._check_nodes())).xd
         self._reversed = check_orientation(xds, "x'")  # traverse t -> t_lo + t_hi - t
+
+    def _check_nodes(self) -> np.ndarray:
+        return np.linspace(self.t_lo, self.t_hi, CHECK_SAMPLES)  # read at call time
 
     @staticmethod
     def graph(t_lo, t_hi, z, zd, zdd) -> "GraphCurve":
@@ -165,6 +168,12 @@ class GraphCurve(PlaneCurve):
     Calling the curve gives the profile jet (z, z', z'') at t, with
     DomainError outside [t_lo, t_hi]; ``profile`` is the unchecked callable,
     which swept surfaces call once per u-node, inside the domain that their grid checks.
+
+    x' = 1, so construction checks only the profile's domain: at t_lo, t_hi and at 0 when
+    t_lo < 0 < t_hi.  That decides every package profile's gap, a half-line bounded by 0
+    or lam (log, log_parabola, fractional power, CatenaryFamily), the point 0
+    (inverse_radius, power with p < 2) or the outside of an IVPResult's samples.  A plain
+    callable's gap elsewhere, or an overflow inside, raises where it is evaluated.
     """
 
     def __init__(self, t_lo: float, t_hi: float, profile):
@@ -179,6 +188,10 @@ class GraphCurve(PlaneCurve):
     def __call__(self, t: float):
         check_domain(t, self.t_lo, self.t_hi)
         return self.profile(t)
+
+    def _check_nodes(self) -> list:
+        lo, hi = self.t_lo, self.t_hi
+        return [lo, 0.0, hi] if lo < 0.0 < hi else [lo, hi]
 
 
 # Every curve quantity reads a jet that passed the one slope check below; the

@@ -662,6 +662,59 @@ class TestGraphCurve:
         assert all(type(curve) is GraphCurve for curve in built)
         assert not isinstance(NONGRAPH, GraphCurve)
 
+    @pytest.mark.parametrize(
+        "lo, hi, nodes",
+        [(0.5, 3.0, [0.5, 3.0]), (-1.0, 2.0, [-1.0, 0.0, 2.0]), (0.0, 2.0, [0.0, 2.0]),
+         (-2.0, 0.0, [-2.0, 0.0]), (-3.0, -1.0, [-3.0, -1.0])],
+    )
+    def test_construction_evaluates_the_ends_and_zero_inside(self, lo, hi, nodes):
+        seen = []
+        GraphCurve(lo, hi, lambda t: seen.append(t) or (t, 1.0, 0.0))
+        assert seen == nodes
+
+    def test_a_general_curve_scans_check_samples_nodes(self):
+        seen = []
+        PlaneCurve.from_functions(
+            -1.0, 2.0, x=lambda t: seen.append(t) or t, z=math.sin, xd=lambda t: 1.0,
+            zd=math.cos, xdd=lambda t: 0.0, zdd=lambda t: -math.sin(t),
+        )
+        assert seen == np.linspace(-1.0, 2.0, curves_module.CHECK_SAMPLES).tolist()
+
+
+def _gap_cases():
+    """(name, profile, anchor, gap(lo, hi)): every gap shape a package profile has, with the
+    point the intervals are drawn around."""
+    yield "log", ProfileForm("log", {"c": 1.5, "d": 0.25}), 0.0, lambda lo, hi: lo <= 0.0
+    yield ("log_parabola", ProfileForm("log_parabola", {"quad": 0.3, "z1": 0.1, "z2": -0.5}),
+           0.0, lambda lo, hi: lo <= 0.0)
+    yield ("inverse_radius", ProfileForm("inverse_radius", {"z1": 0.4, "z2": 1.5}), 0.0,
+           lambda lo, hi: lo <= 0.0 <= hi)
+    for p in (-1.5, -1.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
+        yield (f"power p={p}", ProfileForm("power", {"c": 0.75, "p": p, "d": 0.5}), 0.0,
+               lambda lo, hi, p=p: (p % 1.0 != 0.0 and lo < 0.0) or (p < 2.0 and lo <= 0.0 <= hi))
+    for lam in (-1.0, 0.0, 0.7):
+        yield (f"family lam={lam}", CatenaryFamily(alpha=1.0, c=1.2, d=0.3, lam=lam), lam,
+               lambda lo, hi, lam=lam: lo <= lam)
+    yield ("ivp on [1, 3]", integrate(ProfileODE.nonisotropic_alpha_catenary(2.0), 1.0, 1.0,
+                                      0.25, 3.0, 40), 1.0, lambda lo, hi: lo < 1.0 or hi > 3.0)
+
+
+def test_a_graph_curve_raises_exactly_where_its_interval_meets_the_gap():
+    rng = np.random.default_rng(29)
+    mismatches = []
+    for name, profile, anchor, gap in _gap_cases():
+        for _ in range(400):
+            lo = anchor + rng.choice([-1.0, 0.0, rng.uniform(-3.0, 3.0)])  # -1 and 0 often
+            hi = anchor if lo < anchor and rng.random() < 0.2 else lo + rng.uniform(0.01, 4.0)
+            try:
+                GraphCurve(lo, hi, profile)  # what every plane_curve builds
+                raised = False
+            except DomainError:
+                raised = True
+            if raised != gap(lo, hi):
+                mismatches.append((name, lo, hi, raised))
+    assert mismatches == []
+
 
 class TestGridPath:
     @pytest.mark.parametrize("curve", [*ANALYTIC_CURVES, REVERSED])

@@ -520,16 +520,22 @@ def test_isotropic_minimize_small_rise_leaves_the_straight_line():
     sign=st.sampled_from((-1.0, 1.0)),
     b=st.floats(-1.0, 1.0),
 )
-# subnormal heights: the error is 5 subnormal ulps, and 1e-13 * scale underflows to 0
+# subnormal heights: the error is about |a| / 2 subnormal ulps (5 at a = -10, 50 at a = -100,
+# 4.98e7 at a = 1e8), and 1e-13 * scale underflows to 0 or stays below it
 @example(alpha=1.0, n=3, t_a=1.0, span=1.0, z_a=0.0, z_b=2.2250738585e-313, log_a=1.0,
          sign=-1.0, b=0.0)
+@example(alpha=1.0, n=3, t_a=1.0, span=1.0, z_a=0.0, z_b=2.2250738585e-313, log_a=2.0,
+         sign=-1.0, b=0.0)
+@example(alpha=1.0, n=3, t_a=1.0, span=1.0, z_a=0.0, z_b=2.2250738585e-313, log_a=8.0,
+         sign=1.0, b=0.0)
 def test_isotropic_minimize_is_affine_in_the_heights(alpha, n, t_a, span, z_a, z_b, log_a, sign, b):
     spec = WeightFunctionalSpec(LZ, alpha, 0.0)
     a = sign * 10.0**log_a
     base = minimize(spec, (t_a, z_a, t_a + span, z_b), n).values
     mapped = minimize(spec, (t_a, a * z_a + b, t_a + span, a * z_b + b), n).values
     scale = abs(a) * np.max(np.abs(base)) + abs(b)
-    assert np.max(np.abs(mapped - (a * base + b))) <= 1e-13 * scale + 16 * math.ulp(0.0)
+    floor = 16 * max(1.0, abs(a)) * math.ulp(0.0)  # a subnormal height's ulps scale by a
+    assert np.max(np.abs(mapped - (a * base + b))) <= 1e-13 * scale + floor
 
 
 @pytest.mark.parametrize("reference, t_a", [(LZ, 1.0), (LX, 0.0)])

@@ -218,6 +218,11 @@ COMMANDS = [
     # the hanging-surface residual on a grid other than the default 50x16
     ("residual_sms_grid_7x5", ["residual", "--check", "sms", "--profile", "inverse:0.4,1.5",
                                "--range", "0.5:3", "--grid", "7x5"]),
+    # an interval across the inverse-radius pole at t = 0, which no uniform check node
+    # hits: exit 1 at construction, no mesh
+    ("surface_parabolic_inverse_across_pole", ["surface", "parabolic", "--profile=inverse:1,1",
+                                               "--trange=-1:2", "--grid", "4x4",
+                                               "--mesh", "out.obj"]),
 ]
 
 
