@@ -430,7 +430,7 @@ def catenary_curvature_residual(
     else:
         raise ValueError(f"unknown reference line {reference!r}")
     denom, wp = weight_powers(base, alpha, lam, name, f"{name}={base} (t={t})")
-    if abs(denom) < DENOM_FLOOR:
+    if abs(denom) <= DENOM_FLOOR * max(abs(base**alpha), abs(lam)):  # relative to its terms
         raise SingularDenominatorError(
             f"weight denominator {denom} at t={t} is numerically zero"
         )

@@ -148,9 +148,9 @@ class ClassificationReport:
 def max_sms_residual(surface, spec, t_vals, theta_vals) -> float:
     """Max |sms_residual| over the grid t_vals x theta_vals; NaN if any is NaN.
 
-    The classifications pass ``surface.nodes(*CHECK_GRID)``, the nodes spanning the swept
-    surface.  A jet or residual that overflows gives an infinite or NaN maximum, with no
-    numpy warning."""
+    A classification's grid is ``surface.nodes(*CHECK_GRID)``, spanning the swept surface;
+    ``classify_helicoidal`` reduces its own jet there alike, as it also reads its radial ODE
+    from it.  An overflowing jet or residual gives an inf or NaN maximum, no numpy warning."""
     with np.errstate(all="ignore"):
         return float(np.max(np.abs(jet_sms_residual(surface.grid(t_vals, theta_vals), spec))))
 
@@ -164,7 +164,8 @@ def classify_helicoidal(
     and radial parts of the residual are independent), so genuine solutions
     are surfaces of revolution: profile z1 + z2/t for the isotropic reference,
     or the revolution profile ODE for the non-isotropic one.  ``z1``/``z2``
-    instantiate the reported family for residual verification.
+    instantiate the reported family, checked on one CHECK_GRID jet: the radial ODE
+    2 z' + t z'' from the z-components of r_u and r_uu, and the SMS residual.
     """
     spec = SingularSpec(reference)  # checks the reference
     check_finite(pitch=pitch, z1=z1, z2=z2)
@@ -188,14 +189,14 @@ def classify_helicoidal(
     # |theta| <= 1.25 keeps x = t cos(theta) positive
     surface = make_revolution(RevolutionSpec(form.plane_curve(0.55, 2.95)), -1.25, 1.25)
     t_vals, th_vals = surface.nodes(*CHECK_GRID)
-    radial_ode = AlphaRevolutionLink(1.0).ode_residual  # 2 z' + t z''
+    jet = surface.grid(t_vals, th_vals)  # X12 = t > 0, so r_u and r_uu carry z' and z'' as z
+    with np.errstate(all="ignore"):  # as in max_sms_residual: a NaN node gives a NaN maximum
+        radial, sms = (float(np.max(np.abs(r))) for r in (
+            2.0 * jet.ru[:, 0, 2] + t_vals * jet.ruu[:, 0, 2], jet_sms_residual(jet, spec)))
     return ClassificationReport(
         case="HorizontalPlane" if z2 == 0.0 else "EuclideanRevolutionInverse",
         parameters={"pitch": 0.0, "reference": reference, "z1": z1, "z2": z2},
-        constraints=[
-            ("radial_ode_max_abs", max(abs(radial_ode(form, float(t))) for t in t_vals)),
-            ("sms_residual_max_abs", max_sms_residual(surface, spec, t_vals, th_vals)),
-        ],
+        constraints=[("radial_ode_max_abs", radial), ("sms_residual_max_abs", sms)],
         profile=form,
     )
 

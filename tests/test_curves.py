@@ -223,6 +223,12 @@ class TestCurvatureResidual:
                            match=r"^weight denominator 0\.0 at t=1\.5 is numerically zero$"):
             catenary_curvature_residual(line, LZ, 1.0, 1.5, 1.5)
 
+    def test_an_infinite_weight_denominator_is_not_numerically_zero(self):
+        # x**2 - lam = 1.44e308 + 1e308 overflows to inf; a floor scaled by denom + lam
+        # instead of x**2 would be inf as well and call the denominator zero
+        curve = CatenaryFamily(LZ, alpha=2.0).plane_curve(1e154, 1.3e154)
+        assert catenary_curvature_residual(curve, LZ, 2.0, -1e308, 1.2e154) == 0.0
+
     @pytest.mark.parametrize(("alpha", "lam", "name", "value"), [
         (math.inf, 0.0, "alpha", "inf"), (math.nan, 0.0, "alpha", "nan"),
         (1.0, math.nan, "lam", "nan"),

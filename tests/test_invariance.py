@@ -1,4 +1,5 @@
-"""Invariances of mean curvature and relative area (hypothesis).
+"""Invariances of mean curvature and relative area (hypothesis), and the scaling of the
+catenary curvature residual.
 
 Each moved, reparametrized or scaled surface is a new ``ParamSurface`` whose evaluator
 grids the original one and maps its jet, so only the public surface API is used.  Not
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isokit.curves import ProfileForm
+from isokit.curves import LZ, CatenaryFamily, ProfileForm, catenary_curvature_residual
+from isokit.errors import SingularDenominatorError
 from isokit.surfaces import (
     HelicoidalSpec,
     ParamSurface,
@@ -120,3 +122,38 @@ def test_scaling_divides_mean_curvature_by_the_scale(name, k):
     assert np.all(abs(jet_minors(jet)[2]) >= 1e-6)  # admissible with room to spare
     h = mean_curvature_grid(surface)
     assert np.all(abs(s * jet_mean_curvature(jet) - h) <= 1e-12 * np.maximum(1.0, abs(h)))
+
+
+def scaled_catenary(alpha, s):
+    """z = t**(1 - alpha) + 0.2 (ln t + 0.2 at alpha = 1) over [1, 2], scaled by
+    (t, z) -> (s t, s z)."""
+    if alpha == 1.0:
+        family = CatenaryFamily(LZ, 1.0, c=s, d=s * (0.2 - math.log(s)))
+    else:
+        family = CatenaryFamily(LZ, alpha, c=s**alpha, d=0.2 * s)
+    return family.plane_curve(s, 2.0 * s)
+
+
+CATENARY_ALPHAS = [3.0, -3.0, 0.5, 1.0]
+
+
+@pytest.mark.parametrize("alpha", CATENARY_ALPHAS)
+@pytest.mark.parametrize("k", range(-6, 7))
+def test_scaling_divides_the_curvature_residual_by_the_scale(alpha, k):
+    # the weight t**alpha and lam -> s**alpha lam scale alike: the residual is divided by s
+    s = 10.0**k
+    for lam in (0.0, 0.5 * 1.5**alpha):  # on the family (residual 0) and off it
+        ref = catenary_curvature_residual(scaled_catenary(alpha, 1.0), LZ, alpha, lam, 1.5)
+        res = catenary_curvature_residual(scaled_catenary(alpha, s), LZ, alpha, lam * s**alpha,
+                                          1.5 * s)
+        assert s * res == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha", CATENARY_ALPHAS)
+@pytest.mark.parametrize("k", range(-6, 7))
+def test_the_weight_floor_is_relative_to_the_weight(alpha, k):
+    s = 10.0**k
+    curve, t = scaled_catenary(alpha, s), 1.5 * s
+    with pytest.raises(SingularDenominatorError, match="is numerically zero"):
+        catenary_curvature_residual(curve, LZ, alpha, t**alpha * (1.0 - 1e-13), t)
+    assert math.isfinite(catenary_curvature_residual(curve, LZ, alpha, t**alpha * (1.0 - 1e-6), t))

@@ -407,3 +407,35 @@ def test_classification_residuals_keep_the_inset_grid_bits():
         assert residual == reference, (i, report.parameters)
         zero += residual == 0.0
     assert zero < 20  # the residuals are rounding errors, mostly not 0.0: a moved node shows
+
+
+
+@pytest.mark.parametrize("classify", [
+    lambda: classify_helicoidal(0.0, PI_YZ, 0.3, 1.4),
+    lambda: classify_parabolic_revolution(0.3, 1.2, 0.0, 0.6, -4.8, PI_YZ, -0.4),
+], ids=["helicoidal", "parabolic"])
+def test_a_classification_reads_its_constraints_from_one_check_grid(monkeypatch, classify):
+    profile_calls, grids = [], []
+    form_call, grid = ProfileForm.__call__, ParamSurface.grid
+    monkeypatch.setattr(ProfileForm, "__call__",
+                        lambda self, t: profile_calls.append(t) or form_call(self, t))
+    monkeypatch.setattr(ParamSurface, "grid", lambda self, us, vs: grids.append(
+        (np.size(us), np.size(vs))) or grid(self, us, vs))
+    classify()
+    # the ends of the profile's interval, the 9 u-nodes of the orientation scan and the
+    # 50 u-nodes of the check grid: no constraint evaluates the profile again
+    assert len(profile_calls) == 2 + 9 + 50
+    assert grids == [(9, 9), (50, 16)]
+
+
+def test_radial_ode_constraint_keeps_the_scalar_loop_bits():
+    rng = np.random.default_rng(30)
+    nodes = np.linspace(0.55, 2.95, 50)
+    for i in range(300):
+        z1 = float(rng.choice([-1, 1]) * 10 ** rng.uniform(-300, 300))
+        power = rng.uniform(-300, 307) if i % 3 else rng.uniform(306, 307)  # near 1e307
+        z2 = float(rng.choice([-1, 1]) * 10**power)
+        report = classify_helicoidal(0.0, PI_YZ, z1, z2)
+        loop = max(abs(AlphaRevolutionLink(1.0).ode_residual(report.profile, float(t)))
+                   for t in nodes)
+        assert dict(report.constraints)["radial_ode_max_abs"] == loop, (z1, z2)

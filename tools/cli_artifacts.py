@@ -223,6 +223,10 @@ COMMANDS = [
     ("surface_parabolic_inverse_across_pole", ["surface", "parabolic", "--profile=inverse:1,1",
                                                "--trange=-1:2", "--grid", "4x4",
                                                "--mesh", "out.obj"]),
+    # a radial-ODE residual near the float max: the array reduction over the check grid's
+    # u-nodes gives what one scalar call per node gave
+    ("classify_helicoidal_z2_1e307", ["classify", "helicoidal", "--c", "0", "--ref", "yz",
+                                      "--z1", "0", "--z2", "1e307"]),
 ]
 
 
