@@ -33,7 +33,9 @@ LZ = "lz"  # the isotropic z-axis; distance to it is the x-coordinate
 LX = "lx"  # the non-isotropic x-axis; distance to it is the z-coordinate
 
 ADMISSIBLE_MIN = 1e-9  # |x'| on a curve, |X12| on a surface: the tangent is not isotropic
-DENOM_FLOOR = 1e-12  # a weight or ODE denominator below it counts as zero
+# A denominator a - b vanishes when |a - b| <= DENOM_FLOOR * |b|, b its other term (lam in a
+# weight, b c2 t^2 in the parabolic ODE); one with a single term vanishes only at exactly 0.
+DENOM_FLOOR = 1e-12
 CHECK_SAMPLES = 129  # nodes of a general PlaneCurve's x' scan; a GraphCurve checks its ends and 0
 
 
@@ -430,7 +432,7 @@ def catenary_curvature_residual(
     else:
         raise ValueError(f"unknown reference line {reference!r}")
     denom, wp = weight_powers(base, alpha, lam, name, f"{name}={base} (t={t})")
-    if abs(denom) <= DENOM_FLOOR * max(abs(base**alpha), abs(lam)):  # relative to its terms
+    if abs(denom) <= DENOM_FLOOR * abs(lam):
         raise SingularDenominatorError(
             f"weight denominator {denom} at t={t} is numerically zero"
         )

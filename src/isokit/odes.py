@@ -7,6 +7,17 @@ equation z'' + z'/t = (1 - z'^2)/(2 z), and the parabolic-revolution
 equation (2z + b c2 t^2) z'' + z'^2 - 2ab c2 t z'/(a^2+b^2)
 + 2b c2 (z + b c2 t^2)/(a^2+b^2) - b^2/(a^2+b^2) = 0.
 
+A right-hand side raises SingularityError where its denominator vanishes under
+the rule stated beside curves.DENOM_FLOOR: |z**alpha - lam| <= DENOM_FLOOR |lam|
+(and a non-integer alpha at z <= 0), z == 0 in the revolution equation, whose
+z'/t is replaced by its limit z''(0) only at t == 0, and |2z + b c2 t^2| <=
+DENOM_FLOOR |b c2 t^2|, so (t, z) -> (s t, s z), lam -> s**alpha lam keeps both
+the weighted-curve and the revolution decisions.
+A step across the parabolic singular set 2z + b c2 t^2 = 0 is not detected: the
+stages only see the denominator where they land, and a sign-change test would
+add a denominator call to every step of every run and turn such crossings,
+which return normally, into errors.
+
 The revolution equation degenerates at t = 0.  For initial height a > 0 with
 z'(0) = 0 it is solved there as the fixed point of
 
@@ -58,12 +69,12 @@ class ProfileODE:
     def nonisotropic_alpha_catenary(cls, alpha: float, lam: float = 0.0) -> "ProfileODE":
         check_finite(alpha=alpha, lam=lam)
 
-        def rhs(t, z, zp, _a=alpha, _l=lam, _am1=alpha - 1.0):
+        def rhs(t, z, zp, _a=alpha, _l=lam, _am1=alpha - 1.0, _floor=DENOM_FLOOR * abs(lam)):
             del t
             if z <= 0.0 and _a != round(_a):
                 raise SingularityError("weight base must stay positive")
             denom = z**_a - _l
-            if abs(denom) < DENOM_FLOOR:
+            if abs(denom) <= _floor:
                 raise SingularityError(f"weight denominator {denom} vanished")
             return _a * z**_am1 * 0.5 * (1.0 - zp * zp) / denom
 
@@ -72,13 +83,11 @@ class ProfileODE:
     @classmethod
     def revolution_nonisotropic(cls) -> "ProfileODE":
         def rhs(t, z, zp):
-            if abs(2.0 * z) < DENOM_FLOOR:
+            if z == 0.0:
                 raise SingularityError("profile height vanished")
             core = (1.0 - zp * zp) / (2.0 * z)
-            if t < 1e-8:
-                # z'/t -> z''(0) as t -> 0, halving the right-hand side
-                return 0.5 * core
-            return core - zp / t
+            # at t = 0, z'/t is its limit z''(0), which halves the right-hand side
+            return 0.5 * core if t == 0.0 else core - zp / t
 
         return cls("revolution_nonisotropic", rhs)
 
@@ -94,10 +103,11 @@ class ProfileODE:
         bc2, bb_ab2, drift, pull = b * c2, b * b / ab2, 2.0 * a * b * c2, 2.0 * b * c2
 
         def rhs(t, z, zp):
-            denom = 2.0 * z + bc2 * t * t
-            if abs(denom) < DENOM_FLOOR:
+            q = bc2 * t * t
+            denom = 2.0 * z + q
+            if abs(denom) <= DENOM_FLOOR * abs(q):
                 raise SingularityError(f"denominator {denom} vanished")
-            num = bb_ab2 - zp * zp + drift * t * zp / ab2 - pull * (z + bc2 * t * t) / ab2
+            num = bb_ab2 - zp * zp + drift * t * zp / ab2 - pull * (z + q) / ab2
             return num / denom
 
         return cls("parabolic_nonisotropic", rhs)
@@ -159,8 +169,10 @@ def integrate(
     """Fixed-step classical Runge-Kutta for z'' = rhs(t, z, z').
 
     Backward integration (t1 < t0) is allowed; t1 == t0 is an InvalidIntervalError, a
-    non-finite input a ValueError naming it, a right-hand-side denominator that collapses or
-    divides by zero a SingularityError, and a non-finite state or overflow a StepFailureError.
+    non-finite input a ValueError naming it, a right-hand-side denominator that vanishes (the
+    module docstring's rule) or divides by zero a SingularityError, and a non-finite state or
+    overflow a StepFailureError.  A parabolic step that crosses 2z + b c2 t^2 = 0 between
+    stages is not detected and returns normally (see the module docstring).
     """
     if steps < 1:
         raise ValueError("steps must be positive")
@@ -215,7 +227,7 @@ def operator_T_apply(a: float, profile: IVPResult) -> IVPResult:
     extends continuously by 0 at the origin.
     """
     t, z, zp = profile.t, profile.z, profile.zp
-    if np.any(z <= DENOM_FLOOR):
+    if np.any(z <= 0.0):
         raise SingularityError("profile height fell below the division floor")
     h = float(t[1] - t[0])
     g = t * (1.0 - zp**2) / (2.0 * z)

@@ -67,7 +67,7 @@ def jet_sms_residual(jet: SurfaceJet, spec: SingularSpec):
             f"point distance {np.nanmin(dist)} leaves the positive half-space"
         )
     denom = dist - spec.lam
-    if np.any(np.abs(denom) < DENOM_FLOOR):
+    if np.any(np.abs(denom) <= DENOM_FLOOR * abs(spec.lam)):
         raise SingularDenominatorError(f"weight denominator {np.nanmin(np.abs(denom))} vanished")
     return h - spec.alpha * pairing / (2.0 * denom)
 

@@ -1,5 +1,5 @@
-"""Invariances of mean curvature and relative area (hypothesis), and the scaling of the
-catenary curvature residual.
+"""Invariances of mean curvature and relative area (hypothesis), the scaling of the
+catenary curvature residual and of the profile ODEs, and the relative denominator floor.
 
 Each moved, reparametrized or scaled surface is a new ``ParamSurface`` whose evaluator
 grids the original one and maps its jet, so only the public surface API is used.  Not
@@ -15,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isokit.curves import LZ, CatenaryFamily, ProfileForm, catenary_curvature_residual
-from isokit.errors import SingularDenominatorError
+from isokit.errors import SingularDenominatorError, SingularityError
+from isokit.odes import ProfileODE, integrate
+from isokit.singular import PI_XY, SingularSpec, sms_residual
 from isokit.surfaces import (
     HelicoidalSpec,
     ParamSurface,
@@ -157,3 +159,62 @@ def test_the_weight_floor_is_relative_to_the_weight(alpha, k):
     with pytest.raises(SingularDenominatorError, match="is numerically zero"):
         catenary_curvature_residual(curve, LZ, alpha, t**alpha * (1.0 - 1e-13), t)
     assert math.isfinite(catenary_curvature_residual(curve, LZ, alpha, t**alpha * (1.0 - 1e-6), t))
+
+
+SCALES = range(-12, 13)
+ODE_ALPHAS = [3.0, -3.0, 0.5]
+
+
+def alpha_catenary_end(alpha, s):
+    ode = ProfileODE.nonisotropic_alpha_catenary(alpha)
+    return integrate(ode, 0.0, s, 0.1, s, 100).z[-1] / s
+
+
+def revolution_end(s):
+    ode = ProfileODE.revolution_nonisotropic()
+    return integrate(ode, 0.7 * s, 1.1 * s, -0.2, 1.9 * s, 1000).z[-1] / s
+
+
+@pytest.mark.parametrize("alpha", ODE_ALPHAS)
+@pytest.mark.parametrize("k", SCALES)
+def test_the_alpha_catenary_ode_is_scale_free(alpha, k):
+    # with lam = 0 the equation keeps its form under (t, z) -> (s t, s z)
+    ref = alpha_catenary_end(alpha, 1.0)
+    assert alpha_catenary_end(alpha, 10.0**k) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("k", SCALES)
+def test_the_revolution_ode_is_scale_free(k):
+    ref = revolution_end(1.0)
+    assert revolution_end(10.0**k) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha", ODE_ALPHAS)
+@pytest.mark.parametrize("k", SCALES)
+def test_the_alpha_catenary_floor_is_relative_to_lam(alpha, k):
+    s = 10.0**k
+    z = 1.5 * s
+    with pytest.raises(SingularityError, match="weight denominator"):
+        ProfileODE.nonisotropic_alpha_catenary(alpha, z**alpha * (1.0 - 1e-13)).rhs(s, z, 0.1)
+    ode = ProfileODE.nonisotropic_alpha_catenary(alpha, z**alpha * (1.0 - 1e-6))
+    assert math.isfinite(ode.rhs(s, z, 0.1))
+
+
+@pytest.mark.parametrize("k", SCALES)
+def test_the_parabolic_floor_is_relative_to_b_c2_t_squared(k):
+    b, c2, t = 1.2, -0.6, 10.0**k
+    ode = ProfileODE.parabolic_nonisotropic(0.3, b, c2)
+    with pytest.raises(SingularityError, match="denominator"):
+        ode.rhs(t, -b * c2 * t * t * (1.0 - 1e-13) / 2.0, 0.1)
+    assert math.isfinite(ode.rhs(t, -b * c2 * t * t * (1.0 - 1e-6) / 2.0, 0.1))
+
+
+@pytest.mark.parametrize("k", SCALES)
+def test_the_sms_floor_is_relative_to_lam(k):
+    # lifted by c0 so that the node lies at height s over the plane z = 0
+    surface, u, v = SURFACES["revolution_log"], 1.5, 0.5
+    lifted = moved(surface, 0.0, 0.0, 0.0, 10.0**k - surface.at(u, v).r[2], 0.0, 0.0)
+    dist = float(lifted.at(u, v).r[2])
+    with pytest.raises(SingularDenominatorError, match="weight denominator"):
+        sms_residual(lifted, SingularSpec(PI_XY, 1.0, dist * (1.0 - 1e-13)), u, v)
+    assert math.isfinite(sms_residual(lifted, SingularSpec(PI_XY, 1.0, dist * (1.0 - 1e-6)), u, v))

@@ -86,7 +86,7 @@ def _formula_alpha(alpha, lam):
 def _formula_revolution():
     def rhs(t, z, zp):
         core = (1.0 - zp * zp) / (2.0 * z)
-        return 0.5 * core if t < 1e-8 else core - zp / t
+        return 0.5 * core if t == 0.0 else core - zp / t
 
     return rhs
 

@@ -227,6 +227,10 @@ COMMANDS = [
     # u-nodes gives what one scalar call per node gave
     ("classify_helicoidal_z2_1e307", ["classify", "helicoidal", "--c", "0", "--ref", "yz",
                                       "--z1", "0", "--z2", "1e307"]),
+    # a hanging-surface weight z - 0 of height 1e-13 is not a vanishing denominator: the
+    # residual is printed (above the threshold, so exit 1)
+    ("residual_sms_xy_1e-13", ["residual", "--check", "sms", "--sref", "xy",
+                               "--profile", "log:1e-13,2e-13", "--range", "1:2"]),
 ]
 
 
