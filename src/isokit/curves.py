@@ -73,9 +73,9 @@ def check_admissible(values, name: str) -> None:
 
 
 def check_domain(ts, lo: float, hi: float) -> None:
-    """DomainError unless every parameter in ts lies in [lo, hi] up to 1e-12 (NaN never does)."""
-    ts = np.asarray(ts, dtype=float)
-    ok = (ts >= lo - 1e-12) & (ts <= hi + 1e-12)
+    """DomainError unless every t in ts is in [lo, hi] up to 1e-12 max(|lo|, |hi|); NaN never is."""
+    ts, slack = np.asarray(ts, dtype=float), 1e-12 * max(abs(lo), abs(hi))
+    ok = (ts >= lo - slack) & (ts <= hi + slack)
     if np.count_nonzero(ok) != ok.size:  # cheaper than ok.all() on a Simpson row
         raise DomainError(f"parameter {ts[~ok].flat[0]} outside [{lo}, {hi}]")
 
@@ -92,6 +92,7 @@ class PlaneCurve:
     def __init__(self, t_lo: float, t_hi: float, eval_fn):
         if not (t_lo < t_hi):
             raise InvalidIntervalError(f"empty parameter interval [{t_lo}, {t_hi}]")
+        check_finite(t_lo=t_lo, t_hi=t_hi)  # an infinite bound would make check_domain's slack inf
         self.t_lo, self.t_hi = float(t_lo), float(t_hi)
         self._eval, self._reversed = eval_fn, False
         xds = _admissible(self.grid(self._check_nodes())).xd

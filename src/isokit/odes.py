@@ -264,7 +264,7 @@ def picard_solve_degenerate(a: float, tol: float = 1e-12) -> IVPResult:
 def _unit_picard(tol: float) -> IVPResult:
     """The a = 1 profile, iterated from the constant until the C^1 correction
     max|dz| + max|dz'| is below tol; z''(0) is a least-squares fit of z - 1
-    against t^2 and t^4 on the inner half.  Callers copy its arrays."""
+    against t^2, t^4 and t^6 on the inner half.  Callers copy its arrays."""
     if not tol > 0.0:  # false for NaN too; a cached tol skips the check
         raise ValueError(f"tol must be positive, got {tol}")
     t = np.linspace(0.0, PICARD_UNIT_RADIUS, PICARD_NODES)
@@ -290,11 +290,11 @@ def _unit_picard(tol: float) -> IVPResult:
 
 
 def _origin_curvature_fit(profile: IVPResult) -> float:
-    """z''(0) from a least-squares even-polynomial fit near the origin."""
+    """z''(0) from a least-squares even-polynomial fit (to t^6) near the origin."""
     t, z = profile.t, profile.z
     cut = t <= 0.5 * t[-1]
     w = float(t[cut][-1])
     s = (t[cut] / w) ** 2
-    basis = np.stack([s, s * s], axis=1)
+    basis = np.stack([s, s * s, s * s * s], axis=1)
     coef, *_ = np.linalg.lstsq(basis, z[cut] - z[0], rcond=None)
     return 2.0 * float(coef[0]) / w**2

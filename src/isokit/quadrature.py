@@ -48,8 +48,8 @@ def simpson_samples(y: np.ndarray, h: float) -> float:
 def cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
     """Running integral of uniform samples, exact for local parabolas.
 
-    Each sub-interval is integrated from the quadratic through the three
-    nearest nodes, so the result is fourth-order accurate like plain Simpson.
+    Each cell is integrated from the quadratic through the three nearest
+    nodes; its O(h^4) errors do not cancel as plain Simpson's do: third order.
     """
     y = np.asarray(y, dtype=float)
     n = y.size

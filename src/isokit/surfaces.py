@@ -123,10 +123,9 @@ def jet_forms(jet: SurfaceJet):
 
 
 def jet_mean_curvature(jet: SurfaceJet):
+    """H = (g11 h22 - 2 g12 h12 + g22 h11) / (2 (g11 g22 - g12^2)) at every node of the jet."""
     g11, g12, g22, h11, h12, h22 = jet_forms(jet)
-    return 0.5 * (g11 * h22 - 2.0 * g12 * h12 + g22 * h11) / (
-        g11 * g22 - np.float_power(g12, 2)
-    )
+    return 0.5 * (g11 * h22 - 2.0 * g12 * h12 + g22 * h11) / (g11 * g22 - g12 * g12)
 
 
 def jet_parabolic_normal(jet: SurfaceJet):
@@ -164,10 +163,9 @@ def surface_parabolic_normal(surface: ParamSurface, u: float, v: float) -> IsoVe
 
 
 def _integrand(jet: SurfaceJet):
-    """det(r_u, r_v, n_par) = (X23^2 + X31^2 + X12^2)/(2 X12) at every node of the jet."""
-    minors = jet_minors(jet)
-    sq = np.float_power(minors, 2)  # pow like scalar **, unlike array **
-    return 0.5 * (sq[0] + sq[1] + sq[2]) / minors[2]
+    """det(r_u, r_v, n_par) = (X23^2 + X31^2 + X12^2)/(2 X12) per node; squares by products."""
+    x23, x31, x12 = jet_minors(jet)
+    return 0.5 * (x23 * x23 + x31 * x31 + x12 * x12) / x12
 
 
 def _finite_area(area: float) -> float:
@@ -272,9 +270,7 @@ def make_helicoidal(
         raise DomainError(f"pitch {c} times theta is not finite on [{theta_lo}, {theta_hi}]")
 
     def evaluate(ts, ths):
-        nodes = ths.tolist()  # libm over Python floats: np.cos may differ in the last bit
-        ct = np.fromiter(map(math.cos, nodes), float, ths.size)
-        st = np.fromiter(map(math.sin, nodes), float, ths.size)
+        ct, st = np.cos(ths), np.sin(ths)
         z, zd, zdd = sample_columns(curve.profile, ts)
         tc, nts = ts * ct, -ts * st
         return ((tc, ts * st, c * ths + z), (ct, st, zd), (nts, tc, c),

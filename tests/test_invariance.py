@@ -1,5 +1,6 @@
 """Invariances of mean curvature and relative area (hypothesis), the scaling of the
-catenary curvature residual and of the profile ODEs, and the relative denominator floor.
+catenary curvature residual, of the profile ODEs and of the hanging-surface residual, the
+relative denominator floor and the relative slack of a domain check.
 
 Each moved, reparametrized or scaled surface is a new ``ParamSurface`` whose evaluator
 grids the original one and maps its jet, so only the public surface API is used.  Not
@@ -14,10 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isokit.curves import LZ, CatenaryFamily, ProfileForm, catenary_curvature_residual
-from isokit.errors import SingularDenominatorError, SingularityError
+from isokit.curves import LZ, CatenaryFamily, PlaneCurve, ProfileForm, catenary_curvature_residual
+from isokit.errors import DomainError, SingularDenominatorError, SingularityError
 from isokit.odes import ProfileODE, integrate
-from isokit.singular import PI_XY, SingularSpec, sms_residual
+from isokit.singular import CHECK_GRID, PI_XY, PI_YZ, SingularSpec, max_sms_residual, sms_residual
 from isokit.surfaces import (
     HelicoidalSpec,
     ParamSurface,
@@ -218,3 +219,46 @@ def test_the_sms_floor_is_relative_to_lam(k):
     with pytest.raises(SingularDenominatorError, match="weight denominator"):
         sms_residual(lifted, SingularSpec(PI_XY, 1.0, dist * (1.0 - 1e-13)), u, v)
     assert math.isfinite(sms_residual(lifted, SingularSpec(PI_XY, 1.0, dist * (1.0 - 1e-6)), u, v))
+
+
+@pytest.mark.parametrize("k", range(-6, 7))
+def test_scaling_divides_the_hanging_surface_residual_by_the_scale(k):
+    # z = 0.4 + 1.5/t hangs from the plane x = 0; (t, z) -> (s t, s z) gives 0.4 s + 1.5 s^2/t
+    s = 10.0**k
+    form = ProfileForm("inverse_radius", {"z1": 0.4 * s, "z2": 1.5 * s * s})
+    surface = make_revolution(RevolutionSpec(form.plane_curve(0.5 * s, 3.0 * s)), -1.25, 1.25)
+    assert s * max_sms_residual(surface, SingularSpec(PI_YZ), *surface.nodes(*CHECK_GRID)) <= 1e-13
+
+
+def unit_height(*args):
+    return 1.0
+
+
+def zero(*args):
+    return 0.0
+
+
+@pytest.mark.parametrize("k", SCALES)
+def test_the_domain_slack_is_relative_to_the_bounds(k):
+    # an absolute 1e-12 let [1e-12, 2e-12] hold 0 and rounded away above |t| ~ 1.6e4
+    s = 10.0**k
+    curve = PlaneCurve.graph(s, 2.0 * s, unit_height, zero, zero)
+    surface = ParamSurface.graph(s, 2.0 * s, s, 2.0 * s, unit_height, zero, zero, zero, zero,
+                                 zero)
+    inside = (s * (1.0 - 1e-15), 2.0 * s * (1.0 + 1e-15))
+    outside = (0.0, s * (1.0 - 1e-9), 2.0 * s * (1.0 + 1e-9))
+    for t in inside:
+        curve.at(t)
+        surface.at(t, 1.5 * s)
+        surface.at(1.5 * s, t)
+    for t in outside:
+        for at in (curve.at, lambda t: surface.at(t, 1.5 * s), lambda t: surface.at(1.5 * s, t)):
+            with pytest.raises(DomainError, match="outside"):
+                at(t)
+
+
+@pytest.mark.parametrize("lo, hi", [(-math.inf, 1.0), (1.0, math.inf)])
+def test_an_unbounded_interval_is_refused(lo, hi):
+    # a relative slack from an infinite bound is inf: every t would lie inside
+    with pytest.raises(ValueError, match="must be finite, got -?inf$"):
+        PlaneCurve.graph(lo, hi, unit_height, zero, zero)

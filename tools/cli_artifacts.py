@@ -231,6 +231,10 @@ COMMANDS = [
     # residual is printed (above the threshold, so exit 1)
     ("residual_sms_xy_1e-13", ["residual", "--check", "sms", "--sref", "xy",
                                "--profile", "log:1e-13,2e-13", "--range", "1:2"]),
+    # the hanging revolution z = 0.4 + 1.5/t scaled by s = 1e-6: s times its residual
+    # 3.7e-9 is a rounding-level 3.7e-15, but the absolute 1e-9 threshold fails it (exit 1)
+    ("residual_sms_inverse_scaled_1e-6", ["residual", "--check", "sms", "--profile",
+                                          "inverse:4e-7,1.5e-12", "--range", "5e-7:3e-6"]),
 ]
 
 
